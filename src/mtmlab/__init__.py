@@ -44,13 +44,16 @@ from .soliton import (
 )
 from .spectral import (
     DiscreteOperator,
+    KernelDeflationError,
     SchrodingerProblem,
+    SectorAnalysis,
     block_diagonalize_check,
     build_hessian,
     build_schrodinger,
     build_sector_operator,
     constrained_min_eig,
     eigs_below_continuum,
+    sector_analysis,
     sigma_closed_form,
     sigma_index,
     splitting_probe,

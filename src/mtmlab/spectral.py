@@ -10,6 +10,20 @@ each scalar pair reduce the sectors further to Schrodinger-type problems in
 the stretched variable z = sqrt(1 - omega^2) x with spectral parameter
 rescaled by 1 - omega^2 and continuum edge at 1.
 
+The same similarity splits the constraints.  Writing the perturbation as
+u = (w+ - w-)/sqrt(2), v = conj(w+ + w-)/sqrt(2), the two complex constraint
+functionals <(conj U, U), (u, v)> and its U' analogue become
+
+    c1 = sqrt(2) [Re<U, w+> - i Im<U, w->],
+    c2 = sqrt(2) [Re<U', w+> - i Im<U', w->],
+
+so the plus sector is constrained to the complement of {U, U'} and the minus
+sector to the complement of {iU', iU}.  Constrained positivity of the full
+operator is therefore the smaller of two per-sector constrained minima, and
+every spectral quantity of a sector (isolated eigenvalues, the constraint
+slope sigma, the constrained minimum) comes from one shared, cached
+``SectorAnalysis``; the 4N x 4N Hessian is kept as a small-N reference.
+
 Everything is realified: a complex pair (w, conj w) maps to the real vector
 (Re w, Im w) and every operator becomes a real symmetric matrix, so
 positivity statements are literal matrix positivity and eigenvalues match
@@ -24,12 +38,13 @@ d|U|^2/dx = 2 Im U^2) and keeps the raw matrices symmetric to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh, null_space
+from scipy.linalg import eigh, null_space, solve
 
 from .grid import PERIODIC, Grid, quadrature
 from .soliton import (
@@ -47,9 +62,20 @@ from .soliton import (
 # omega = 0.9, so the margin must stay below 0.010; 0.005 leaves a clear
 # gap on both sides (validated by doubling L and N).
 CONTINUUM_MARGIN = 0.005
-KERNEL_DEFLATION = 1e-8  # |eigenvalue| below this is treated as kernel
-SYMMETRY_TOL = 1e-10
+KERNEL_DEFLATION = 1e-8  # |eigenvalue| at or below this is treated as kernel
 CONSTRUCTION_TOL = 1e-6
+
+# Constant orthogonal similarity (per grid point) from the plus/minus sector
+# pairs (w+, conj w+, w-, conj w-) to the stack (u, v, conj u, conj v).
+SECTOR_SIMILARITY = np.array(
+    [
+        [1.0, 0.0, -1.0, 0.0],
+        [0.0, 1.0, 0.0, 1.0],
+        [0.0, 1.0, 0.0, -1.0],
+        [1.0, 0.0, 1.0, 0.0],
+    ]
+) / np.sqrt(2.0)
+SECTOR_SIMILARITY.setflags(write=False)
 
 SCALAR_KINDS = (
     "sum_sector",            # stretched plus-combination problem of the minus sector
@@ -67,26 +93,50 @@ class OperatorConstructionError(RuntimeError):
     which signals a sign error in the operator coefficients."""
 
 
+class KernelDeflationError(RuntimeError):
+    """Raised when a sector operator shows no eigenvalue within
+    KERNEL_DEFLATION of zero, so its kernel cannot be deflated."""
+
+
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m^T|, taken in row strips so no full-size temporary is made."""
+    rows = 256
+    return max(
+        float(np.max(np.abs(m[i : i + rows] - m[:, i : i + rows].T)))
+        for i in range(0, m.shape[0], rows)
+    )
+
+
 @dataclass
 class DiscreteOperator:
-    """Real symmetric matrix realization of a linearized operator."""
+    """Real symmetric matrix realization of a linearized operator.
+
+    The assembled ``matrix`` is measured once for asymmetry (recorded as
+    ``pre_symmetry_defect``; above CONSTRUCTION_TOL it signals a sign error)
+    and replaced by its exactly symmetric part."""
 
     matrix: np.ndarray
     block_structure: str
     continuum_edge: float
     grid: Grid
     z_scaled: bool = False
-    pre_symmetry_defect: float = 0.0
+    pre_symmetry_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         m = self.matrix
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("operator matrix must be square")
-        defect = float(np.max(np.abs(m - m.T)))
-        if defect > SYMMETRY_TOL:
-            raise ValueError(f"operator matrix asymmetric by {defect:.3e}")
         if not self.continuum_edge > 0.0:
             raise ValueError("continuum edge must be positive")
+        defect = _asymmetry(m)
+        if defect > CONSTRUCTION_TOL:
+            raise OperatorConstructionError(
+                f"assembled matrix asymmetric by {defect:.3e}; sign error suspected"
+            )
+        sym = m + m.T
+        sym *= 0.5
+        self.matrix = sym
+        self.pre_symmetry_defect = defect
 
 
 # ---------------------------------------------------------------------------
@@ -139,17 +189,6 @@ def embed_hessian_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a.real, a.imag, b.real, b.imag])
 
 
-def _finalize(matrix: np.ndarray, **kwargs) -> DiscreteOperator:
-    defect = float(np.max(np.abs(matrix - matrix.T)))
-    if defect > CONSTRUCTION_TOL:
-        raise OperatorConstructionError(
-            f"assembled matrix asymmetric by {defect:.3e}; sign error suspected"
-        )
-    return DiscreteOperator(
-        matrix=0.5 * (matrix + matrix.T), pre_symmetry_defect=defect, **kwargs
-    )
-
-
 # ---------------------------------------------------------------------------
 # sector operators and the full Hessian
 
@@ -181,8 +220,8 @@ def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperat
         raise ValueError("sign must be +1 or -1")
     linear, conj_part = _sector_complex_blocks(omega, grid, sign)
     mat = realify_conjugate_pair(linear, conj_part)
-    return _finalize(
-        mat,
+    return DiscreteOperator(
+        matrix=mat,
         block_structure="(Re w, Im w) of the pair (w, conj w)",
         continuum_edge=1.0 - omega * omega,
         grid=grid,
@@ -234,8 +273,8 @@ def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
     mat = realify_conjugate_pair(linear, conj_part)
     p = _interleave(grid.n)
     mat = mat[np.ix_(p, p)]
-    return _finalize(
-        mat,
+    return DiscreteOperator(
+        matrix=mat,
         block_structure="(Re u, Im u, Re v, Im v)",
         continuum_edge=1.0 - omega * omega,
         grid=grid,
@@ -267,15 +306,7 @@ def block_diagonalize_check(omega: float, grid: Grid) -> float:
             [l3, l2, 2.0 * l2, l1],
         ]
     )
-    s_small = np.array(
-        [
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, 1.0],
-            [0.0, 1.0, 0.0, -1.0],
-            [1.0, 0.0, 1.0, 0.0],
-        ]
-    ) / np.sqrt(2.0)
-    s_mat = np.kron(s_small, np.eye(grid.n))
+    s_mat = np.kron(SECTOR_SIMILARITY, np.eye(grid.n))
     plus_lin, plus_conj = _sector_complex_blocks(omega, grid, +1)
     minus_lin, minus_conj = _sector_complex_blocks(omega, grid, -1)
     n = grid.n
@@ -293,15 +324,8 @@ def block_diagonalize_check(omega: float, grid: Grid) -> float:
 
 
 def similarity_orthogonality_defect() -> float:
-    s_small = np.array(
-        [
-            [1.0, 0.0, -1.0, 0.0],
-            [0.0, 1.0, 0.0, 1.0],
-            [0.0, 1.0, 0.0, -1.0],
-            [1.0, 0.0, 1.0, 0.0],
-        ]
-    ) / np.sqrt(2.0)
-    return float(np.max(np.abs(s_small.T @ s_small - np.eye(4))))
+    s = SECTOR_SIMILARITY
+    return float(np.max(np.abs(s.T @ s - np.eye(4))))
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +416,8 @@ def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperat
     _, d2 = differentiation_matrices(grid)
     if problem.scalar:
         mat = -d2 + np.diag(1.0 + problem.potential(grid.x))
-        return _finalize(
-            mat,
+        return DiscreteOperator(
+            matrix=mat,
             block_structure="scalar psi(z)",
             continuum_edge=1.0,
             grid=grid,
@@ -402,8 +426,8 @@ def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperat
     v1, v2 = problem.coupled_potentials(grid.x)
     linear = -d2 + np.diag(1.0 + v1)
     mat = realify_conjugate_pair(linear.astype(complex), np.diag(v2))
-    return _finalize(
-        mat,
+    return DiscreteOperator(
+        matrix=mat,
         block_structure="(Re phi, Im phi) of the pair (phi, conj phi)",
         continuum_edge=1.0,
         grid=grid,
@@ -431,15 +455,22 @@ def stretched_grid(omega: float, grid_x: Grid) -> Grid:
 # eigenvalue extraction, shooting, constrained counts
 
 
+def _isolated_spectrum(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors strictly below the continuum
+    edge minus a leakage margin, from a subset eigensolve: only the isolated
+    part of the spectrum is computed."""
+    cutoff = op.continuum_edge * (1.0 - CONTINUUM_MARGIN)
+    vals, vecs = eigh(op.matrix, subset_by_value=(-np.inf, cutoff))
+    keep = vals < cutoff
+    return vals[keep], vecs[:, keep]
+
+
 def eigs_below_continuum(op: DiscreteOperator) -> list[tuple[float, np.ndarray]]:
     """All eigenpairs below the continuum edge minus a leakage margin,
     sorted ascending.  The margin excludes discretized continuum states
     that scatter slightly below the edge on finite domains."""
-    vals, vecs = eigh(op.matrix)
-    cutoff = op.continuum_edge * (1.0 - CONTINUUM_MARGIN)
-    pairs = [(float(v), vecs[:, i]) for i, v in enumerate(vals) if v < cutoff]
-    pairs.sort(key=lambda p: p[0])
-    return pairs
+    vals, vecs = _isolated_spectrum(op)
+    return [(float(v), vecs[:, i]) for i, v in enumerate(vals)]
 
 
 def _prufer_zero_count(q_of, z_min: float, z_max: float, lam: float) -> int:
@@ -540,24 +571,136 @@ def spectral_grid(omega: float, n: int | None = None) -> Grid:
     return recommended_grid(omega, n=n, tail_exponent=22.0)
 
 
-def _sector_constraint_vector(omega: float, grid: Grid, sign: int) -> np.ndarray:
-    """Embedded constraint vector s of a sector: (U, conj U) for plus,
-    (U', -conj U') for minus."""
+def _sector_constraint_block(omega: float, grid: Grid, sign: int) -> np.ndarray:
+    """The sector's two of the four real constraint rows, as a 2N x 2 block:
+    {U, U'} for plus and {iU', iU} for minus (see the module docstring).  The
+    first column is the sector's constraint vector s, the second its kernel
+    vector."""
+    u = eval_profile(omega, grid)
+    up = profile_derivative(omega, grid.x)
     if sign > 0:
-        return embed_conjugate_pair(eval_profile(omega, grid))
-    return embed_conjugate_pair(profile_derivative(omega, grid.x), anti=True)
+        return np.column_stack([embed_conjugate_pair(u), embed_conjugate_pair(up)])
+    return np.column_stack(
+        [embed_conjugate_pair(up, anti=True), embed_conjugate_pair(u, anti=True)]
+    )
+
+
+def _min_eig_on_complement(matrix: np.ndarray, block: np.ndarray) -> float:
+    """Smallest eigenvalue of a symmetric matrix restricted to the orthogonal
+    complement of the columns of ``block``.
+
+    Householder reflectors H_j = I - beta_j v_j v_j^T reduce ``block`` to
+    upper-triangular form; each is applied to both sides of the matrix as the
+    symmetric rank-two update H M H = M - v w^T - w v^T, O(n^2).  The leading
+    rows and columns, which span the block, are then dropped."""
+    m = np.array(matrix)
+    c = np.array(block, dtype=float)
+    k = c.shape[1]
+    for j in range(k):
+        v = c[j:, j].copy()
+        v[0] += np.copysign(np.linalg.norm(v), v[0])
+        beta = 2.0 / (v @ v)
+        c[j:, j:] -= beta * np.outer(v, v @ c[j:, j:])
+        sub = m[j:, j:]
+        p = beta * (sub @ v)
+        w = p - (0.5 * beta * (p @ v)) * v
+        sub -= np.outer(v, w)
+        sub -= np.outer(w, v)
+    vals = eigh(m[k:, k:], eigvals_only=True, subset_by_index=[0, 0])
+    return float(vals[0])
+
+
+class SigmaSolve(NamedTuple):
+    value: float  # the constraint slope sigma
+    residual: float  # max |(M + K K^T) x - s_perp| of the deflated solve
+
+
+@dataclass(frozen=True)
+class SectorAnalysis:
+    """Every spectral quantity of one (omega, sector) from one operator.
+
+    The realified 2N x 2N sector matrix is built once and marked read-only;
+    the isolated spectrum, the constraint slope and the constrained minimum
+    are each computed from it on first use.  Obtain instances through
+    ``sector_analysis`` so that consumers share them."""
+
+    omega: float
+    grid: Grid
+    sign: int
+
+    def __post_init__(self) -> None:
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+
+    @cached_property
+    def operator(self) -> DiscreteOperator:
+        op = build_sector_operator(self.omega, self.grid, self.sign)
+        op.matrix.setflags(write=False)
+        return op
+
+    @cached_property
+    def isolated(self) -> tuple[np.ndarray, np.ndarray]:
+        """Isolated eigenvalues (ascending) and their eigenvectors."""
+        return _isolated_spectrum(self.operator)
+
+    @cached_property
+    def sigma(self) -> SigmaSolve:
+        """Constraint slope <L^{-1} s, s> by a kernel-deflated symmetric solve.
+
+        K holds the isolated eigenvectors with |lambda| <= KERNEL_DEFLATION.
+        With s_perp = s - K K^T s, sigma = 2 dx s_perp^T (M + K K^T)^{-1} s_perp,
+        which equals the eigen-sum over the non-kernel spectrum.  The factor
+        2 dx turns the realified dot into the complex two-component pairing."""
+        if abs(self.omega) < OMEGA_DEGENERATE:
+            raise ValueError("sigma solve is degenerate near omega = 0; "
+                             "use a direct constrained eigensolve instead")
+        vals, vecs = self.isolated
+        kernel = vecs[:, np.abs(vals) <= KERNEL_DEFLATION]
+        if kernel.shape[1] == 0:
+            nearest = float(np.min(np.abs(vals))) if len(vals) else float("nan")
+            raise KernelDeflationError(
+                f"sector {self.sign:+d} at omega={self.omega!r}: no eigenvalue within "
+                f"{KERNEL_DEFLATION:g} of zero (nearest isolated |lambda| = {nearest:.3e})"
+            )
+        m = self.operator.matrix
+        s = _sector_constraint_block(self.omega, self.grid, self.sign)[:, 0]
+        s_perp = s - kernel @ (kernel.T @ s)
+        deflated = kernel @ kernel.T
+        deflated += m
+        x = solve(deflated, s_perp, assume_a="sym", overwrite_a=True)
+        residual = float(np.max(np.abs(m @ x + kernel @ (kernel.T @ x) - s_perp)))
+        return SigmaSolve(float(2.0 * self.grid.dx * (s_perp @ x)), residual)
+
+    @cached_property
+    def constrained_min(self) -> float:
+        """Smallest eigenvalue of the sector operator on the orthogonal
+        complement of the sector's two constraint vectors."""
+        block = _sector_constraint_block(self.omega, self.grid, self.sign)
+        return _min_eig_on_complement(self.operator.matrix, block)
+
+
+@lru_cache(maxsize=2)  # the current omega's two sectors
+def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
+    """The shared ``SectorAnalysis`` of one (omega, sector)."""
+    return SectorAnalysis(omega, grid, sign)
 
 
 def sigma_index(omega: float, grid: Grid, sign: int) -> float:
-    """Constraint slope <L^{-1} s, s> via a kernel-deflated eigensolve.
+    """Constraint slope <L^{-1} s, s> via a kernel-deflated solve on the
+    shared sector analysis (see ``SectorAnalysis.sigma``).
 
     The inner product is the complex two-component pairing, which equals
     twice the realified dot with the quadrature weight."""
+    return sector_analysis(omega, grid, sign).sigma.value
+
+
+def _sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
+    """Reference for ``sigma_index``: the eigen-sum over the full spectrum of
+    a freshly built sector operator, dropping |lambda| <= KERNEL_DEFLATION."""
     if abs(omega) < OMEGA_DEGENERATE:
-        raise ValueError("sigma solve is degenerate near omega = 0; "
-                         "use a direct constrained eigensolve instead")
+        raise ValueError("sigma solve is degenerate near omega = 0")
     op = build_sector_operator(omega, grid, sign)
-    s = _sector_constraint_vector(omega, grid, sign)
+    s = _sector_constraint_block(omega, grid, sign)[:, 0]
     vals, vecs = eigh(op.matrix)
     keep = np.abs(vals) > KERNEL_DEFLATION
     proj = vecs[:, keep].T @ s
@@ -582,11 +725,11 @@ def sigma_profile_path(omega: float, grid: Grid, sign: int) -> float:
 def generalized_mode_residual(omega: float, grid: Grid) -> float:
     """Realified residual of the minus-sector identity mapping the
     x-weighted combination onto the translation-type constraint vector."""
-    op = build_sector_operator(omega, grid, -1)
+    matrix = sector_analysis(omega, grid, -1).operator.matrix
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)
-    lhs = op.matrix @ embed_conjugate_pair(x1, anti=True)
+    lhs = matrix @ embed_conjugate_pair(x1, anti=True)
     rhs = embed_conjugate_pair(up, anti=True)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -606,7 +749,15 @@ def _constraint_rows(omega: float, grid: Grid) -> np.ndarray:
 
 def constrained_min_eig(omega: float, grid: Grid) -> float:
     """Smallest eigenvalue of the curvature operator projected onto the
-    orthogonal complement of the four real constraint functionals."""
+    orthogonal complement of the four real constraint functionals.  The
+    similarity splits both the operator and the constraints, so this is the
+    smaller of the two per-sector constrained minima."""
+    return min(sector_analysis(omega, grid, sign).constrained_min for sign in (1, -1))
+
+
+def _constrained_min_eig_hessian(omega: float, grid: Grid) -> float:
+    """Reference for ``constrained_min_eig`` through the full 4N x 4N Hessian
+    and a null-space basis of the four constraint rows; for small grids."""
     op = build_hessian(omega, grid)
     basis = null_space(_constraint_rows(omega, grid))
     projected = basis.T @ op.matrix @ basis
@@ -614,18 +765,27 @@ def constrained_min_eig(omega: float, grid: Grid) -> float:
     return float(vals[0])
 
 
+def constrained_split_defect(omega: float, grid: Grid) -> float:
+    """|per-sector route - full-Hessian route| of the constrained minimum on
+    ``grid``: a self-check of the constraint split, meant for small grids.
+    Its sector analyses bypass the cache, so the current omega's stay in it."""
+    sector = min(SectorAnalysis(omega, grid, sign).constrained_min for sign in (1, -1))
+    return abs(sector - _constrained_min_eig_hessian(omega, grid))
+
+
 def splitting_probe(omegas, grid: Grid) -> list[dict]:
     """Tabulate the isolated spectrum of both sector operators across omega:
-    counts below the edge, the non-kernel eigenvalue of each sector, and the
-    degenerate-splitting integral whose sign the probe settles empirically."""
+    counts below the edge, the non-kernel eigenvalue of each sector, the
+    assembly asymmetry of each sector matrix, and the degenerate-splitting
+    integral whose sign the probe settles empirically."""
     rows = []
     for omega in omegas:
         row = {"omega": float(omega)}
         for sign, tag in ((1, "plus"), (-1, "minus")):
-            op = build_sector_operator(omega, grid, sign)
-            pairs = eigs_below_continuum(op)
-            vals = np.array([p[0] for p in pairs])
+            analysis = sector_analysis(omega, grid, sign)
+            vals = analysis.isolated[0]
             row[f"count_{tag}"] = len(vals)
+            row[f"pre_symmetry_defect_{tag}"] = analysis.operator.pre_symmetry_defect
             if len(vals):
                 kernel_idx = int(np.argmin(np.abs(vals)))
                 others = np.delete(vals, kernel_idx)

@@ -149,6 +149,15 @@ class TestOmegaSweep:
         rows = record.tables["sweep"]
         assert {row["omega"] for row in rows} == {0.3, -0.3}
 
+    def test_sweep_row_diagnostics(self):
+        record = omega_sweep([0.3], grid_n=256, checks=("slope", "constrained"))
+        assert record.verdicts["constrained"] and record.verdicts["slope"]
+        row = record.tables["sweep"][0]
+        assert 0.0 <= row["constrained_split_defect"] <= 1e-10
+        for tag in ("plus", "minus"):
+            assert 0.0 <= row[f"pre_symmetry_defect_{tag}"] < 1e-12
+            assert row[f"sigma_{tag}_residual"] < 1e-10
+
     def test_check_selection(self):
         record = omega_sweep([0.3], checks=("minus_sector",))
         assert "slope" not in record.verdicts

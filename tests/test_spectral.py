@@ -14,8 +14,14 @@ from mtmlab.soliton import (
     profile_derivative,
     zero_mode_fields,
 )
+from mtmlab import spectral
 from mtmlab.spectral import (
+    SECTOR_SIMILARITY,
+    KernelDeflationError,
     SchrodingerProblem,
+    _constrained_min_eig_hessian,
+    _constraint_rows,
+    _sigma_index_eigh,
     apply_to_pair,
     block_diagonalize_check,
     build_hessian,
@@ -27,6 +33,7 @@ from mtmlab.spectral import (
     generalized_mode_residual,
     hessian_quadratic_form,
     _prufer_zero_count,
+    sector_analysis,
     sigma_closed_form,
     sigma_index,
     sigma_profile_path,
@@ -305,3 +312,100 @@ class TestSplittingProbe:
         g = spectral_grid(0.01)
         row = splitting_probe([0.01], g)[0]
         assert row["splitting_integral"] == pytest.approx(-2.0 / 3.0, abs=0.05)
+
+
+def _realified_similarity(n: int) -> np.ndarray:
+    """Real 4N x 4N map from sector coordinates (Re w+, Im w+, Re w-, Im w-)
+    to Hessian coordinates (Re u, Im u, Re v, Im v), read off the complex
+    similarity: a component alpha w + gamma conj(w) has real part
+    (alpha + gamma) Re w and imaginary part (alpha - gamma) Im w."""
+    small = np.zeros((4, 4))
+    for comp in range(2):  # u, v rows of the similarity
+        for sector in range(2):  # plus, minus column pairs
+            alpha, gamma = SECTOR_SIMILARITY[comp, 2 * sector : 2 * sector + 2]
+            small[2 * comp, 2 * sector] = alpha + gamma
+            small[2 * comp + 1, 2 * sector + 1] = alpha - gamma
+    return np.kron(small, np.eye(n))
+
+
+ORACLE_N = 256
+
+
+class TestSectorRoute:
+    """The per-sector spectral route against the full-spectrum and
+    full-Hessian references on small grids."""
+
+    @pytest.mark.parametrize("omega", [0.0, 0.3, -0.3, 0.5, 0.9, -0.9])
+    def test_constrained_min_matches_hessian_oracle(self, omega):
+        g = spectral_grid(omega, ORACLE_N)
+        sector = constrained_min_eig(omega, g)
+        assert abs(sector - _constrained_min_eig_hessian(omega, g)) <= 1e-12
+
+    @pytest.mark.parametrize("omega", [0.3, 0.5, 0.9])
+    def test_deflated_sigma_matches_eigen_sum(self, omega):
+        g = spectral_grid(omega, ORACLE_N)
+        for sign in (1, -1):
+            solve = sector_analysis(omega, g, sign).sigma
+            assert abs(solve.value - _sigma_index_eigh(omega, g, sign)) <= 1e-10
+            assert solve.residual < 1e-10
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5, -0.9])
+    def test_subset_matches_full_eigh(self, omega):
+        g = spectral_grid(omega, ORACLE_N)
+        for sign in (1, -1):
+            analysis = sector_analysis(omega, g, sign)
+            vals = analysis.isolated[0]
+            full = np.linalg.eigvalsh(analysis.operator.matrix)
+            full = full[full < analysis.operator.continuum_edge * (1.0 - spectral.CONTINUUM_MARGIN)]
+            assert len(vals) == len(full)
+            assert np.max(np.abs(vals - full)) <= 1e-12
+
+    def test_constraint_rows_split_by_similarity(self):
+        omega, n = 0.4, 64
+        g = Grid(20.0, n)
+        u = eval_profile(omega, g)
+        up = profile_derivative(omega, g.x)
+        q = _realified_similarity(n)
+        assert np.max(np.abs(q.T @ q - np.eye(4 * n))) < 1e-14
+        # the realified Hessian splits into the two realified sector matrices
+        split = q.T @ build_hessian(omega, g).matrix @ q
+        plus = build_sector_operator(omega, g, +1).matrix
+        minus = build_sector_operator(omega, g, -1).matrix
+        assert np.max(np.abs(split[: 2 * n, : 2 * n] - plus)) < 1e-8
+        assert np.max(np.abs(split[2 * n :, 2 * n :] - minus)) < 1e-8
+        assert np.max(np.abs(split[: 2 * n, 2 * n :])) < 1e-8
+        # Re/Im of the U and U' constraints land on {U, U'} in the plus
+        # sector and on {iU, iU'} in the minus sector, scaled by sqrt(2)
+        mapped = _constraint_rows(omega, g) @ q / np.sqrt(2.0)
+        zero = np.zeros(2 * n)
+        expected = np.array([
+            np.concatenate([embed_conjugate_pair(u), zero]),
+            np.concatenate([zero, -embed_conjugate_pair(u, anti=True)]),
+            np.concatenate([embed_conjugate_pair(up), zero]),
+            np.concatenate([zero, -embed_conjugate_pair(up, anti=True)]),
+        ])
+        assert np.max(np.abs(mapped - expected)) < 1e-14 * np.max(np.abs(expected))
+
+    def test_cached_matrix_is_read_only_and_shared(self):
+        sector_analysis.cache_clear()
+        g = spectral_grid(0.5, ORACLE_N)
+        splitting_probe([0.5], g)
+        assert sector_analysis.cache_info().misses == 2
+        sigma_index(0.5, g, -1)
+        assert sector_analysis.cache_info().hits >= 1
+        assert sector_analysis.cache_info().misses == 2
+        matrix = sector_analysis(0.5, g, -1).operator.matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1.0
+
+    def test_sigma_fails_loudly_without_a_resolved_kernel(self):
+        # on this coarse grid the minus-sector kernel eigenvalue is ~1e-7,
+        # outside the deflation window: the eigen-sum would silently keep it
+        # as a 1/lambda term
+        omega = -0.3
+        g = spectral_grid(omega, ORACLE_N)
+        near_kernel = np.min(np.abs(sector_analysis(omega, g, -1).isolated[0]))
+        assert spectral.KERNEL_DEFLATION < near_kernel < 1e-6
+        with pytest.raises(KernelDeflationError):
+            sigma_index(omega, g, -1)
