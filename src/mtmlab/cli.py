@@ -135,9 +135,9 @@ def _cmd_spectrum(args) -> int:
     g = spectral.spectral_grid(omega, args.grid_N)
     rows = []
     for sign, tag in ((1, "plus"), (-1, "minus")):
-        op = spectral.build_sector_operator(omega, g, sign)
-        vals = [v for v, _ in spectral.eigs_below_continuum(op)]
-        rows.append((omega, tag, vals, op.continuum_edge))
+        analysis = spectral.sector_analysis(omega, g, sign)
+        vals = [float(v) for v in analysis.isolated[0]]
+        rows.append((omega, tag, vals, analysis.operator.continuum_edge))
     spectral.write_spectral_csv(out / "spectrum.csv", rows)
     print(f"wrote {out / 'spectrum.csv'}")
     return 0

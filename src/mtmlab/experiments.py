@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conserved, spectral
 from .evolve import BlowUpError, EvolverConfig, evolve
-from .grid import FieldState, Grid, h1_norm_sq, norms, quadrature
+from .grid import FieldState, Grid, differentiate, h1_norm_sq, l2_norm_sq, norms, quadrature
 from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid
 
 STABILITY_FACTOR = 10.0
@@ -387,10 +387,8 @@ def _measured_interpolation_constant(states: Iterable[FieldState]) -> float:
     for s in states:
         g = s.grid
         for f in (s.u, s.v):
-            l2 = np.sqrt(max(float(np.real(quadrature(np.abs(f) ** 2, g))), 1e-300))
-            dl2 = np.sqrt(
-                max(float(np.real(quadrature(np.abs(np.fft.ifft(1j * g.wavenumbers_odd * np.fft.fft(f))) ** 2, g))), 1e-300)
-            )
+            l2 = np.sqrt(max(l2_norm_sq(f, g), 1e-300))
+            dl2 = np.sqrt(max(l2_norm_sq(differentiate(f, g), g), 1e-300))
             for p in (2, 3):
                 lp = float(np.real(quadrature(np.abs(f) ** (2 * p), g)))
                 bound = dl2 ** (p - 1) * l2 ** (p + 1)

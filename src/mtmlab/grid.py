@@ -1,11 +1,10 @@
-"""Uniform 1-D grids, two-component complex fields, and the calculus on them.
+"""Uniform periodic 1-D grids, two-component complex fields, and the
+calculus on them.
 
-Periodic grids use Fourier-spectral differentiation and rectangle-rule
-quadrature (the trapezoid rule coincides with it on a periodic lattice);
-truncated-line grids use fourth-order finite differences and the proper
-trapezoid rule.  Everything downstream (solitons, conserved charges, time
-evolution, spectral analysis) is built on these primitives.  All quantities
-are dimensionless.
+Differentiation is Fourier-spectral and quadrature is the rectangle rule
+(which coincides with the trapezoid rule on a periodic lattice).  Everything
+downstream (solitons, conserved charges, time evolution, spectral analysis)
+is built on these primitives.  All quantities are dimensionless.
 """
 
 from __future__ import annotations
@@ -16,39 +15,31 @@ from pathlib import Path
 
 import numpy as np
 
-PERIODIC = "periodic"
-LINE = "line"
-
 _SUPPORTED_LP = (2, 4, 6)
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform lattice of ``n`` points on [-L, L) (periodic) or [-L, L] (line).
+    """Periodic lattice of ``n`` points on [-L, L).
 
-    Periodic grids require even ``n >= 8`` so that spectral differentiation
-    has a well-defined Nyquist mode.
+    ``n`` must be even and at least 8 so that spectral differentiation has a
+    well-defined Nyquist mode.
     """
 
     half_length: float
     n: int
-    bc: str = PERIODIC
 
     def __post_init__(self) -> None:
-        if self.bc not in (PERIODIC, LINE):
-            raise ValueError(f"unknown boundary kind {self.bc!r}")
         if not self.half_length > 0.0:
             raise ValueError("half_length must be positive")
         if self.n < 8:
             raise ValueError("need at least 8 grid points")
-        if self.bc == PERIODIC and self.n % 2 != 0:
+        if self.n % 2 != 0:
             raise ValueError("periodic grids need an even point count")
 
     @property
     def dx(self) -> float:
-        if self.bc == PERIODIC:
-            return 2.0 * self.half_length / self.n
-        return 2.0 * self.half_length / (self.n - 1)
+        return 2.0 * self.half_length / self.n
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -57,8 +48,6 @@ class Grid:
     @cached_property
     def wavenumbers(self) -> np.ndarray:
         """Full Fourier multiplier array, Nyquist mode included."""
-        if self.bc != PERIODIC:
-            raise ValueError("wavenumbers only defined on periodic grids")
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
     @cached_property
@@ -97,41 +86,23 @@ def zero_state(grid: Grid, t: float = 0.0) -> FieldState:
 
 
 def differentiate(samples: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """Derivative of a sampled field: spectral on periodic grids, 4th-order
-    central differences with one-sided closures on truncated-line grids."""
+    """Fourier-spectral derivative of a sampled field."""
     s = np.asarray(samples, dtype=complex)
     if s.shape != (grid.n,):
         raise ValueError("sample length does not match grid")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    if grid.bc == PERIODIC:
-        if order == 1:
-            return np.fft.ifft(1j * grid.wavenumbers_odd * np.fft.fft(s))
-        return np.fft.ifft(-(grid.wavenumbers**2) * np.fft.fft(s))
-    if order == 2:
-        return _fd4(_fd4(s, grid.dx), grid.dx)
-    return _fd4(s, grid.dx)
-
-
-def _fd4(s: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative on a non-periodic uniform grid."""
-    d = np.empty_like(s)
-    d[2:-2] = (s[:-4] - 8.0 * s[1:-3] + 8.0 * s[3:-1] - s[4:]) / (12.0 * h)
-    d[0] = (-25.0 * s[0] + 48.0 * s[1] - 36.0 * s[2] + 16.0 * s[3] - 3.0 * s[4]) / (12.0 * h)
-    d[1] = (-3.0 * s[0] - 10.0 * s[1] + 18.0 * s[2] - 6.0 * s[3] + s[4]) / (12.0 * h)
-    d[-2] = (3.0 * s[-1] + 10.0 * s[-2] - 18.0 * s[-3] + 6.0 * s[-4] - s[-5]) / (12.0 * h)
-    d[-1] = (25.0 * s[-1] - 48.0 * s[-2] + 36.0 * s[-3] - 16.0 * s[-4] + 3.0 * s[-5]) / (12.0 * h)
-    return d
+    if order == 1:
+        return np.fft.ifft(1j * grid.wavenumbers_odd * np.fft.fft(s))
+    return np.fft.ifft(-(grid.wavenumbers**2) * np.fft.fft(s))
 
 
 def quadrature(samples: np.ndarray, grid: Grid) -> complex:
-    """Trapezoid rule over the grid (= rectangle rule on periodic grids)."""
+    """Rectangle rule over the grid (= trapezoid rule on a periodic lattice)."""
     s = np.asarray(samples)
     if s.shape != (grid.n,):
         raise ValueError("sample length does not match grid")
-    if grid.bc == PERIODIC:
-        return complex(grid.dx * np.sum(s))
-    return complex(grid.dx * (np.sum(s) - 0.5 * (s[0] + s[-1])))
+    return complex(grid.dx * np.sum(s))
 
 
 def l2_norm_sq(samples: np.ndarray, grid: Grid) -> float:
@@ -165,7 +136,7 @@ def dump_state(state: FieldState, path: str | Path) -> None:
     """Write a field state as CSV with the standard metadata comment line."""
     g = state.grid
     with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# t={float(state.t)!r} L={float(g.half_length)!r} N={g.n} bc={g.bc}\n")
+        f.write(f"# t={float(state.t)!r} L={float(g.half_length)!r} N={g.n} bc=periodic\n")
         f.write("x,re_u,im_u,re_v,im_v\n")
         for j in range(g.n):
             f.write(
@@ -175,17 +146,20 @@ def dump_state(state: FieldState, path: str | Path) -> None:
 
 
 def load_state(path: str | Path) -> FieldState:
-    """Read a field state written by :func:`dump_state`."""
+    """Read a field state written by :func:`dump_state`; only periodic
+    (``bc=periodic``) dumps are accepted."""
     with open(path, "r", encoding="utf-8") as f:
         meta = f.readline()
         if not meta.startswith("#"):
             raise ValueError("missing metadata comment line")
         fields = dict(tok.split("=", 1) for tok in meta[1:].split())
+        if fields.get("bc") != "periodic":
+            raise ValueError(f"unsupported boundary kind {fields.get('bc')!r}; need bc=periodic")
         header = f.readline().strip()
         if header != "x,re_u,im_u,re_v,im_v":
             raise ValueError(f"unexpected header {header!r}")
         data = np.loadtxt(f, delimiter=",")
-    grid = Grid(float(fields["L"]), int(fields["N"]), fields["bc"])
+    grid = Grid(float(fields["L"]), int(fields["N"]))
     u = data[:, 1] + 1j * data[:, 2]
     v = data[:, 3] + 1j * data[:, 4]
     return FieldState(grid, u, v, float(fields["t"]))

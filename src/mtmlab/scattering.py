@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .conserved import charge, hamiltonian, higher_charge, momentum
-from .grid import PERIODIC, FieldState, Grid, differentiate, quadrature
+from .grid import FieldState, Grid, differentiate, quadrature
 
 LAMBDA_WINDOW = (0.05, 20.0)
 NU_BLOWUP = 1e6
@@ -91,8 +91,6 @@ def riccati_solve(
     truncated-line data.  ``lam`` must be real with 0.05 <= |lam| <= 20
     (conditioning window).
     """
-    if state.grid.bc != PERIODIC:
-        raise ValueError("riccati_solve expects a periodic grid")
     lam = float(lam)
     if not (LAMBDA_WINDOW[0] <= abs(lam) <= LAMBDA_WINDOW[1]):
         raise ValueError(f"lambda outside conditioning window {LAMBDA_WINDOW}")

@@ -46,7 +46,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, null_space, solve
 
-from .grid import PERIODIC, Grid, quadrature
+from .grid import Grid, quadrature
 from .soliton import (
     OMEGA_DEGENERATE,
     eval_profile,
@@ -116,10 +116,8 @@ class DiscreteOperator:
     and replaced by its exactly symmetric part."""
 
     matrix: np.ndarray
-    block_structure: str
     continuum_edge: float
     grid: Grid
-    z_scaled: bool = False
     pre_symmetry_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -147,8 +145,6 @@ class DiscreteOperator:
 def differentiation_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Dense spectral first/second derivative matrices on a periodic grid,
     cleaned to exact (anti)symmetry."""
-    if grid.bc != PERIODIC:
-        raise ValueError("dense spectral matrices need a periodic grid")
     eye = np.eye(grid.n)
     f = np.fft.fft(eye, axis=0)
     d1 = np.real(np.fft.ifft(1j * grid.wavenumbers_odd[:, None] * f, axis=0))
@@ -222,7 +218,6 @@ def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperat
     mat = realify_conjugate_pair(linear, conj_part)
     return DiscreteOperator(
         matrix=mat,
-        block_structure="(Re w, Im w) of the pair (w, conj w)",
         continuum_edge=1.0 - omega * omega,
         grid=grid,
     )
@@ -275,7 +270,6 @@ def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
     mat = mat[np.ix_(p, p)]
     return DiscreteOperator(
         matrix=mat,
-        block_structure="(Re u, Im u, Re v, Im v)",
         continuum_edge=1.0 - omega * omega,
         grid=grid,
     )
@@ -418,20 +412,16 @@ def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperat
         mat = -d2 + np.diag(1.0 + problem.potential(grid.x))
         return DiscreteOperator(
             matrix=mat,
-            block_structure="scalar psi(z)",
             continuum_edge=1.0,
             grid=grid,
-            z_scaled=True,
         )
     v1, v2 = problem.coupled_potentials(grid.x)
     linear = -d2 + np.diag(1.0 + v1)
     mat = realify_conjugate_pair(linear.astype(complex), np.diag(v2))
     return DiscreteOperator(
         matrix=mat,
-        block_structure="(Re phi, Im phi) of the pair (phi, conj phi)",
         continuum_edge=1.0,
         grid=grid,
-        z_scaled=True,
     )
 
 
@@ -448,7 +438,7 @@ def default_zmax(problem: SchrodingerProblem) -> float:
 
 def stretched_grid(omega: float, grid_x: Grid) -> Grid:
     """The z-grid matching a given x-grid under z = sqrt(1 - omega^2) x."""
-    return Grid(np.sqrt(1.0 - omega * omega) * grid_x.half_length, grid_x.n, grid_x.bc)
+    return Grid(np.sqrt(1.0 - omega * omega) * grid_x.half_length, grid_x.n)
 
 
 # ---------------------------------------------------------------------------

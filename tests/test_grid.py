@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtmlab.grid import (
-    LINE,
     FieldState,
     Grid,
     differentiate,
@@ -28,17 +27,10 @@ class TestGridInvariants:
         with pytest.raises(ValueError):
             Grid(10.0, 4)
 
-    def test_unknown_boundary_kind(self):
-        with pytest.raises(ValueError):
-            Grid(10.0, 64, "absorbing")
-
     def test_spacing_and_positions(self):
         g = Grid(20.0, 256)
         assert g.dx == pytest.approx(40.0 / 256)
         assert g.x[0] == pytest.approx(-20.0)
-        line = Grid(20.0, 257, LINE)
-        assert line.dx == pytest.approx(40.0 / 256)
-        assert line.x[-1] == pytest.approx(20.0)
 
     def test_field_state_checks(self):
         g = Grid(10.0, 64)
@@ -92,14 +84,6 @@ class TestDifferentiate:
         f = np.exp(-(g.x**2)) + 0.2j * np.sin(np.pi * g.x / 20.0)
         assert abs(quadrature(differentiate(f, g), g)) < 1e-14
 
-    def test_line_grid_fourth_order(self):
-        errs = []
-        for n in (129, 257):
-            g = Grid(5.0, n, LINE)
-            f = np.sin(g.x)
-            errs.append(np.max(np.abs(differentiate(f, g) - np.cos(g.x))))
-        assert errs[0] / errs[1] > 12.0  # 4th order: ratio ~ 16
-
     def test_length_mismatch(self):
         g = Grid(10.0, 64)
         with pytest.raises(ValueError):
@@ -112,12 +96,12 @@ class TestQuadrature:
         assert quadrature(np.ones(g.n), g) == pytest.approx(40.0)
 
     def test_sech_squared_on_line(self):
-        g = Grid(20.0, 2048, LINE)
+        g = Grid(40.0, 2048)
         val = quadrature(1.0 / np.cosh(g.x) ** 2, g)
         assert abs(val - 2.0) < 1e-8
 
     def test_odd_integrand_cancels(self):
-        g = Grid(20.0, 2048, LINE)
+        g = Grid(40.0, 2048)
         val = quadrature(g.x / np.cosh(g.x), g)
         assert abs(val) < 1e-12
 
@@ -168,3 +152,12 @@ class TestDumpFormat:
         assert back.t == state.t
         assert np.max(np.abs(back.u - state.u)) == 0.0
         assert np.max(np.abs(back.v - state.v)) == 0.0
+
+    def test_non_periodic_dump_rejected(self, tmp_path):
+        g = Grid(12.0, 128)
+        path = tmp_path / "state.csv"
+        dump_state(zero_state(g), path)
+        text = path.read_text().replace("bc=periodic", "bc=line", 1)
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bc=periodic"):
+            load_state(path)
