@@ -14,21 +14,22 @@ import sys
 from pathlib import Path
 
 from . import conserved, scattering, spectral
-from .evolve import EvolverConfig, evolve
+from .evolve import EvolverConfig
 from .experiments import (
     RunRecord,
+    evolution_run,
     h1_bound_experiment,
     omega_sweep,
-    random_h1_perturbation,
+    perturbed_soliton,
     stability_experiment,
 )
-from .grid import FieldState, Grid, dump_state
+from .grid import Grid, dump_state
 from .soliton import SolitonParams, eval_soliton
 
 _DEFAULTS = {
     "omega": 0.5,
     "grid_L": 40.0,
-    "grid_N": 1024,
+    "grid_N": None,  # evolution grids fall back to 1024, spectral ones to spectral_grid
     "dt": 1e-3,
     "t_end": 10.0,
     "seed": 0,
@@ -64,7 +65,7 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def _grid(cfg: dict) -> Grid:
-    return Grid(cfg["grid_L"], cfg["grid_N"])
+    return Grid(cfg["grid_L"], 1024 if cfg["grid_N"] is None else cfg["grid_N"])
 
 
 def _outdir(cfg: dict) -> Path:
@@ -93,24 +94,14 @@ def _cmd_soliton(args) -> int:
 def _cmd_evolve(args) -> int:
     cfg = _settings(args)
     out = _outdir(cfg)
-    g = _grid(cfg)
-    state = eval_soliton(SolitonParams(cfg["omega"]), g)
-    if args.delta > 0:
-        wu, wv = random_h1_perturbation(g, cfg["seed"], args.delta)
-        state = FieldState(g, state.u + wu, state.v + wv, 0.0)
+    state = perturbed_soliton(cfg["omega"], _grid(cfg), cfg["seed"], args.delta)
     econf = EvolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], snapshot_stride=args.stride)
-    traj = evolve(state, econf)
-    sets = [conserved.evaluate_all(s) for s in traj.states]
-    conserved.write_series_csv(out / "conserved.csv", sets, cfg["omega"])
-    dump_state(traj.final, out / "final_state.csv")
-    q0, qn = sets[0].Q, sets[-1].Q
-    record = RunRecord(
-        kind="evolve",
-        config=cfg | {"delta": args.delta, "stride": args.stride},
-        seed=cfg["seed"],
-        measurements={"Q_drift": abs(qn - q0) / max(abs(q0), 1e-30)},
-        verdicts={"charge_conserved": abs(qn - q0) <= 1e-10 * max(abs(q0), 1.0)},
-    )
+    record, traj = evolution_run("evolve", state, econf, cfg["seed"], cfg | {"delta": args.delta})
+    if traj is not None:
+        s = record.series
+        sets = map(conserved.ConservedSet, s["Q"], s["P"], s["H"], s["R"], s["t"])
+        conserved.write_series_csv(out / "conserved.csv", sets, cfg["omega"])
+        dump_state(traj.final, out / "final_state.csv")
     return _finish(record, out)
 
 
@@ -132,7 +123,7 @@ def _cmd_spectrum(args) -> int:
     cfg = _settings(args)
     out = _outdir(cfg)
     omega = cfg["omega"]
-    g = spectral.spectral_grid(omega, args.grid_N)
+    g = spectral.spectral_grid(omega, cfg["grid_N"])
     rows = []
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = spectral.sector_analysis(omega, g, sign)
@@ -147,7 +138,7 @@ def _cmd_sigma(args) -> int:
     cfg = _settings(args)
     out = _outdir(cfg)
     omega = cfg["omega"]
-    g = spectral.spectral_grid(omega, args.grid_N)
+    g = spectral.spectral_grid(omega, cfg["grid_N"])
     rows = []
     ok = True
     for sign in (1, -1):
@@ -168,7 +159,7 @@ def _cmd_sweep(args) -> int:
         if args.omegas
         else [s * o for o in (0.1, 0.3, 0.5, 0.7, 0.9) for s in (1, -1)] + [0.0]
     )
-    record = omega_sweep(sorted(omegas), grid_n=args.grid_N, checks=tuple(args.checks.split(",")))
+    record = omega_sweep(sorted(omegas), grid_n=cfg["grid_N"], checks=tuple(args.checks.split(",")))
     return _finish(record, out)
 
 
@@ -187,7 +178,7 @@ def _cmd_h1bound(args) -> int:
     out = _outdir(cfg)
     record = h1_bound_experiment(
         args.charge, cfg["t_end"], cfg["seed"],
-        grid=Grid(cfg["grid_L"], cfg["grid_N"]), dt=cfg["dt"],
+        grid=_grid(cfg), dt=cfg["dt"],
     )
     return _finish(record, out)
 

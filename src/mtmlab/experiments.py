@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import conserved, spectral
-from .evolve import BlowUpError, EvolverConfig, evolve
+from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve
 from .grid import FieldState, Grid, differentiate, h1_norm_sq, l2_norm_sq, norms, quadrature
 from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid
 
@@ -59,14 +59,16 @@ class RunRecord:
                 raise ValueError(f"series {name!r} contains non-finite entries")
 
     def to_json(self, path: str | Path) -> None:
+        """Write the record; the text is built first, so a value that does
+        not serialize leaves no partial file behind."""
         payload = asdict(self)
         payload["passed"] = self.passed
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, default=_jsonify)
+        text = json.dumps(payload, indent=2, default=_jsonify)
+        Path(path).write_text(text, encoding="utf-8")
 
 
 def _jsonify(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -102,11 +104,11 @@ def orbital_distance(state: FieldState, omega: float) -> tuple[float, float, flo
     minimizing gauge phase and shift.
 
     For a fixed shift the optimal phase is the argument of the H1 cross
-    inner product (closed form); the shift is located by a full-grid
-    correlation scan, golden-section refinement to 1e-6 and a final Newton
-    polish, after which the distance is evaluated directly on the residual
-    field so that an exact orbit point reports a roundoff-level distance
-    instead of a cancellation artifact.
+    inner product (closed form); the shift is located by scan + Newton: a
+    full-grid correlation scan picks the best grid shift, and a Newton
+    ascent on |C|^2 refines it off the grid.  The distance is then evaluated
+    directly on the residual field so that an exact orbit point reports a
+    roundoff-level distance instead of a cancellation artifact.
     """
     g = state.grid
     phi_u = eval_profile(omega, g)
@@ -125,29 +127,11 @@ def orbital_distance(state: FieldState, omega: float) -> tuple[float, float, flo
     def cross_at(beta: float) -> complex:
         return complex(np.sum(cross * np.exp(-1j * k * beta)))
 
-    def score(beta: float) -> float:
-        return -abs(cross_at(beta))
-
-    lo, hi = beta0 - g.dx, beta0 + g.dx
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - inv_phi * (b - a)
-    c2 = a + inv_phi * (b - a)
-    f1, f2 = score(c1), score(c2)
-    while b - a > 1e-6:
-        if f1 < f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - inv_phi * (b - a)
-            f1 = score(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + inv_phi * (b - a)
-            f2 = score(c2)
-    # Newton polish on the stationarity of |C|^2, using the exact spectral
-    # derivatives of C: value-based search stalls at beta ~ 1e-8 because the
-    # correlation is flat at its maximum, while an exact orbit point must
+    # Newton ascent on the stationarity of |C|^2, using the exact spectral
+    # derivatives of C: a value-based search stalls at beta ~ 1e-8 because
+    # the correlation is flat at its maximum, while an exact orbit point must
     # report a roundoff-level residual distance
-    beta_star = 0.5 * (a + b)
+    beta_star = beta0
     for _ in range(60):
         phase = np.exp(-1j * k * beta_star)
         c0 = np.sum(cross * phase)
@@ -155,7 +139,7 @@ def orbital_distance(state: FieldState, omega: float) -> tuple[float, float, flo
         c2d = np.sum(-(k**2) * cross * phase)
         grad = 2.0 * np.real(c1d * np.conj(c0))
         curv = 2.0 * np.real(c2d * np.conj(c0)) + 2.0 * abs(c1d) ** 2
-        if curv >= 0.0:  # not locally a maximum of |C|^2; keep bracket value
+        if curv >= 0.0:  # not locally a maximum of |C|^2; keep the last iterate
             break
         stp = grad / curv
         if abs(stp) > g.dx:
@@ -163,8 +147,8 @@ def orbital_distance(state: FieldState, omega: float) -> tuple[float, float, flo
         beta_star -= stp
         if abs(stp) < 1e-13:
             break
-    if not (lo - g.dx <= beta_star <= hi + g.dx) or score(beta_star) > min(f1, f2) + 1e-9:
-        beta_star = float(c1 if f1 < f2 else c2)
+    if abs(cross_at(beta_star)) < abs(cross_at(beta0)):
+        beta_star = beta0
     alpha_star = float(np.angle(cross_at(beta_star)))
 
     shift_phase = np.exp(1j * k * beta_star)
@@ -216,23 +200,78 @@ def relative_drift(series: Sequence[float], scale_floor: float) -> float:
     """
     arr = np.asarray(series, dtype=float)
     sup = float(np.max(np.abs(arr - arr[0])))
-    denom = max(abs(arr[0]), scale_floor)
+    denom = float(max(abs(arr[0]), scale_floor))
     if denom == 0.0:
         return 0.0 if sup == 0.0 else float("inf")
     return sup / denom
 
 
-def _conserved_observers() -> dict:
-    return {
+# ---------------------------------------------------------------------------
+# experiments
+
+
+def perturbed_soliton(omega: float, grid: Grid, seed: int, delta: float) -> FieldState:
+    """The resting omega soliton plus a seeded random H1 field of size delta
+    (the bare soliton when delta = 0)."""
+    if delta < 0:
+        raise ValueError("perturbation size must be nonnegative")
+    state = eval_soliton(SolitonParams(omega), grid)
+    if delta > 0:
+        wu, wv = random_h1_perturbation(grid, seed, delta)
+        state = FieldState(grid, state.u + wu, state.v + wv, 0.0)
+    return state
+
+
+def evolution_run(
+    kind: str,
+    state: FieldState,
+    config: EvolverConfig,
+    seed: int | None,
+    settings: dict,
+    observers: dict | None = None,
+) -> tuple[RunRecord, Trajectory | None]:
+    """Evolve ``state`` with the Q, P, H, R observers added to ``observers``
+    and record the run.
+
+    The record's config is ``settings`` plus the step, grid and stride of the
+    run.  A blow-up is recorded as ``blowup_t`` with ``no_blowup`` False and
+    no trajectory.  Otherwise the record carries every observer series, the
+    relative drifts ``drift_{Q,P,H,R}`` (sup over snapshots, normalized by
+    Q(0)), ``no_blowup`` and ``charge_conserved`` (drift_Q < 1e-10).
+    """
+    g = state.grid
+    record = RunRecord(
+        kind=kind,
+        config=settings | {
+            "t_end": config.t_end, "dt": config.dt,
+            "grid_L": g.half_length, "grid_N": g.n, "stride": config.snapshot_stride,
+        },
+        seed=seed,
+    )
+    observers = {
         "Q": conserved.charge,
         "P": conserved.momentum,
         "H": conserved.hamiltonian,
         "R": conserved.higher_charge,
+        **(observers or {}),
     }
+    try:
+        traj = evolve(state, config, observers)
+    except BlowUpError as err:
+        record.measurements["blowup_t"] = err.t
+        record.verdicts["no_blowup"] = False
+        return record, None
 
-
-# ---------------------------------------------------------------------------
-# experiments
+    record.series = {"t": traj.times.tolist()}
+    for name, values in traj.observables.items():
+        record.series[name] = values.tolist()
+    q0 = traj.observables["Q"][0]
+    for name in ("Q", "P", "H", "R"):
+        record.measurements[f"drift_{name}"] = relative_drift(traj.observables[name], q0)
+    record.verdicts["no_blowup"] = True
+    record.verdicts["charge_conserved"] = record.measurements["drift_Q"] < 1e-10
+    record.validate()
+    return record, traj
 
 
 def stability_experiment(
@@ -250,46 +289,20 @@ def stability_experiment(
     Passes when sup_t distance <= STABILITY_FACTOR * delta (floored at
     ZERO_DISTANCE_FLOOR so the delta = 0 run is held to roundoff level).
     """
-    if delta < 0:
-        raise ValueError("perturbation size must be nonnegative")
     t_start = time.perf_counter()
     g = grid if grid is not None else default_grid_for_omega(omega)
-    base = eval_soliton(SolitonParams(omega), g)
-    wu, wv = random_h1_perturbation(g, seed, delta) if delta > 0 else (0.0, 0.0)
-    state = FieldState(g, base.u + wu, base.v + wv, 0.0)
-
-    observers = dict(_conserved_observers())
-    observers["distance"] = lambda s: orbital_distance(s, omega)[0]
+    state = perturbed_soliton(omega, g, seed, delta)
     config = EvolverConfig(dt=dt, t_end=t_end, snapshot_stride=stride)
-
-    record = RunRecord(
-        kind="stability",
-        config={
-            "omega": omega, "delta": delta, "t_end": t_end, "dt": dt,
-            "grid_L": g.half_length, "grid_N": g.n, "stride": stride,
-        },
-        seed=seed,
+    record, traj = evolution_run(
+        "stability", state, config, seed, {"omega": omega, "delta": delta},
+        {"distance": lambda s: orbital_distance(s, omega)[0]},
     )
-    try:
-        traj = evolve(state, config, observers)
-    except BlowUpError as err:
-        record.measurements["blowup_t"] = err.t
-        record.verdicts["no_blowup"] = False
-        record.duration_s = time.perf_counter() - t_start
-        return record
-
-    record.series = {"t": traj.times.tolist()}
-    for name, values in traj.observables.items():
-        record.series[name] = values.tolist()
-    q0 = traj.observables["Q"][0]
-    sup_dist = float(np.max(traj.observables["distance"]))
-    record.measurements["sup_distance"] = sup_dist
-    for name in ("Q", "P", "H", "R"):
-        record.measurements[f"drift_{name}"] = relative_drift(traj.observables[name], q0)
-    record.verdicts["no_blowup"] = True
-    record.verdicts["orbit_bound"] = sup_dist <= max(STABILITY_FACTOR * delta, ZERO_DISTANCE_FLOOR)
+    if traj is not None:
+        sup_dist = float(np.max(traj.observables["distance"]))
+        record.measurements["sup_distance"] = sup_dist
+        record.verdicts["orbit_bound"] = sup_dist <= max(
+            STABILITY_FACTOR * delta, ZERO_DISTANCE_FLOOR)
     record.duration_s = time.perf_counter() - t_start
-    record.validate()
     return record
 
 
@@ -324,59 +337,35 @@ def h1_bound_experiment(
     t_start = time.perf_counter()
     g = grid if grid is not None else Grid(30.0, 512)
     state = gaussian_data(g, q_target, seed)
-
-    observers = dict(_conserved_observers())
-    observers["H1_sq"] = lambda s: norms(s)["H1_sq"]
-    observers["L4"] = lambda s: norms(s)["L4"]
-    observers["L6"] = lambda s: norms(s)["L6"]
     config = EvolverConfig(dt=dt, t_end=t_end, snapshot_stride=stride)
-
-    record = RunRecord(
-        kind="h1_bound",
-        config={
-            "Q": q_target, "t_end": t_end, "dt": dt,
-            "grid_L": g.half_length, "grid_N": g.n, "stride": stride,
+    record, traj = evolution_run(
+        "h1_bound", state, config, seed, {"Q": q_target},
+        {
+            "H1_sq": lambda s: norms(s)["H1_sq"],
+            "L4": lambda s: norms(s)["L4"],
+            "L6": lambda s: norms(s)["L6"],
         },
-        seed=seed,
     )
-    try:
-        traj = evolve(state, config, observers)
-    except BlowUpError as err:
-        record.measurements["blowup_t"] = err.t
-        record.verdicts["no_blowup"] = False
-        record.duration_s = time.perf_counter() - t_start
-        return record
+    if traj is not None:
+        times = traj.times
+        h1 = traj.observables["H1_sq"]
+        early = h1[times <= max(t_end / 10.0, times[1] if len(times) > 1 else 0.0)]
+        ceiling = BOUNDEDNESS_FACTOR * float(np.max(early))
+        record.measurements["h1_ceiling"] = ceiling
+        record.measurements["h1_sup"] = float(np.max(h1))
 
-    record.series = {"t": traj.times.tolist()}
-    for name, values in traj.observables.items():
-        record.series[name] = values.tolist()
-
-    times = traj.times
-    h1 = traj.observables["H1_sq"]
-    early = h1[times <= max(t_end / 10.0, times[1] if len(times) > 1 else 0.0)]
-    ceiling = BOUNDEDNESS_FACTOR * float(np.max(early))
-    record.measurements["h1_ceiling"] = ceiling
-    record.measurements["h1_sup"] = float(np.max(h1))
-    q0 = traj.observables["Q"][0]
-    record.measurements["drift_Q"] = relative_drift(traj.observables["Q"], q0)
-
-    # coercivity diagnostic with empirically measured interpolation constants
-    final = traj.final
-    nf = norms(final)
-    grad_sq = nf["H1_sq"] - nf["L2_sq"]
-    cp = _measured_interpolation_constant(traj.states)
-    r_final = traj.observables["R"][-1]
-    q_final = traj.observables["Q"][-1]
-    record.measurements["interp_constant"] = cp
-    record.measurements["coercivity_gap"] = (
-        r_final + cp * (q_final + q_final**3) - 0.5 * grad_sq
-    )
-
-    record.verdicts["no_blowup"] = True
-    record.verdicts["h1_bounded"] = bool(np.all(h1 <= ceiling))
-    record.verdicts["charge_conserved"] = record.measurements["drift_Q"] < 1e-10
+        # coercivity diagnostic with empirically measured interpolation constants
+        nf = norms(traj.final)
+        grad_sq = nf["H1_sq"] - nf["L2_sq"]
+        cp = _measured_interpolation_constant(traj.states)
+        r_final = traj.observables["R"][-1]
+        q_final = traj.observables["Q"][-1]
+        record.measurements["interp_constant"] = cp
+        record.measurements["coercivity_gap"] = (
+            r_final + cp * (q_final + q_final**3) - 0.5 * grad_sq
+        )
+        record.verdicts["h1_bounded"] = bool(np.all(h1 <= ceiling))
     record.duration_s = time.perf_counter() - t_start
-    record.validate()
     return record
 
 

@@ -15,8 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-_SUPPORTED_LP = (2, 4, 6)
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -114,19 +112,17 @@ def h1_norm_sq(samples: np.ndarray, grid: Grid) -> float:
     return l2_norm_sq(samples, grid) + l2_norm_sq(differentiate(samples, grid), grid)
 
 
-def norms(state: FieldState, ps: tuple[int, ...] = (2, 4, 6)) -> dict[str, float]:
-    """L2, H1 and even-p Lebesgue integrals of a state, summed over (u, v).
+def norms(state: FieldState) -> dict[str, float]:
+    """L2, H1 and Lebesgue integrals of a state, summed over (u, v).
 
     Returns ``L2_sq``, ``H1_sq`` and ``L<p>`` = integral of |u|^p + |v|^p for
-    each requested even p in {2, 4, 6}.
+    p in {2, 4, 6}.
     """
     out = {
         "L2_sq": l2_norm_sq(state.u, state.grid) + l2_norm_sq(state.v, state.grid),
         "H1_sq": h1_norm_sq(state.u, state.grid) + h1_norm_sq(state.v, state.grid),
     }
-    for p in ps:
-        if p not in _SUPPORTED_LP:
-            raise ValueError(f"unsupported Lebesgue exponent p={p}")
+    for p in (2, 4, 6):
         dens = np.abs(state.u) ** p + np.abs(state.v) ** p
         out[f"L{p}"] = float(np.real(quadrature(dens, state.grid)))
     return out
@@ -153,12 +149,18 @@ def load_state(path: str | Path) -> FieldState:
         if not meta.startswith("#"):
             raise ValueError("missing metadata comment line")
         fields = dict(tok.split("=", 1) for tok in meta[1:].split())
+        missing = [key for key in ("t", "L", "N") if key not in fields]
+        if missing:
+            raise ValueError(f"metadata line lacks {', '.join(missing)}: {meta.strip()!r}")
         if fields.get("bc") != "periodic":
             raise ValueError(f"unsupported boundary kind {fields.get('bc')!r}; need bc=periodic")
         header = f.readline().strip()
         if header != "x,re_u,im_u,re_v,im_v":
             raise ValueError(f"unexpected header {header!r}")
-        data = np.loadtxt(f, delimiter=",")
+        rows = f.read().splitlines()
+    if not any(row.strip() for row in rows):
+        raise ValueError("dump has no data rows")
+    data = np.loadtxt(rows, delimiter=",", ndmin=2)
     grid = Grid(float(fields["L"]), int(fields["N"]))
     u = data[:, 1] + 1j * data[:, 2]
     v = data[:, 3] + 1j * data[:, 4]

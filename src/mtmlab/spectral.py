@@ -81,7 +81,6 @@ SCALAR_KINDS = (
     "sum_sector",            # stretched plus-combination problem of the minus sector
     "difference_sector",     # stretched minus-combination problem of the minus sector
     "resonance_comparison",  # deeper comparison well with an explicit edge resonance
-    "algebraic_bound",       # algebraic lower-bound well for the cosh potential
     "algebraic_reference",   # reference algebraic well with an explicit edge resonance
 )
 COUPLED_KIND = "coupled_system"  # stretched 2x2 problem of the plus sector
@@ -353,8 +352,6 @@ class SchrodingerProblem:
         z = np.asarray(z, dtype=float)
         w = self.omega
         big = 1.0 - w * w
-        if self.kind == "algebraic_bound":
-            return -3.0 * big / (w + 1.0 + 2.0 * z * z) ** 2
         if self.kind == "algebraic_reference":
             return -3.0 / (1.0 + z * z) ** 2
         # sech-type wells: work with 1/(w + cosh 2z), which underflows to 0
@@ -431,8 +428,6 @@ def default_zmax(problem: SchrodingerProblem) -> float:
     of near-edge eigenvalues."""
     if problem.kind == "algebraic_reference":
         return 420.0
-    if problem.kind == "algebraic_bound":
-        return 300.0
     return 16.0
 
 

@@ -72,9 +72,17 @@ class TestEvolveCommand:
         assert rc == 0
         record = json.loads((tmp_path / "record.json").read_text())
         assert record["verdicts"]["charge_conserved"] is True
+        assert record["verdicts"]["no_blowup"] is True
+        assert 0.0 <= record["measurements"]["drift_Q"] < 1e-10
+        assert record["config"]["grid_N"] == 512
         lines = (tmp_path / "conserved.csv").read_text().splitlines()
         assert lines[0] == "t,Q,P,H,R,Lambda"
         assert (tmp_path / "final_state.csv").exists()
+
+
+    def test_negative_delta_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="nonnegative"):
+            main(["evolve", "--delta=-1e-2", "--grid-N", "256", "--out", str(tmp_path)])
 
 
 class TestScatterCommand:
@@ -114,6 +122,17 @@ class TestSpectrumCommand:
         assert operators == {"plus", "minus"}
 
 
+    def test_config_file_grid_matches_flag(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_N": 256}))
+        assert main(["spectrum", "--omega", "0.5", "--config", str(cfg),
+                     "--out", str(tmp_path / "file")]) == 0
+        assert main(["spectrum", "--omega", "0.5", "--grid-N", "256",
+                     "--out", str(tmp_path / "flag")]) == 0
+        from_file = (tmp_path / "file" / "spectrum.csv").read_text()
+        assert from_file == (tmp_path / "flag" / "spectrum.csv").read_text()
+
+
 class TestSweepCommand:
     def test_subset_sweep(self, tmp_path):
         rc = main(
@@ -148,3 +167,20 @@ class TestStabilityCommand:
         assert rc == 0
         record = json.loads((tmp_path / "record.json").read_text())
         assert record["passed"] is True
+
+
+class TestH1BoundCommand:
+    def test_record_is_written(self, tmp_path):
+        rc = main(
+            [
+                "h1bound",
+                "--t-end", "1",
+                "--grid-L", "30",
+                "--grid-N", "256",
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        record = json.loads((tmp_path / "record.json").read_text())
+        assert record["passed"] is True
+        assert record["verdicts"]["charge_conserved"] is True

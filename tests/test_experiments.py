@@ -5,11 +5,13 @@ import json
 import numpy as np
 import pytest
 
+from mtmlab.evolve import EvolverConfig
 from mtmlab.grid import FieldState, Grid, h1_norm_sq
 from mtmlab.soliton import SolitonParams, eval_profile, eval_soliton
 from mtmlab.experiments import (
     RunRecord,
     default_grid_for_omega,
+    evolution_run,
     gaussian_data,
     h1_bound_experiment,
     omega_sweep,
@@ -70,6 +72,25 @@ class TestOrbitalDistance:
         dist, _, _ = orbital_distance(state, omega)
         assert dist == pytest.approx(delta, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "omega, grid",
+        [
+            (0.3, Grid(40.0, 1024)),
+            (0.9, default_grid_for_omega(0.9)),
+            (-0.9, default_grid_for_omega(-0.9)),
+        ],
+    )
+    def test_sub_cell_shift_sweep(self, omega, grid):
+        # the Newton ascent starts from the best grid shift, so every shift
+        # inside one cell must be recovered to roundoff
+        for j in range(41):
+            shift = 1.0 + j * grid.dx / 40.0
+            state = eval_soliton(SolitonParams(omega, shift=shift, phase=0.4), grid)
+            dist, alpha, beta = orbital_distance(state, omega)
+            assert abs(beta - shift) < 1e-12
+            assert abs(alpha - 0.4) < 1e-12
+            assert dist < 1e-9
+
     def test_pseudometric_orbit_invariance(self, soliton_grid):
         sol = eval_soliton(SolitonParams(0.3), soliton_grid)
         bump = np.exp(-(soliton_grid.x**2))
@@ -117,6 +138,35 @@ class TestStability:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             stability_experiment(0.3, -1.0, 1.0, seed=0)
+
+
+class TestEvolutionRun:
+    def test_record_keys(self):
+        g = Grid(35.0, 512)
+        state = eval_soliton(SolitonParams(0.5), g)
+        record, traj = evolution_run(
+            "demo", state, EvolverConfig(dt=1e-3, t_end=0.2, snapshot_stride=50), 4, {"omega": 0.5},
+        )
+        assert list(record.series) == ["t", "Q", "P", "H", "R"]
+        assert len(record.series["t"]) == len(traj.states) == 5
+        assert record.config == {
+            "omega": 0.5, "t_end": 0.2, "dt": 1e-3, "grid_L": 35.0, "grid_N": 512, "stride": 50,
+        }
+        assert record.verdicts == {"no_blowup": True, "charge_conserved": True}
+        assert all(record.measurements[f"drift_{n}"] < 1e-8 for n in "QPHR")
+
+    def test_blowup_branch(self):
+        # overflow of the huge samples makes the first step non-finite
+        g = Grid(10.0, 64)
+        huge = np.full(g.n, 1e200, dtype=complex)
+        state = FieldState(g, huge, huge.copy())
+        config = EvolverConfig(dt=1e-3, t_end=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            record, traj = evolution_run("demo", state, config, None, {})
+        assert traj is None
+        assert record.verdicts == {"no_blowup": False}
+        assert record.measurements["blowup_t"] == config.dt
+        assert not record.passed
 
 
 class TestH1Bound:
@@ -179,6 +229,23 @@ class TestRunRecord:
         data = json.loads(path.read_text())
         assert data["passed"] is True
         assert data["series"]["Q"] == [2.0, 2.0]
+
+    def test_numpy_scalars_serialize(self, tmp_path):
+        record = RunRecord(
+            kind="demo", config={"n": np.int64(3)}, seed=None,
+            measurements={"x": np.float64(0.5)}, verdicts={"ok": np.bool_(True)},
+        )
+        path = tmp_path / "record.json"
+        record.to_json(path)
+        data = json.loads(path.read_text())
+        assert data["verdicts"]["ok"] is True and data["config"]["n"] == 3
+
+    def test_failed_dump_leaves_no_file(self, tmp_path):
+        record = RunRecord(kind="demo", config={"bad": object()}, seed=None)
+        path = tmp_path / "record.json"
+        with pytest.raises(TypeError):
+            record.to_json(path)
+        assert not path.exists()
 
     def test_series_validation(self):
         record = RunRecord(kind="demo", config={}, seed=None, series={"x": [np.nan]})

@@ -1,5 +1,7 @@
 """Grid calculus: differentiation, quadrature, norms, and the dump format."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,10 +135,6 @@ class TestNorms:
         grad_sq = np.sqrt(np.pi / 2.0)  # ||d/dx exp(-x^2)||^2 happens to equal ||.||^2
         assert vals["H1_sq"] == pytest.approx(vals["L2_sq"] + grad_sq, abs=1e-8)
 
-    def test_unsupported_exponent(self):
-        with pytest.raises(ValueError):
-            norms(zero_state(Grid(10.0, 64)), ps=(3,))
-
 
 class TestDumpFormat:
     def test_round_trip(self, tmp_path):
@@ -161,3 +159,21 @@ class TestDumpFormat:
         path.write_text(text)
         with pytest.raises(ValueError, match="bc=periodic"):
             load_state(path)
+
+    @pytest.mark.parametrize("key", ["t", "L", "N"])
+    def test_missing_metadata_key_named(self, tmp_path, key):
+        path = tmp_path / "state.csv"
+        dump_state(zero_state(Grid(12.0, 128)), path)
+        meta, rest = path.read_text().split("\n", 1)
+        meta = " ".join(tok for tok in meta.split() if not tok.startswith(f"{key}="))
+        path.write_text(meta + "\n" + rest)
+        with pytest.raises(ValueError, match=f"lacks {key}"):
+            load_state(path)
+
+    def test_empty_body_rejected(self, tmp_path):
+        path = tmp_path / "state.csv"
+        path.write_text("# t=0.0 L=12.0 N=128 bc=periodic\nx,re_u,im_u,re_v,im_v\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy empty-input warning either
+            with pytest.raises(ValueError, match="no data rows"):
+                load_state(path)
