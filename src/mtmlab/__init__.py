@@ -52,7 +52,7 @@ from .spectral import (
     build_schrodinger,
     build_sector_operator,
     constrained_min_eig,
-    eigs_below_continuum,
+    isolated_spectrum,
     sector_analysis,
     sigma_closed_form,
     sigma_index,

@@ -3,7 +3,8 @@
 Subcommands: soliton, evolve, conserved, spectrum, sigma, sweep, stability,
 h1bound, scatter.  Flags override values from an optional JSON config file;
 outputs land in the --out directory as record.json plus the CSV tables.
-Exit code is 0 iff every verdict of the run passes.
+Exit code is 0 iff every verdict of the run passes, 1 if one fails, and 2
+(with a one-line message) for input the library refuses.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _settings(args: argparse.Namespace) -> dict:
             file_cfg = json.load(f)
         unknown = set(file_cfg) - set(cfg)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(file_cfg)
     for key in cfg:
         val = getattr(args, key, None)
@@ -128,7 +129,7 @@ def _cmd_spectrum(args) -> int:
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = spectral.sector_analysis(omega, g, sign)
         vals = [float(v) for v in analysis.isolated[0]]
-        rows.append((omega, tag, vals, analysis.operator.continuum_edge))
+        rows.append((omega, tag, vals, analysis.operator.cutoff))
     spectral.write_spectral_csv(out / "spectrum.csv", rows)
     print(f"wrote {out / 'spectrum.csv'}")
     return 0
@@ -250,7 +251,10 @@ def main(argv=None) -> int:
     p.set_defaults(func=_cmd_scatter)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:  # bad input refused by the library: a usage error
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ BOUNDEDNESS_FACTOR = 2.0
 # exact arithmetic and agree to ~1e-14 in practice)
 SPLIT_CHECK_N = 128
 SPLIT_DEFECT_TOL = 1e-10
+SWEEP_CHECKS = ("minus_sector", "plus_sector", "slope", "constrained")
 
 
 @dataclass
@@ -338,24 +339,21 @@ def h1_bound_experiment(
     g = grid if grid is not None else Grid(30.0, 512)
     state = gaussian_data(g, q_target, seed)
     config = EvolverConfig(dt=dt, t_end=t_end, snapshot_stride=stride)
-    record, traj = evolution_run(
-        "h1_bound", state, config, seed, {"Q": q_target},
-        {
-            "H1_sq": lambda s: norms(s)["H1_sq"],
-            "L4": lambda s: norms(s)["L4"],
-            "L6": lambda s: norms(s)["L6"],
-        },
-    )
+    record, traj = evolution_run("h1_bound", state, config, seed, {"Q": q_target})
     if traj is not None:
+        snapshot_norms = [norms(s) for s in traj.states]
+        for key in ("H1_sq", "L4", "L6"):
+            record.series[key] = [n[key] for n in snapshot_norms]
+        record.validate()
         times = traj.times
-        h1 = traj.observables["H1_sq"]
+        h1 = np.asarray(record.series["H1_sq"])
         early = h1[times <= max(t_end / 10.0, times[1] if len(times) > 1 else 0.0)]
         ceiling = BOUNDEDNESS_FACTOR * float(np.max(early))
         record.measurements["h1_ceiling"] = ceiling
         record.measurements["h1_sup"] = float(np.max(h1))
 
         # coercivity diagnostic with empirically measured interpolation constants
-        nf = norms(traj.final)
+        nf = snapshot_norms[-1]
         grad_sq = nf["H1_sq"] - nf["L2_sq"]
         cp = _measured_interpolation_constant(traj.states)
         r_final = traj.observables["R"][-1]
@@ -389,7 +387,7 @@ def _measured_interpolation_constant(states: Iterable[FieldState]) -> float:
 def omega_sweep(
     omegas: Sequence[float],
     grid_n: int | None = None,
-    checks: Sequence[str] = ("minus_sector", "plus_sector", "slope", "constrained"),
+    checks: Sequence[str] = SWEEP_CHECKS,
 ) -> RunRecord:
     """Run the spectral battery per omega and consolidate verdicts.
 
@@ -407,8 +405,12 @@ def omega_sweep(
     Per-omega failures are isolated and recorded; the sweep continues.  The
     slope check runs last because its kernel-deflated solve raises when the
     grid does not resolve a sector's kernel (``KernelDeflationError``), and
-    the other checks are still recorded then.
+    the other checks are still recorded then.  An unknown check name is
+    refused with a ``ValueError`` before any work.
     """
+    unknown = [name for name in checks if name not in SWEEP_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown sweep checks {unknown}; choose from {list(SWEEP_CHECKS)}")
     t_start = time.perf_counter()
     record = RunRecord(
         kind="omega_sweep",

@@ -116,13 +116,13 @@ def norms(state: FieldState) -> dict[str, float]:
     """L2, H1 and Lebesgue integrals of a state, summed over (u, v).
 
     Returns ``L2_sq``, ``H1_sq`` and ``L<p>`` = integral of |u|^p + |v|^p for
-    p in {2, 4, 6}.
+    p in {4, 6}.
     """
     out = {
         "L2_sq": l2_norm_sq(state.u, state.grid) + l2_norm_sq(state.v, state.grid),
         "H1_sq": h1_norm_sq(state.u, state.grid) + h1_norm_sq(state.v, state.grid),
     }
-    for p in (2, 4, 6):
+    for p in (4, 6):
         dens = np.abs(state.u) ** p + np.abs(state.v) ** p
         out[f"L{p}"] = float(np.real(quadrature(dens, state.grid)))
     return out

@@ -12,7 +12,7 @@ rescaled by 1 - omega^2 and continuum edge at 1.
 
 The same similarity splits the constraints.  Writing the perturbation as
 u = (w+ - w-)/sqrt(2), v = conj(w+ + w-)/sqrt(2), the two complex constraint
-functionals <(conj U, U), (u, v)> and its U' analogue become
+functionals <(U, conj U), (u, v)> and its U' analogue become
 
     c1 = sqrt(2) [Re<U, w+> - i Im<U, w->],
     c2 = sqrt(2) [Re<U', w+> - i Im<U', w->],
@@ -24,11 +24,16 @@ every spectral quantity of a sector (isolated eigenvalues, the constraint
 slope sigma, the constrained minimum) comes from one shared, cached
 ``SectorAnalysis``; the 4N x 4N Hessian is kept as a small-N reference.
 
-Everything is realified: a complex pair (w, conj w) maps to the real vector
-(Re w, Im w) and every operator becomes a real symmetric matrix, so
-positivity statements are literal matrix positivity and eigenvalues match
-the complex pair problem one-to-one.  Vectors of the form (w, -conj w) are
-embedded through multiplication by i, which rotates them into (iw, conj(iw)).
+Everything is realified in one layout: a complex pair (w, conj w) maps to the
+real vector (Re w, Im w) (``embed_conjugate_pair``, ``realify_conjugate_pair``)
+and every operator becomes a real symmetric matrix, so positivity statements
+are literal matrix positivity and eigenvalues match the complex pair problem
+one-to-one.  The Hessian acts on w = (u, v), so its coordinates are
+(Re u, Re v, Im u, Im v).  Vectors of the form (w, -conj w) are embedded
+through multiplication by i, which rotates them into (iw, conj(iw)).  The
+sector split is checked as the realified identity
+Q^T H Q = diag(plus, minus) with Q = ``realified_similarity``, and the
+isolated spectrum of any operator comes from ``isolated_spectrum``.
 
 First-order derivative terms are assembled in the symmetric product form
 i (g D + D g)/2, which absorbs the non-Hermitian multiplication pieces of
@@ -44,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh, null_space, solve
+from scipy.linalg import block_diag, eigh, null_space, solve
 
 from .grid import Grid, quadrature
 from .soliton import (
@@ -135,6 +140,12 @@ class DiscreteOperator:
         self.matrix = sym
         self.pre_symmetry_defect = defect
 
+    @property
+    def cutoff(self) -> float:
+        """Upper end of the isolated spectrum: the continuum edge minus the
+        leakage margin."""
+        return self.continuum_edge * (1.0 - CONTINUUM_MARGIN)
+
 
 # ---------------------------------------------------------------------------
 # dense differentiation matrices and realification helpers
@@ -174,14 +185,6 @@ def embed_conjugate_pair(w: np.ndarray, anti: bool = False) -> np.ndarray:
     if anti:
         w = 1j * w
     return np.concatenate([w.real, w.imag])
-
-
-def embed_hessian_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Realify a perturbation (a, b, conj a, conj b) of the full stack into
-    the Hessian coordinates (Re a, Im a, Re b, Im b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return np.concatenate([a.real, a.imag, b.real, b.imag])
 
 
 # ---------------------------------------------------------------------------
@@ -246,29 +249,13 @@ def _hessian_complex_blocks(omega: float, grid: Grid):
     return l1, np.diag(l2_diag), l3
 
 
-def _hessian_pair_blocks(omega: float, grid: Grid):
-    """(linear, conjugate) blocks acting on the stacked pair (u, v)."""
+def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
+    """Realified 4N x 4N curvature operator on (Re u, Re v, Im u, Im v)."""
     l1, l2, l3 = _hessian_complex_blocks(omega, grid)
     linear = np.block([[l1, 2.0 * l2], [2.0 * np.conj(l2), np.conj(l1)]])
     conj_part = np.block([[l2, l3], [np.conj(l3), np.conj(l2)]])
-    return linear, conj_part
-
-
-def _interleave(n: int) -> np.ndarray:
-    """Permutation from (Re u, Re v, Im u, Im v) to (Re u, Im u, Re v, Im v)."""
-    return np.concatenate(
-        [np.arange(0, n), np.arange(2 * n, 3 * n), np.arange(n, 2 * n), np.arange(3 * n, 4 * n)]
-    )
-
-
-def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
-    """Realified 4N x 4N curvature operator on (Re u, Im u, Re v, Im v)."""
-    linear, conj_part = _hessian_pair_blocks(omega, grid)
-    mat = realify_conjugate_pair(linear, conj_part)
-    p = _interleave(grid.n)
-    mat = mat[np.ix_(p, p)]
     return DiscreteOperator(
-        matrix=mat,
+        matrix=realify_conjugate_pair(linear, conj_part),
         continuum_edge=1.0 - omega * omega,
         grid=grid,
     )
@@ -277,43 +264,41 @@ def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
 def hessian_quadratic_form(op: DiscreteOperator, a: np.ndarray, b: np.ndarray) -> float:
     """Value of the second variation of Lambda along the perturbation
     (a, b): equals d^2/d eps^2 of Lambda(soliton + eps (a, b)) at eps = 0."""
-    w = embed_hessian_pair(a, b)
+    w = embed_conjugate_pair(np.concatenate([a, b]))
     return float(2.0 * op.grid.dx * (w @ (op.matrix @ w)))
 
 
 def apply_to_pair(op: DiscreteOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Realified Hessian applied to the embedded perturbation (a, b)."""
-    return op.matrix @ embed_hessian_pair(a, b)
+    return op.matrix @ embed_conjugate_pair(np.concatenate([a, b]))
+
+
+def realified_similarity(n: int) -> np.ndarray:
+    """Real orthogonal 4N x 4N map from the sector coordinates
+    (Re w+, Im w+, Re w-, Im w-) to the Hessian coordinates
+    (Re u, Re v, Im u, Im v), read off ``SECTOR_SIMILARITY``: a component
+    alpha w + gamma conj(w) has real part (alpha + gamma) Re w and imaginary
+    part (alpha - gamma) Im w."""
+    small = np.zeros((4, 4))
+    for comp in range(2):  # u, v rows of the similarity
+        for sector in range(2):  # plus, minus column pairs
+            alpha, gamma = SECTOR_SIMILARITY[comp, 2 * sector : 2 * sector + 2]
+            small[comp, 2 * sector] = alpha + gamma
+            small[2 + comp, 2 * sector + 1] = alpha - gamma
+    return np.kron(small, np.eye(n))
 
 
 def block_diagonalize_check(omega: float, grid: Grid) -> float:
-    """Max-norm defect of the constant orthogonal similarity that splits the
-    full curvature operator into the two sector operators."""
-    l1, l2, l3 = _hessian_complex_blocks(omega, grid)
-    cl1, cl2, cl3 = np.conj(l1), np.conj(l2), np.conj(l3)
-    full = np.block(
-        [
-            [l1, 2.0 * l2, l2, l3],
-            [2.0 * cl2, cl1, cl3, cl2],
-            [cl2, cl3, cl1, 2.0 * cl2],
-            [l3, l2, 2.0 * l2, l1],
-        ]
+    """Max-norm defect of the realified similarity identity
+    Q^T H Q = diag(plus, minus) that splits the curvature operator into the
+    two sector operators."""
+    q = realified_similarity(grid.n)
+    split = q.T @ build_hessian(omega, grid).matrix @ q
+    target = block_diag(
+        build_sector_operator(omega, grid, +1).matrix,
+        build_sector_operator(omega, grid, -1).matrix,
     )
-    s_mat = np.kron(SECTOR_SIMILARITY, np.eye(grid.n))
-    plus_lin, plus_conj = _sector_complex_blocks(omega, grid, +1)
-    minus_lin, minus_conj = _sector_complex_blocks(omega, grid, -1)
-    n = grid.n
-    target = np.zeros_like(full)
-    target[:n, :n] = plus_lin
-    target[:n, n : 2 * n] = plus_conj
-    target[n : 2 * n, :n] = np.conj(plus_conj)
-    target[n : 2 * n, n : 2 * n] = np.conj(plus_lin)
-    target[2 * n : 3 * n, 2 * n : 3 * n] = minus_lin
-    target[2 * n : 3 * n, 3 * n :] = minus_conj
-    target[3 * n :, 2 * n : 3 * n] = np.conj(minus_conj)
-    target[3 * n :, 3 * n :] = np.conj(minus_lin)
-    defect = s_mat.T @ full @ s_mat - target
-    return float(np.max(np.abs(defect)))
+    return float(np.max(np.abs(split - target)))
 
 
 def similarity_orthogonality_defect() -> float:
@@ -440,22 +425,14 @@ def stretched_grid(omega: float, grid_x: Grid) -> Grid:
 # eigenvalue extraction, shooting, constrained counts
 
 
-def _isolated_spectrum(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors strictly below the continuum
-    edge minus a leakage margin, from a subset eigensolve: only the isolated
-    part of the spectrum is computed."""
-    cutoff = op.continuum_edge * (1.0 - CONTINUUM_MARGIN)
-    vals, vecs = eigh(op.matrix, subset_by_value=(-np.inf, cutoff))
-    keep = vals < cutoff
+def isolated_spectrum(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors strictly below ``op.cutoff``,
+    from a subset eigensolve: only the isolated part of the spectrum is
+    computed.  The margin below the edge excludes discretized continuum
+    states that scatter slightly below it on finite domains."""
+    vals, vecs = eigh(op.matrix, subset_by_value=(-np.inf, op.cutoff))
+    keep = vals < op.cutoff
     return vals[keep], vecs[:, keep]
-
-
-def eigs_below_continuum(op: DiscreteOperator) -> list[tuple[float, np.ndarray]]:
-    """All eigenpairs below the continuum edge minus a leakage margin,
-    sorted ascending.  The margin excludes discretized continuum states
-    that scatter slightly below the edge on finite domains."""
-    vals, vecs = _isolated_spectrum(op)
-    return [(float(v), vecs[:, i]) for i, v in enumerate(vals)]
 
 
 def _prufer_zero_count(q_of, z_min: float, z_max: float, lam: float) -> int:
@@ -626,7 +603,7 @@ class SectorAnalysis:
     @cached_property
     def isolated(self) -> tuple[np.ndarray, np.ndarray]:
         """Isolated eigenvalues (ascending) and their eigenvectors."""
-        return _isolated_spectrum(self.operator)
+        return isolated_spectrum(self.operator)
 
     @cached_property
     def sigma(self) -> SigmaSolve:
@@ -720,15 +697,14 @@ def generalized_mode_residual(omega: float, grid: Grid) -> float:
 
 
 def _constraint_rows(omega: float, grid: Grid) -> np.ndarray:
-    """Four real constraint functionals on (Re u, Im u, Re v, Im v): the
-    real and imaginary parts of the two complex constraints with weights
-    (conj U, U) and (conj U', U')."""
-    u = eval_profile(omega, grid)
-    up = profile_derivative(omega, grid.x)
+    """Four real constraint functionals on (Re u, Re v, Im u, Im v): the
+    real and imaginary parts of the complex constraints
+    <(f, conj f), (u, v)> = sum(conj(f) u + f v) for f = U and f = U'."""
     rows = []
-    for wu, wv in (((np.conj(u)), u), (np.conj(up), up)):
-        rows.append(np.concatenate([wu.real, -wu.imag, wv.real, -wv.imag]))
-        rows.append(np.concatenate([wu.imag, wu.real, wv.imag, wv.real]))
+    for f in (eval_profile(omega, grid), profile_derivative(omega, grid.x)):
+        w = np.concatenate([f, np.conj(f)])
+        rows.append(embed_conjugate_pair(w))
+        rows.append(embed_conjugate_pair(1j * w))
     return np.asarray(rows)
 
 
@@ -788,13 +764,13 @@ def splitting_probe(omegas, grid: Grid) -> list[dict]:
 
 
 def write_spectral_csv(path, rows_by_operator) -> None:
-    """Spectral table CSV: omega,operator,index,eigenvalue,below_edge."""
+    """Spectral table CSV: omega,operator,index,eigenvalue,below_edge, where
+    below_edge compares each eigenvalue with its operator's cutoff."""
     with open(path, "w", encoding="utf-8") as f:
         f.write("omega,operator,index,eigenvalue,below_edge\n")
-        for omega, operator, eigenvalues, edge in rows_by_operator:
+        for omega, operator, eigenvalues, cutoff in rows_by_operator:
             for idx, val in enumerate(eigenvalues):
-                below = int(val < edge * (1.0 - CONTINUUM_MARGIN))
-                f.write(f"{omega!r},{operator},{idx},{val!r},{below}\n")
+                f.write(f"{omega!r},{operator},{idx},{val!r},{int(val < cutoff)}\n")
 
 
 def write_sigma_csv(path, rows) -> None:

@@ -44,10 +44,10 @@ from mtmlab.spectral import (
     build_schrodinger,
     build_sector_operator,
     constrained_min_eig,
-    eigs_below_continuum,
     embed_conjugate_pair,
     generalized_mode_residual,
     hessian_quadratic_form,
+    isolated_spectrum,
     sigma_closed_form,
     sigma_index,
     spectral_grid,
@@ -228,7 +228,7 @@ OMEGA_SWEEP = (0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9)
 def _isolated(omega, sign):
     g = spectral_grid(omega)
     op = build_sector_operator(omega, g, sign)
-    vals = np.array([v for v, _ in eigs_below_continuum(op)])
+    vals = isolated_spectrum(op)[0]
     kernel_idx = int(np.argmin(np.abs(vals))) if len(vals) else -1
     others = np.delete(vals, kernel_idx) if len(vals) else vals
     return g, vals, (vals[kernel_idx] if len(vals) else np.nan), others
@@ -245,7 +245,7 @@ def test_criterion_07_minus_sector_spectrum():
         scaled = []
         for kind in ("sum_sector", "difference_sector"):
             op = build_schrodinger(SchrodingerProblem(kind, omega), zg)
-            scaled += [(1.0 - omega**2) * v for v, _ in eigs_below_continuum(op)]
+            scaled += [(1.0 - omega**2) * v for v in isolated_spectrum(op)[0]]
         agree = np.max(np.abs(np.sort(vals) - np.sort(scaled))) if len(scaled) == len(vals) else np.inf
         checks[f"scalar-form agreement at omega={omega:+.1f} ({agree:.1e})"] = agree < 1e-5
 
@@ -260,7 +260,7 @@ def test_criterion_07_minus_sector_spectrum():
             half = float(min(max(24.0, 9.0 / kappa), 120.0))
             dz = min(0.08 * beta, 0.12 * np.arccos(-omega) / 2.0)
             n = 128 * int(np.ceil(2.0 * half / dz / 128.0))
-            dense = [v for v, _ in eigs_below_continuum(build_schrodinger(pr, Grid(half, n)))]
+            dense = isolated_spectrum(build_schrodinger(pr, Grid(half, n)))[0]
             agree = (
                 np.max(np.abs(np.sort(shot) - np.sort(dense)))
                 if len(dense) == len(shot)
@@ -269,9 +269,9 @@ def test_criterion_07_minus_sector_spectrum():
             checks[f"shooting {kind} at omega={omega:+.1f} ({agree:.1e})"] = agree < 1e-5
 
     zg0 = stretched_grid(0.0, spectral_grid(0.0))
-    pairs = eigs_below_continuum(build_schrodinger(SchrodingerProblem("sum_sector", 0.0), zg0))
+    vals0 = isolated_spectrum(build_schrodinger(SchrodingerProblem("sum_sector", 0.0), zg0))[0]
     checks["zero-frequency ground state at 0 (1e-6)"] = (
-        len(pairs) == 1 and abs(pairs[0][0]) < 1e-6
+        len(vals0) == 1 and abs(vals0[0]) < 1e-6
     )
     report(7, "minus-sector spectrum", checks)
 

@@ -10,6 +10,17 @@ from mtmlab.grid import load_state
 from mtmlab.soliton import SolitonParams, eval_soliton
 
 
+def _usage_error(argv, capsys) -> str:
+    """Run ``main`` on input the library refuses: a usage error with exit
+    code 2 (1 is kept for failed verdicts) and no traceback.  Returns stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
 class TestSolitonCommand:
     def test_dump_matches_library(self, tmp_path):
         rc = main(
@@ -49,11 +60,10 @@ class TestConfigPrecedence:
         # omega flag overrides the file: charge is pi, not 2 pi / 3
         assert float(q_line.split("=")[1]) == pytest.approx(np.pi, abs=1e-6)
 
-    def test_unknown_config_key_rejected(self, tmp_path):
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"omegaa": 0.5}))
-        with pytest.raises(SystemExit):
-            main(["conserved", "--config", str(cfg)])
+        assert "omegaa" in _usage_error(["conserved", "--config", str(cfg)], capsys)
 
 
 class TestEvolveCommand:
@@ -80,9 +90,14 @@ class TestEvolveCommand:
         assert (tmp_path / "final_state.csv").exists()
 
 
-    def test_negative_delta_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="nonnegative"):
-            main(["evolve", "--delta=-1e-2", "--grid-N", "256", "--out", str(tmp_path)])
+    def test_negative_delta_rejected(self, tmp_path, capsys):
+        argv = ["evolve", "--delta=-1e-2", "--grid-N", "256", "--out", str(tmp_path)]
+        assert "nonnegative" in _usage_error(argv, capsys)
+
+    def test_fractional_step_count_rejected(self, tmp_path, capsys):
+        argv = ["evolve", "--t-end", "0.0015", "--dt", "1e-3", "--grid-N", "256",
+                "--out", str(tmp_path)]
+        assert "not a whole number of steps" in _usage_error(argv, capsys)
 
 
 class TestScatterCommand:
@@ -101,6 +116,10 @@ class TestScatterCommand:
         lines = (tmp_path / "scatter.csv").read_text().splitlines()
         assert lines[0] == "lambda,re_log_a,im_log_a,t"
         assert lines[1].startswith("0.7,")
+
+    def test_lambda_outside_window_rejected(self, tmp_path, capsys):
+        argv = ["scatter", "--lambdas", "30", "--grid-N", "256", "--out", str(tmp_path)]
+        assert "conditioning window" in _usage_error(argv, capsys)
 
 
 class TestSigmaCommand:
@@ -147,6 +166,10 @@ class TestSweepCommand:
         record = json.loads((tmp_path / "record.json").read_text())
         assert record["verdicts"]["minus_sector"] is True
         assert record["tables"]["sweep"][0]["omega"] == 0.3
+
+    def test_misspelt_check_rejected(self, tmp_path, capsys):
+        argv = ["sweep", "--omegas", "0.3", "--checks", "minus_secotr", "--out", str(tmp_path)]
+        assert "minus_secotr" in _usage_error(argv, capsys)
 
 
 class TestStabilityCommand:

@@ -213,6 +213,10 @@ class TestOmegaSweep:
         assert "slope" not in record.verdicts
         assert record.verdicts["minus_sector"]
 
+    def test_unknown_check_refused(self):
+        with pytest.raises(ValueError, match="minus_secotr"):
+            omega_sweep([0.3], checks=("minus_sector", "minus_secotr"))
+
 
 class TestRunRecord:
     def test_json_round_trip(self, tmp_path):

@@ -16,7 +16,6 @@ from mtmlab.soliton import (
 )
 from mtmlab import spectral
 from mtmlab.spectral import (
-    SECTOR_SIMILARITY,
     KernelDeflationError,
     SchrodingerProblem,
     _constrained_min_eig_hessian,
@@ -28,11 +27,12 @@ from mtmlab.spectral import (
     build_schrodinger,
     build_sector_operator,
     constrained_min_eig,
-    eigs_below_continuum,
     embed_conjugate_pair,
     generalized_mode_residual,
     hessian_quadratic_form,
+    isolated_spectrum,
     _prufer_zero_count,
+    realified_similarity,
     sector_analysis,
     sigma_closed_form,
     sigma_index,
@@ -84,24 +84,24 @@ class TestSectorOperators:
 class TestIsolatedSpectrum:
     def test_minus_sector_at_positive_omega(self):
         g = spectral_grid(0.5)
-        pairs = eigs_below_continuum(build_sector_operator(0.5, g, -1))
-        assert len(pairs) == 2
-        assert abs(pairs[0][0]) < 1e-6
-        assert pairs[1][0] > 0.0
+        vals, _ = isolated_spectrum(build_sector_operator(0.5, g, -1))
+        assert len(vals) == 2
+        assert abs(vals[0]) < 1e-6
+        assert vals[1] > 0.0
 
     def test_minus_sector_at_negative_omega(self):
         g = spectral_grid(-0.5)
-        pairs = eigs_below_continuum(build_sector_operator(-0.5, g, -1))
-        assert len(pairs) == 2
-        assert pairs[0][0] < 0.0
-        assert abs(pairs[1][0]) < 1e-6
+        vals, _ = isolated_spectrum(build_sector_operator(-0.5, g, -1))
+        assert len(vals) == 2
+        assert vals[0] < 0.0
+        assert abs(vals[1]) < 1e-6
 
     def test_plus_sector_small_positive_omega(self):
         g = spectral_grid(0.2)
-        pairs = eigs_below_continuum(build_sector_operator(0.2, g, +1))
-        assert len(pairs) == 2
-        assert pairs[0][0] < 0.0
-        assert abs(pairs[1][0]) < 1e-6
+        vals, _ = isolated_spectrum(build_sector_operator(0.2, g, +1))
+        assert len(vals) == 2
+        assert vals[0] < 0.0
+        assert abs(vals[1]) < 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +148,14 @@ class TestHessian:
         defects = [block_diagonalize_check(0.3, Grid(25.0, n)) for n in (256, 384)]
         assert all(d < 1e-8 for d in defects)
 
+    def test_block_check_detects_swapped_sectors(self, monkeypatch):
+        # negative control: with the two sectors exchanged the identity fails
+        build = spectral.build_sector_operator
+        monkeypatch.setattr(
+            spectral, "build_sector_operator", lambda omega, grid, sign: build(omega, grid, -sign)
+        )
+        assert block_diagonalize_check(0.3, Grid(25.0, 256)) > 1e-3
+
 
 class TestSchrodingerForms:
     def test_kernel_mode_difference_sector(self):
@@ -164,9 +172,9 @@ class TestSchrodingerForms:
         # value mapping to zero
         zg = stretched_grid(0.0, spectral_grid(0.0))
         op = build_schrodinger(SchrodingerProblem("sum_sector", 0.0), zg)
-        pairs = eigs_below_continuum(op)
-        assert len(pairs) == 1
-        assert abs(pairs[0][0]) < 1e-6
+        vals, _ = isolated_spectrum(op)
+        assert len(vals) == 1
+        assert abs(vals[0]) < 1e-6
 
     def test_coupled_kernel_mode(self):
         pr = SchrodingerProblem("coupled_system", 0.3)
@@ -180,24 +188,21 @@ class TestSchrodingerForms:
         omega = 0.5
         g = spectral_grid(omega)
         zg = stretched_grid(omega, g)
-        sector = [v for v, _ in eigs_below_continuum(build_sector_operator(omega, g, -1))]
+        sector = isolated_spectrum(build_sector_operator(omega, g, -1))[0]
         scalars = []
         for kind in ("sum_sector", "difference_sector"):
             op = build_schrodinger(SchrodingerProblem(kind, omega), zg)
-            scalars += [(1.0 - omega**2) * v for v, _ in eigs_below_continuum(op)]
+            scalars += [(1.0 - omega**2) * v for v in isolated_spectrum(op)[0]]
         assert np.allclose(sorted(sector), sorted(scalars), atol=1e-5)
 
     def test_plus_sector_matches_coupled_problem(self):
         omega = 0.3
         g = spectral_grid(omega)
         zg = stretched_grid(omega, g)
-        sector = [v for v, _ in eigs_below_continuum(build_sector_operator(omega, g, +1))]
-        coupled = [
-            (1.0 - omega**2) * v
-            for v, _ in eigs_below_continuum(
-                build_schrodinger(SchrodingerProblem("coupled_system", omega), zg)
-            )
-        ]
+        sector = isolated_spectrum(build_sector_operator(omega, g, +1))[0]
+        coupled = (1.0 - omega**2) * isolated_spectrum(
+            build_schrodinger(SchrodingerProblem("coupled_system", omega), zg)
+        )[0]
         assert np.allclose(sorted(sector), sorted(coupled), atol=1e-5)
 
     def test_unknown_kind(self):
@@ -229,7 +234,7 @@ class TestShooting:
         pr = SchrodingerProblem("sum_sector", 0.5)
         shot = sturm_eigenvalues(pr)
         zg = stretched_grid(0.5, spectral_grid(0.5))
-        dense = [v for v, _ in eigs_below_continuum(build_schrodinger(pr, zg))]
+        dense = isolated_spectrum(build_schrodinger(pr, zg))[0]
         assert len(shot) == len(dense) == 1
         assert abs(shot[0] - dense[0]) < 1e-5
 
@@ -275,13 +280,12 @@ class TestConstrainedPositivity:
 
     def test_unprojected_operator_is_not_positive(self):
         g = spectral_grid(0.0)
-        pairs = eigs_below_continuum(build_hessian(0.0, g))
-        near_kernel = [v for v, _ in pairs if abs(v) < 1e-6]
-        assert len(near_kernel) >= 4
-        assert min(v for v, _ in pairs) < 1e-6
+        vals, _ = isolated_spectrum(build_hessian(0.0, g))
+        assert np.sum(np.abs(vals) < 1e-6) >= 4
+        assert np.min(vals) < 1e-6
         g3 = spectral_grid(0.3)
-        pairs3 = eigs_below_continuum(build_hessian(0.3, g3))
-        assert min(v for v, _ in pairs3) < -1e-3
+        vals3, _ = isolated_spectrum(build_hessian(0.3, g3))
+        assert np.min(vals3) < -1e-3
 
     def test_excluded_direction_overlap(self):
         # the extra zero-frequency kernel pair has overlap -2i with the
@@ -314,20 +318,6 @@ class TestSplittingProbe:
         assert row["splitting_integral"] == pytest.approx(-2.0 / 3.0, abs=0.05)
 
 
-def _realified_similarity(n: int) -> np.ndarray:
-    """Real 4N x 4N map from sector coordinates (Re w+, Im w+, Re w-, Im w-)
-    to Hessian coordinates (Re u, Im u, Re v, Im v), read off the complex
-    similarity: a component alpha w + gamma conj(w) has real part
-    (alpha + gamma) Re w and imaginary part (alpha - gamma) Im w."""
-    small = np.zeros((4, 4))
-    for comp in range(2):  # u, v rows of the similarity
-        for sector in range(2):  # plus, minus column pairs
-            alpha, gamma = SECTOR_SIMILARITY[comp, 2 * sector : 2 * sector + 2]
-            small[2 * comp, 2 * sector] = alpha + gamma
-            small[2 * comp + 1, 2 * sector + 1] = alpha - gamma
-    return np.kron(small, np.eye(n))
-
-
 ORACLE_N = 256
 
 
@@ -356,7 +346,7 @@ class TestSectorRoute:
             analysis = sector_analysis(omega, g, sign)
             vals = analysis.isolated[0]
             full = np.linalg.eigvalsh(analysis.operator.matrix)
-            full = full[full < analysis.operator.continuum_edge * (1.0 - spectral.CONTINUUM_MARGIN)]
+            full = full[full < analysis.operator.cutoff]
             assert len(vals) == len(full)
             assert np.max(np.abs(vals - full)) <= 1e-12
 
@@ -365,7 +355,7 @@ class TestSectorRoute:
         g = Grid(20.0, n)
         u = eval_profile(omega, g)
         up = profile_derivative(omega, g.x)
-        q = _realified_similarity(n)
+        q = realified_similarity(n)
         assert np.max(np.abs(q.T @ q - np.eye(4 * n))) < 1e-14
         # the realified Hessian splits into the two realified sector matrices
         split = q.T @ build_hessian(omega, g).matrix @ q
