@@ -58,7 +58,6 @@ from .spectral import (
     sigma_index,
     splitting_probe,
     sturm_eigenvalues,
-    sturm_shoot,
 )
 from .experiments import (
     RunRecord,

@@ -38,26 +38,54 @@ _DEFAULTS = {
 }
 
 
+# flag name -> type; a config file may set the same keys with values of that type
+_FLAG_TYPES = {
+    "omega": float,
+    "grid_L": float,
+    "grid_N": int,
+    "dt": float,
+    "t_end": float,
+    "seed": int,
+    "out": str,
+}
+
+
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--omega", type=float, default=None)
-    parser.add_argument("--grid-L", dest="grid_L", type=float, default=None)
-    parser.add_argument("--grid-N", dest="grid_N", type=int, default=None)
-    parser.add_argument("--dt", type=float, default=None)
-    parser.add_argument("--t-end", dest="t_end", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", type=str, default=None)
+    for key, kind in _FLAG_TYPES.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
     parser.add_argument("--config", type=str, default=None)
+
+
+def _config_file(path: str) -> dict:
+    """Settings from a JSON config file, refused with a ``ValueError`` that
+    names the path or the key when the file is unreadable or not a JSON
+    object, a key is unknown, or a value does not have its flag's type (an
+    integer passes for a float)."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            file_cfg = json.load(f)
+    except OSError as err:
+        raise ValueError(f"cannot read config file {path}: {err.strerror}") from err
+    except json.JSONDecodeError as err:
+        raise ValueError(f"config file {path} is not JSON: {err}") from err
+    if not isinstance(file_cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = set(file_cfg) - set(_FLAG_TYPES)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, val in file_cfg.items():
+        kind = _FLAG_TYPES[key]
+        ok = isinstance(val, kind) or (kind is float and isinstance(val, int))
+        if isinstance(val, bool) or not ok:
+            raise ValueError(f"config key {key!r} must be {kind.__name__}, got {val!r}")
+        file_cfg[key] = kind(val)
+    return file_cfg
 
 
 def _settings(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as f:
-            file_cfg = json.load(f)
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
+        cfg.update(_config_file(args.config))
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
@@ -253,7 +281,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:  # bad input refused by the library: a usage error
+    except (ValueError, spectral.KernelDeflationError) as err:
+        # input the library refuses, a grid too coarse to resolve a sector's
+        # kernel included: a usage error
         parser.error(str(err))
 
 

@@ -48,8 +48,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag, eigh, null_space, solve
+from scipy.linalg import block_diag, eigh, eigvalsh_tridiagonal, null_space, solve
 
 from .grid import Grid, quadrature
 from .soliton import (
@@ -69,6 +68,11 @@ from .soliton import (
 CONTINUUM_MARGIN = 0.005
 KERNEL_DEFLATION = 1e-8  # |eigenvalue| at or below this is treated as kernel
 CONSTRUCTION_TOL = 1e-6
+# Sturm counts of the stretched scalar problems: the sech-type potentials are
+# below 1e-10 beyond this half-width, and the finite-difference step h (then
+# h/2) puts the Richardson-extrapolated eigenvalues within ~1e-8 of the limit.
+STURM_HALF_WIDTH = 16.0
+STURM_STEP = 0.004
 
 # Constant orthogonal similarity (per grid point) from the plus/minus sector
 # pairs (w+, conj w+, w-, conj w-) to the stack (u, v, conj u, conj v).
@@ -83,10 +87,8 @@ SECTOR_SIMILARITY = np.array(
 SECTOR_SIMILARITY.setflags(write=False)
 
 SCALAR_KINDS = (
-    "sum_sector",            # stretched plus-combination problem of the minus sector
-    "difference_sector",     # stretched minus-combination problem of the minus sector
-    "resonance_comparison",  # deeper comparison well with an explicit edge resonance
-    "algebraic_reference",   # reference algebraic well with an explicit edge resonance
+    "sum_sector",         # stretched plus-combination problem of the minus sector
+    "difference_sector",  # stretched minus-combination problem of the minus sector
 )
 COUPLED_KIND = "coupled_system"  # stretched 2x2 problem of the plus sector
 ALL_KINDS = SCALAR_KINDS + (COUPLED_KIND,)
@@ -337,10 +339,8 @@ class SchrodingerProblem:
         z = np.asarray(z, dtype=float)
         w = self.omega
         big = 1.0 - w * w
-        if self.kind == "algebraic_reference":
-            return -3.0 / (1.0 + z * z) ** 2
         # sech-type wells: work with 1/(w + cosh 2z), which underflows to 0
-        # instead of overflowing on wide shooting domains
+        # instead of overflowing on wide Sturm domains
         inv = np.exp(-2.0 * np.abs(z)) * 2.0 / (
             1.0 + np.exp(-4.0 * np.abs(z)) + 2.0 * w * np.exp(-2.0 * np.abs(z))
         )
@@ -348,8 +348,6 @@ class SchrodingerProblem:
             return -3.0 * big * inv**2
         if self.kind == "difference_sector":
             return -3.0 * big * inv**2 - 4.0 * w * inv
-        if self.kind == "resonance_comparison":
-            return -8.0 * big * inv**2 - 4.0 * w * inv
         raise ValueError("coupled kind has no scalar potential")
 
     def coupled_potentials(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,18 +365,13 @@ class SchrodingerProblem:
         return v1, v2
 
     def reference_mode(self, z: np.ndarray) -> tuple[np.ndarray, float | None]:
-        """A closed-form distinguished solution and its spectral location:
-        a kernel eigenfunction (at 0) or an edge resonance (at 1).  ``None``
+        """A closed-form kernel eigenfunction and its eigenvalue 0; ``None``
         if no closed form is available for this kind."""
         z = np.asarray(z, dtype=float)
         w = self.omega
         den = w + np.cosh(2.0 * z)
         if self.kind == "difference_sector":
             return 1.0 / np.sqrt(den), 0.0
-        if self.kind == "resonance_comparison":
-            return np.sinh(2.0 * z) / den, 1.0
-        if self.kind == "algebraic_reference":
-            return z / np.sqrt(1.0 + z * z), 1.0
         if self.kind == COUPLED_KIND:
             mode = (w * np.sinh(2.0 * z) + 1j * np.sqrt(1.0 - w * w) * np.cosh(2.0 * z)) / den**1.5
             return mode, 0.0
@@ -407,22 +400,13 @@ def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperat
     )
 
 
-def default_zmax(problem: SchrodingerProblem) -> float:
-    """Shooting half-length: the potential decays below 1e-10 there, and for
-    the sech-type wells the extra width also suppresses the boundary shift
-    of near-edge eigenvalues."""
-    if problem.kind == "algebraic_reference":
-        return 420.0
-    return 16.0
-
-
 def stretched_grid(omega: float, grid_x: Grid) -> Grid:
     """The z-grid matching a given x-grid under z = sqrt(1 - omega^2) x."""
     return Grid(np.sqrt(1.0 - omega * omega) * grid_x.half_length, grid_x.n)
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue extraction, shooting, constrained counts
+# isolated spectra, Sturm counts, constrained minima
 
 
 def isolated_spectrum(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
@@ -435,86 +419,59 @@ def isolated_spectrum(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     return vals[keep], vecs[:, keep]
 
 
-def _prufer_zero_count(q_of, z_min: float, z_max: float, lam: float) -> int:
-    """Zeros on (z_min, z_max] of the left-normalized solution of
-    psi'' = q(z) psi, counted through the phase representation
-    psi = r sin(theta), psi' = r cos(theta).  The phase increases through
-    every multiple of pi, so the count is floor(theta_end / pi); the phase
-    form avoids the overflow of the growing solution on wide domains."""
-    kappa = np.sqrt(max(1.0 - lam, 0.0))
-    theta0 = np.arctan2(1.0, kappa)  # tan(theta) = psi / psi' = 1 / kappa
-
-    def rhs(z, y):
-        s = np.sin(y[0])
-        c = np.cos(y[0])
-        return [c * c - q_of(z, lam) * s * s]
-
-    sol = solve_ivp(
-        rhs,
-        (z_min, z_max),
-        [theta0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        max_step=(z_max - z_min) / 50.0,
-    )
-    if not sol.success:
-        raise RuntimeError(f"shooting integration failed: {sol.message}")
-    return int(np.floor(sol.y[0, -1] / np.pi))
+def _fd_eigenvalues(problem: SchrodingerProblem, half: float, cells: int) -> np.ndarray:
+    """Eigenvalues below the edge of the second-order finite-difference
+    tridiagonal T of -psi'' + (1 + V) psi on (-half, half) with Dirichlet
+    ends and ``cells`` equal cells, by LAPACK Sturm-sequence bisection: the
+    number of eigenvalues below lam is the number of negative pivots of
+    T - lam I, the discrete oscillation count.  The lower end of the search
+    is the Gershgorin bound 1 + min V, less a margin."""
+    h = 2.0 * half / cells
+    diag = 1.0 + problem.potential(-half + h * np.arange(1, cells))
+    low = float(np.min(diag)) - 0.1
+    diag += 2.0 / h**2
+    off = np.full(cells - 2, -1.0 / h**2)
+    return eigvalsh_tridiagonal(diag, off, select="v", select_range=(low, 1.0))
 
 
-def sturm_shoot(problem: SchrodingerProblem, lam: float, z_max: float | None = None) -> int:
-    """Zero count of the left-normalized solution at spectral parameter
-    ``lam`` <= 1; by the oscillation theorem this equals the number of
-    eigenvalues below ``lam``."""
+def _richardson_eigenvalues(problem: SchrodingerProblem, half: float) -> np.ndarray:
+    """Sturm-sequence eigenvalues on (-half, half) at steps h ~ STURM_STEP and
+    h/2, Richardson-extrapolated as (4 fine - coarse)/3 to cancel the O(h^2)
+    discretization error.  The two counts must agree."""
+    cells = round(2.0 * half / STURM_STEP)
+    coarse = _fd_eigenvalues(problem, half, cells)
+    fine = _fd_eigenvalues(problem, half, 2 * cells)
+    if len(coarse) != len(fine):
+        raise RuntimeError(
+            f"{problem}: Sturm counts differ on half-width {half:g} "
+            f"({len(coarse)} at h = {2.0 * half / cells:g}, {len(fine)} at h/2)"
+        )
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _sturm_half_width(lam: float) -> float:
+    """Half-width on which an eigenvalue ``lam`` is resolved: near-edge
+    eigenfunctions decay slowly (rate sqrt(1 - lam)), so the domain widens
+    until the Dirichlet boundary shift is negligible, up to 400."""
+    wide = min(9.0 / np.sqrt(max(1.0 - lam, 1e-4)), 400.0)
+    return wide if wide > 1.01 * STURM_HALF_WIDTH else STURM_HALF_WIDTH
+
+
+def sturm_eigenvalues(problem: SchrodingerProblem) -> list[float]:
+    """Isolated eigenvalues below the edge of a scalar problem from the
+    finite-difference Sturm count, an oscillation count independent of the
+    Fourier discretization of ``build_schrodinger``.
+
+    All eigenvalues are first found on (-STURM_HALF_WIDTH, STURM_HALF_WIDTH);
+    each is then recomputed on the half-width ``_sturm_half_width`` gives it."""
     if not problem.scalar:
-        raise ValueError("shooting only applies to scalar problems")
-    if lam > 1.0:
-        raise ValueError("shooting requires lam <= 1 (the continuum edge)")
-    zm = default_zmax(problem) if z_max is None else z_max
-
-    def q_of(z, lam_):
-        return 1.0 + problem.potential(np.asarray(z)) - lam_
-
-    return _prufer_zero_count(q_of, -zm, zm, lam)
-
-
-def sturm_eigenvalues(
-    problem: SchrodingerProblem,
-    tol: float = 1e-8,
-    z_max: float | None = None,
-) -> list[float]:
-    """Isolated eigenvalues below the edge located by bisection on the
-    zero-count transitions of the shooting solution.
-
-    Near-edge eigenvalues decay slowly (rate sqrt(1 - lam)), so after a
-    first pass each eigenvalue is re-bisected on a domain wide enough that
-    the boundary shift drops below the bisection tolerance."""
-    zm = default_zmax(problem) if z_max is None else z_max
-    grid_probe = np.linspace(-zm, zm, 4001)
-    lam_min = float(1.0 + np.min(problem.potential(grid_probe)) - 0.1)
-    n_total = sturm_shoot(problem, 1.0, zm)
-
-    def bisect(m: int, width: float) -> float:
-        lo, hi = lam_min, 1.0
-        # invariant: count(lo) < m <= count(hi)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if sturm_shoot(problem, mid, width) >= m:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    eigenvalues = []
-    for m in range(1, n_total + 1):
-        lam = bisect(m, zm)
-        decay = np.sqrt(max(1.0 - lam, 1e-4))
-        wide = min(max(zm, 9.0 / decay), 400.0)
-        if wide > zm * 1.01:
-            lam = bisect(m, wide)
-        eigenvalues.append(lam)
-    return eigenvalues
+        raise ValueError("the Sturm count only applies to scalar problems")
+    vals = _richardson_eigenvalues(problem, STURM_HALF_WIDTH)
+    for m, lam in enumerate(vals):
+        half = _sturm_half_width(lam)
+        if half > STURM_HALF_WIDTH:
+            vals[m] = _richardson_eigenvalues(problem, half)[m]
+    return [float(v) for v in vals]
 
 
 def sigma_closed_form(omega: float, sign: int) -> float:

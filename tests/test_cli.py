@@ -65,6 +65,27 @@ class TestConfigPrecedence:
         cfg.write_text(json.dumps({"omegaa": 0.5}))
         assert "omegaa" in _usage_error(["conserved", "--config", str(cfg)], capsys)
 
+    def test_missing_config_file_rejected(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert missing in _usage_error(["conserved", "--config", missing], capsys)
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [('{"omega": "abc"}', "'omega'"), ('{"seed": 1.5}', "'seed'"),
+         ('{"grid_N": true}', "'grid_N'"), ("[0.5]", "JSON object"), ("{", "not JSON")],
+    )
+    def test_malformed_config_rejected(self, tmp_path, capsys, text, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert named in _usage_error(["conserved", "--config", str(cfg)], capsys)
+
+    def test_integer_config_value_passes_for_float(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 0, "grid_L": 35, "grid_N": 512}))
+        assert main(["conserved", "--config", str(cfg)]) == 0
+        q_line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("Q =")][0]
+        assert float(q_line.split("=")[1]) == pytest.approx(np.pi, abs=1e-6)
+
 
 class TestEvolveCommand:
     def test_record_and_exit_code(self, tmp_path):
@@ -129,6 +150,12 @@ class TestSigmaCommand:
         lines = (tmp_path / "sigma.csv").read_text().splitlines()
         assert lines[0] == "omega,sign,sigma_numeric,sigma_closed_form"
         assert len(lines) == 3
+
+    def test_unresolved_kernel_is_a_usage_error(self, tmp_path, capsys):
+        # on this grid the plus-sector kernel eigenvalue sits near 1e-5,
+        # outside the deflation window
+        argv = ["sigma", "--omega", "-0.3", "--grid-N", "256", "--out", str(tmp_path)]
+        assert "no eigenvalue within" in _usage_error(argv, capsys)
 
 
 class TestSpectrumCommand:

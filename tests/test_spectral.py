@@ -1,4 +1,4 @@
-"""Curvature operators, sector reductions, shooting, constraint slopes,
+"""Curvature operators, sector reductions, Sturm counts, constraint slopes,
 and constrained positivity."""
 
 import numpy as np
@@ -31,7 +31,6 @@ from mtmlab.spectral import (
     generalized_mode_residual,
     hessian_quadratic_form,
     isolated_spectrum,
-    _prufer_zero_count,
     realified_similarity,
     sector_analysis,
     sigma_closed_form,
@@ -42,8 +41,9 @@ from mtmlab.spectral import (
     splitting_probe,
     stretched_grid,
     sturm_eigenvalues,
-    sturm_shoot,
 )
+
+from oracles import prufer_zero_count
 
 # smallest projected curvature eigenvalue at omega = 0, frozen on the
 # automatic spectral grid (L = 22, N = 640)
@@ -212,23 +212,55 @@ class TestSchrodingerForms:
 
 class TestShooting:
     def test_resonance_well_has_one_zero(self):
-        assert sturm_shoot(SchrodingerProblem("resonance_comparison", 0.5), 1.0) == 1
+        # deeper comparison well with an explicit edge resonance sinh(2z)/(w + cosh 2z)
+        w = 0.5
+
+        def well(z):
+            inv = 1.0 / (w + np.cosh(2.0 * z))
+            return -8.0 * (1.0 - w * w) * inv**2 - 4.0 * w * inv
+
+        assert prufer_zero_count(well, 16.0, 1.0) == 1
 
     def test_difference_sector_edge_count(self):
-        assert sturm_shoot(SchrodingerProblem("difference_sector", 0.5), 1.0) == 1
+        pr = SchrodingerProblem("difference_sector", 0.5)
+        assert prufer_zero_count(pr.potential, 16.0, 1.0) == 1
 
     def test_algebraic_reference_resonance(self):
-        assert sturm_shoot(SchrodingerProblem("algebraic_reference", 0.0), 1.0) == 1
+        # algebraic well with the explicit edge resonance z / sqrt(1 + z^2)
+        assert prufer_zero_count(lambda z: -3.0 / (1.0 + z * z) ** 2, 420.0, 1.0) == 1
 
     def test_zero_potential_has_no_zeros(self):
-        count = _prufer_zero_count(lambda z, lam: 1.0 - lam, -15.0, 15.0, 0.0)
-        assert count == 0
+        assert prufer_zero_count(lambda z: 0.0 * z, 15.0, 0.0) == 0
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
-            sturm_shoot(SchrodingerProblem("sum_sector", 0.5), 1.2)
-        with pytest.raises(ValueError):
-            sturm_shoot(SchrodingerProblem("coupled_system", 0.5), 0.5)
+            sturm_eigenvalues(SchrodingerProblem("coupled_system", 0.5))
+
+    @pytest.mark.parametrize("omega", [0.5, -0.5, 0.9, -0.9])
+    @pytest.mark.parametrize("kind", ["sum_sector", "difference_sector"])
+    def test_prufer_counts_bracket_eigenvalues(self, kind, omega):
+        # the finite-difference Sturm count against the continuous Pruefer
+        # zero count on the half-width each eigenvalue was resolved on
+        pr = SchrodingerProblem(kind, omega)
+        vals = sturm_eigenvalues(pr)
+        assert vals
+        for m, lam in enumerate(vals):
+            half = spectral._sturm_half_width(lam)
+            assert prufer_zero_count(pr.potential, half, lam - 1e-6) == m
+            assert prufer_zero_count(pr.potential, half, min(lam + 1e-6, 1.0)) == m + 1
+
+    def test_count_mismatch_between_steps_raises(self, monkeypatch):
+        # negative control: a fine-step solve that loses an eigenvalue
+        solve = spectral._fd_eigenvalues
+        coarse_cells = round(2.0 * spectral.STURM_HALF_WIDTH / spectral.STURM_STEP)
+
+        def lossy(problem, half, cells):
+            vals = solve(problem, half, cells)
+            return vals[1:] if cells > coarse_cells else vals
+
+        monkeypatch.setattr(spectral, "_fd_eigenvalues", lossy)
+        with pytest.raises(RuntimeError, match="sum_sector"):
+            sturm_eigenvalues(SchrodingerProblem("sum_sector", 0.5))
 
     def test_eigenvalues_match_dense_solve(self):
         pr = SchrodingerProblem("sum_sector", 0.5)
