@@ -11,7 +11,7 @@ from .conserved import (
     lyapunov,
     momentum,
 )
-from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve, linear_step, step
+from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve, step
 from .grid import (
     FieldState,
     Grid,

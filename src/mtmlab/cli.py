@@ -284,7 +284,7 @@ def main(argv=None) -> int:
     except (ValueError, spectral.KernelDeflationError) as err:
         # input the library refuses, a grid too coarse to resolve a sector's
         # kernel included: a usage error
-        parser.error(str(err))
+        parser.exit(2, f"mtmlab: error: {err}\n")
 
 
 if __name__ == "__main__":

@@ -4,15 +4,23 @@
     i (v_t - v_x) + u = 2 |u|^2 v,
 
 on a periodic grid, by Strang splitting with both substeps solved exactly.
-``step`` and ``evolve`` share one array-level Strang kernel.
 
-The linear Dirac flow (u_t = -u_x + i v, v_t = v_x + i u) is diagonal per
+The linear Dirac flow L (u_t = -u_x + i v, v_t = v_x + i u) is diagonal per
 Fourier mode and advanced by the unitary exp(i dt M(k)) with Hermitian
-M(k) = [[-k, 1], [1, k]].  The nonlinear flow (u_t = -2i |v|^2 u,
+M(k) = [[-k, 1], [1, k]].  The nonlinear flow N (u_t = -2i |v|^2 u,
 v_t = -2i |u|^2 v) leaves the pointwise moduli invariant, so it is an exact
 phase rotation.  Both substeps preserve the discrete L2 norm exactly, which
 makes the charge drift roundoff-level for any step size; the remaining
 invariants drift at second order in dt.
+
+Because N keeps the moduli fixed, N(a) N(b) = N(a + b): the closing
+half-step of one Strang step and the opening half-step of the next merge
+into one N(dt), and n steps cost n nonlinear rotations,
+N(dt/2) [L(dt) N(dt)]^(n-1) L(dt) N(dt/2).  A snapshot closes a copy of
+the running state with N(dt/2) and the running state goes on with N(dt),
+so the trajectory does not depend on the snapshot stride.  ``step`` (one
+step) and ``evolve`` share this kernel, which keeps both fields in one
+(2, N) array.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 import numpy as np
+import scipy.fft as sfft
 
 from .grid import FieldState, Grid
 
@@ -57,50 +66,56 @@ class EvolverConfig:
 
 @lru_cache(maxsize=64)
 def _linear_tables(grid: Grid, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """cos / sinc tables for exp(i dt M(k)) on each Fourier mode."""
+    """Entries of the per-mode propagator exp(i dt M(k)) = [[a, b], [b, d]]."""
     k = grid.wavenumbers
     freq = np.sqrt(1.0 + k * k)
-    return k, np.cos(freq * dt), np.sin(freq * dt) / freq
+    cos_t = np.cos(freq * dt)
+    sinc_t = np.sin(freq * dt) / freq
+    return cos_t - 1j * k * sinc_t, 1j * sinc_t, cos_t + 1j * k * sinc_t
 
 
-def _apply_linear(u: np.ndarray, v: np.ndarray, k, cos_t, sinc_t):
-    uh = np.fft.fft(u)
-    vh = np.fft.fft(v)
-    un = cos_t * uh + 1j * sinc_t * (-k * uh + vh)
-    vn = cos_t * vh + 1j * sinc_t * (uh + k * vh)
-    return np.fft.ifft(un), np.fft.ifft(vn)
-
-
-def _apply_nonlinear(u: np.ndarray, v: np.ndarray, tau: float):
-    # moduli are invariants of this flow, so the pre-step values are exact
-    au = np.abs(u) ** 2
-    av = np.abs(v) ** 2
-    return u * np.exp(-2j * tau * av), v * np.exp(-2j * tau * au)
-
-
-def _strang(u: np.ndarray, v: np.ndarray, dt: float, tables, t: float):
-    """One Strang step N(dt/2) L(dt) N(dt/2) of the bare fields; ``t`` is the
-    time it reaches, reported by :class:`BlowUpError` on non-finite samples."""
-    u, v = _apply_nonlinear(u, v, 0.5 * dt)
-    u, v = _apply_linear(u, v, *tables)
-    u, v = _apply_nonlinear(u, v, 0.5 * dt)
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
+def _rotate(w: np.ndarray, tau: float, phase: np.ndarray, t: float) -> np.ndarray:
+    """Nonlinear flow N(tau) on the stacked fields ``w``, in place through the
+    scratch array ``phase``; non-finite output raises BlowUpError(t)."""
+    theta = w.real * w.real
+    theta += w.imag * w.imag
+    theta = theta[::-1]  # each component turns with the other's modulus
+    theta *= -2.0 * tau
+    np.cos(theta, out=phase.real)
+    np.sin(theta, out=phase.imag)
+    w *= phase
+    if not np.isfinite(w).all():
         raise BlowUpError(t)
-    return u, v
+    return w
 
 
-def linear_step(state: FieldState, dt: float) -> FieldState:
-    """Advance only the linear Dirac flow by dt (exact); used for dispersion
-    checks and exposed for diagnostics."""
-    u, v = _apply_linear(state.u, state.v, *_linear_tables(state.grid, dt))
-    return FieldState(state.grid, u, v, state.t + dt)
+def _strang(grid: Grid, w: np.ndarray, dt: float, n: int, stride: int, t0: float):
+    """Run n Strang steps of the stacked fields ``w`` (shape (2, N), consumed),
+    yielding (t, fields) after every ``stride``-th step and the last one."""
+    if n == 0:
+        return
+    a, b, d = _linear_tables(grid, dt)
+    phase = np.empty_like(w)
+    _rotate(w, 0.5 * dt, phase, t0 + dt)
+    for j in range(1, n + 1):
+        t = t0 + j * dt
+        hu, hv = h = sfft.fft(w, workers=1)
+        bu = b * hu
+        hu *= a
+        hu += b * hv
+        hv *= d
+        hv += bu
+        w = sfft.ifft(h, overwrite_x=True, workers=1)
+        if j == n or j % stride == 0:
+            yield t, _rotate(w.copy(), 0.5 * dt, phase, t)
+        if j < n:
+            _rotate(w, dt, phase, t)
 
 
 def step(state: FieldState, dt: float) -> FieldState:
-    """One Strang step N(dt/2) L(dt) N(dt/2)."""
-    t = state.t + dt
-    u, v = _strang(state.u, state.v, dt, _linear_tables(state.grid, dt), t)
-    return FieldState(state.grid, u, v, t)
+    """One Strang step N(dt/2) L(dt) N(dt/2); ``dt`` may be negative."""
+    ((t, w),) = _strang(state.grid, np.stack([state.u, state.v]), dt, 1, 1, state.t)
+    return FieldState(state.grid, w[0], w[1], t)
 
 
 @dataclass
@@ -124,35 +139,14 @@ def evolve(
     """Run the splitting to t_end, recording snapshots and observer values
     every ``snapshot_stride`` steps (and always at the final time).
 
-    Observer callbacks must be pure functions of the state.  Non-finite
-    samples abort with :class:`BlowUpError` carrying the failure time.
+    Observer callbacks must be pure functions of the state; they are
+    evaluated on the stored snapshots.  Non-finite samples abort with
+    :class:`BlowUpError` carrying the failure time.
     """
-    observers = dict(observers or {})
     n_steps = int(round(config.t_end / config.dt))
-    tables = _linear_tables(state.grid, config.dt)
-
-    u = state.u.copy()
-    v = state.v.copy()
-    t0 = state.t
-
-    times = [t0]
-    states = [FieldState(state.grid, u.copy(), v.copy(), t0)]
-    series: dict[str, list[float]] = {name: [] for name in observers}
-    for name, fn in observers.items():
-        series[name].append(fn(states[0]))
-
-    for j in range(1, n_steps + 1):
-        t = t0 + j * config.dt
-        u, v = _strang(u, v, config.dt, tables, t)
-        if j % config.snapshot_stride == 0 or j == n_steps:
-            snap = FieldState(state.grid, u.copy(), v.copy(), t)
-            times.append(t)
-            states.append(snap)
-            for name, fn in observers.items():
-                series[name].append(fn(snap))
-
-    return Trajectory(
-        times=np.asarray(times),
-        states=states,
-        observables={k: np.asarray(vs) for k, vs in series.items()},
-    )
+    w = np.stack([state.u, state.v])
+    states = [state.copy()]
+    for t, w_t in _strang(state.grid, w, config.dt, n_steps, config.snapshot_stride, state.t):
+        states.append(FieldState(state.grid, w_t[0], w_t[1], t))
+    series = {name: np.asarray([fn(s) for s in states]) for name, fn in (observers or {}).items()}
+    return Trajectory(np.asarray([s.t for s in states]), states, series)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from mtmlab.grid import Grid
+
 
 def prufer_zero_count(potential, half: float, lam: float) -> int:
     """Zeros on (-half, half] of the left-normalized solution of
@@ -34,3 +36,36 @@ def prufer_zero_count(potential, half: float, lam: float) -> int:
     if not sol.success:
         raise RuntimeError(f"shooting integration failed: {sol.message}")
     return int(np.floor(sol.y[0, -1] / np.pi))
+
+
+def _linear_tables(grid: Grid, dt: float):
+    """cos / sinc tables for exp(i dt M(k)) on each Fourier mode."""
+    k = grid.wavenumbers
+    freq = np.sqrt(1.0 + k * k)
+    return k, np.cos(freq * dt), np.sin(freq * dt) / freq
+
+
+def _apply_linear(u: np.ndarray, v: np.ndarray, k, cos_t, sinc_t):
+    uh = np.fft.fft(u)
+    vh = np.fft.fft(v)
+    un = cos_t * uh + 1j * sinc_t * (-k * uh + vh)
+    vn = cos_t * vh + 1j * sinc_t * (uh + k * vh)
+    return np.fft.ifft(un), np.fft.ifft(vn)
+
+
+def _apply_nonlinear(u: np.ndarray, v: np.ndarray, tau: float):
+    # moduli are invariants of this flow, so the pre-step values are exact
+    au = np.abs(u) ** 2
+    av = np.abs(v) ** 2
+    return u * np.exp(-2j * tau * av), v * np.exp(-2j * tau * au)
+
+
+def strang_oracle(grid: Grid, u: np.ndarray, v: np.ndarray, dt: float, n: int):
+    """``n`` unmerged Strang steps N(dt/2) L(dt) N(dt/2) of the fields (u, v)
+    on ``grid``, each step closing its own half-steps."""
+    tables = _linear_tables(grid, dt)
+    for _ in range(n):
+        u, v = _apply_nonlinear(u, v, 0.5 * dt)
+        u, v = _apply_linear(u, v, *tables)
+        u, v = _apply_nonlinear(u, v, 0.5 * dt)
+    return u, v

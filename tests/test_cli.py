@@ -12,12 +12,14 @@ from mtmlab.soliton import SolitonParams, eval_soliton
 
 def _usage_error(argv, capsys) -> str:
     """Run ``main`` on input the library refuses: a usage error with exit
-    code 2 (1 is kept for failed verdicts) and no traceback.  Returns stderr."""
+    code 2 (1 is kept for failed verdicts), no traceback and a one-line
+    message.  Returns stderr."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert err.startswith("mtmlab: error: ") and err.count("\n") == 1, err
     return err
 
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from mtmlab.conserved import charge, higher_charge
-from mtmlab.evolve import BlowUpError, EvolverConfig, Trajectory, evolve, linear_step, step
+from mtmlab.evolve import BlowUpError, EvolverConfig, Trajectory, _linear_tables, evolve, step
+from mtmlab.experiments import perturbed_soliton
 from mtmlab.grid import FieldState, Grid, zero_state
 from mtmlab.soliton import SolitonParams, eval_soliton
+
+from oracles import strang_oracle
 
 
 class TestConfig:
@@ -39,8 +42,9 @@ class TestStep:
         mode = np.exp(1j * k * g.x)
         state = FieldState(g, weight[0] * mode, weight[1] * mode)
         t = 0.37
-        out = linear_step(state, t)
-        assert abs(out.u[0] / state.u[0] - np.exp(1j * freq * t)) < 1e-6
+        a, b, _ = _linear_tables(g, t)  # the production propagator's first row
+        out_u = np.fft.ifft(a * np.fft.fft(state.u) + b * np.fft.fft(state.v))
+        assert abs(out_u[0] / state.u[0] - np.exp(1j * freq * t)) < 1e-6
 
     def test_soliton_propagation_accuracy(self, soliton_grid):
         state = eval_soliton(SolitonParams(0.5), soliton_grid)
@@ -66,6 +70,13 @@ class TestStep:
         q0 = charge(state)
         out = step(state, 0.1)
         assert abs(charge(out) - q0) < 1e-12 * q0
+
+    def test_matches_one_oracle_step(self, soliton_grid):
+        state = eval_soliton(SolitonParams(0.5), soliton_grid)
+        out = step(state, 1e-3)
+        u, v = strang_oracle(soliton_grid, state.u, state.v, 1e-3, 1)
+        assert np.max(np.abs(out.u - u)) <= 1e-15
+        assert np.max(np.abs(out.v - v)) <= 1e-15
 
     def test_time_reversibility(self, soliton_grid):
         state = eval_soliton(SolitonParams(0.5), soliton_grid)
@@ -96,16 +107,43 @@ class TestEvolve:
         speed = (center(traj.final) - center(traj.states[0])) / 10.0
         assert speed == pytest.approx(0.3, abs=0.01)
 
-    def test_matches_repeated_step_bitwise(self, soliton_grid):
-        # step and evolve share one Strang kernel
+    def test_matches_unmerged_oracle(self):
+        # merging adjacent half-steps changes only roundoff: every snapshot
+        # of a long perturbed-soliton run agrees with the step-by-step oracle
+        g = Grid(40.0, 1024)
+        state = perturbed_soliton(0.3, g, seed=0, delta=1e-3)
+        dt, stride = 1e-3, 200
+        traj = evolve(state, EvolverConfig(dt=dt, t_end=3.0, snapshot_stride=stride))
+        assert len(traj.states) == 16
+        u, v = state.u, state.v
+        for snap in traj.states[1:]:
+            u, v = strang_oracle(g, u, v, dt, stride)
+            assert np.max(np.abs(snap.u - u)) <= 1e-13
+            assert np.max(np.abs(snap.v - v)) <= 1e-13
+
+    def test_final_state_independent_of_stride(self, soliton_grid):
+        # snapshots close a copy of the running state, never the state itself
         state = eval_soliton(SolitonParams(0.5), soliton_grid)
-        dt, n = 1e-3, 50
-        final = evolve(state, EvolverConfig(dt=dt, t_end=n * dt, snapshot_stride=7)).final
-        ref = state
-        for _ in range(n):
-            ref = step(ref, dt)
-        assert np.max(np.abs(final.u - ref.u)) == 0.0
-        assert np.max(np.abs(final.v - ref.v)) == 0.0
+        finals = [
+            evolve(state, EvolverConfig(dt=1e-3, t_end=0.05, snapshot_stride=stride)).final
+            for stride in (1, 7, 10**9)
+        ]
+        for final in finals[1:]:
+            assert np.array_equal(final.u, finals[0].u)
+            assert np.array_equal(final.v, finals[0].v)
+
+    def test_zero_horizon_returns_initial_state(self, soliton_grid):
+        state = eval_soliton(SolitonParams(0.5), soliton_grid, t=0.25)
+        traj = evolve(state, EvolverConfig(dt=1e-3, t_end=0.0), {"Q": charge})
+        assert len(traj.states) == 1 and traj.final.t == state.t
+        assert np.array_equal(traj.final.u, state.u)
+        assert np.array_equal(traj.final.v, state.v)
+        assert traj.observables["Q"].tolist() == [charge(state)]
+        # samples whose squared moduli overflow blow up in the first
+        # half-step, which a zero horizon never takes
+        huge = np.full(soliton_grid.n, 1e200, dtype=complex)
+        state = FieldState(soliton_grid, huge, huge.copy())
+        assert evolve(state, EvolverConfig(dt=1e-3, t_end=0.0)).final.u[0] == 1e200
 
     def test_snapshot_cadence(self, soliton_grid):
         state = eval_soliton(SolitonParams(0.5), soliton_grid)
