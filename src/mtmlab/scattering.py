@@ -16,12 +16,16 @@ with nu -> 0 on the left.  Then
 and log a(lambda) = integral of chi.  Expanding chi in powers of lambda
 generates the charge hierarchy; the explicit low-order integrals I_0, I_2,
 I_-2, I_4, I_-4 are evaluated here directly and tied back to Q, P, H, R.
+
+nu is integrated by DOP853 through scipy's ``solve_ivp`` (kept so that the
+benchmark tracer can wrap it and count right-hand-side evaluations); u and v
+between nodes come from one factorized Fourier sum for the pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -34,7 +38,8 @@ NU_BLOWUP = 1e6
 
 # Proportionality constants tying I_4 - I_-4 to the higher charge and the
 # charge.  Frozen from a least-squares calibration over 12 random smooth
-# decaying fields (N = 2048, L = 30); the fit residual was 8.9e-16.
+# decaying fields (N = 2048, L = 30); the fit residual was 8.9e-16.  The
+# calibration is ``tests/oracles.py::calibrate_hierarchy_constants``.
 HIERARCHY_R_COEFF = 4j
 HIERARCHY_Q_COEFF = 2j
 
@@ -66,17 +71,29 @@ class ScatteringSample:
         return 0.25 * (self.lam**-2 - self.lam**2)
 
 
-class _FourierInterpolant:
-    """Trigonometric interpolation of periodic grid samples (exact for the
-    grid's Fourier representation)."""
+def _pair_interpolant(u: np.ndarray, v: np.ndarray, grid: Grid):
+    """x -> [u(x), v(x)] through the grid's trigonometric interpolant, the
+    Nyquist mode at j = -N/2 as in ``Grid.wavenumbers``.  Writing the
+    frequency j = a B + b - N/2 with B = ceil(sqrt N) splits each term's
+    exponential into a coarse factor in a and a fine factor in b, so one call
+    costs one (A + B)-point exp and two small matvecs instead of an N-point
+    exp per field.  The coefficients are zero-padded to A B."""
+    n = grid.n
+    fine = math.isqrt(n - 1) + 1
+    coarse = -(-n // fine)
+    coeff = np.zeros((2, coarse * fine), dtype=complex)
+    coeff[:, :n] = np.fft.fftshift(np.fft.fft(np.stack([u, v])), axes=-1) / n
+    coeff = coeff.reshape(2, coarse, fine)
+    rates = (1j * np.pi / grid.half_length) * np.concatenate(
+        [np.arange(fine), np.arange(coarse) * fine - n // 2]
+    )
+    shift = grid.half_length
 
-    def __init__(self, samples: np.ndarray, grid: Grid):
-        self._coeff = np.fft.fft(np.asarray(samples, dtype=complex)) / grid.n
-        self._k = grid.wavenumbers
-        self._L = grid.half_length
+    def at(x: float) -> list:
+        e = np.exp(rates * (x + shift))
+        return ((coeff @ e[:fine]) @ e[fine:]).tolist()
 
-    def __call__(self, x: float) -> complex:
-        return complex(np.sum(self._coeff * np.exp(1j * self._k * (x + self._L))))
+    return at
 
 
 def riccati_solve(
@@ -95,16 +112,14 @@ def riccati_solve(
     if not (LAMBDA_WINDOW[0] <= abs(lam) <= LAMBDA_WINDOW[1]):
         raise ValueError(f"lambda outside conditioning window {LAMBDA_WINDOW}")
     g = state.grid
-    u_of = _FourierInterpolant(state.u, g)
-    v_of = _FourierInterpolant(state.v, g)
+    uv_of = _pair_interpolant(state.u, state.v, g)
     k = 0.25 * (lam**-2 - lam**2)
-    c = 1j / np.sqrt(2.0)
+    c = 1j / math.sqrt(2.0)
 
     def rhs(x, y):
-        nu = y[0]
-        u = u_of(x)
-        v = v_of(x)
-        co = lam * np.conj(v) + np.conj(u) / lam
+        nu = complex(y[0])
+        u, v = uv_of(x)
+        co = lam * v.conjugate() + u.conjugate() / lam
         return [
             -1j * (2.0 * k + abs(v) ** 2 - abs(u) ** 2) * nu
             + c * co * nu * nu
@@ -120,7 +135,7 @@ def riccati_solve(
         rhs,
         (g.x[0], g.x[-1]),
         [0.0 + 0.0j],
-        method="RK45",
+        method="DOP853",
         t_eval=g.x,
         rtol=rtol,
         atol=atol,
@@ -222,22 +237,6 @@ def hierarchy_relations(state: FieldState) -> HierarchyReport:
         hamiltonian_residual=abs(i2 - im2 + 2j * h),
         higher_residual=abs(i4 - im4 - (HIERARCHY_R_COEFF * r + HIERARCHY_Q_COEFF * q)),
     )
-
-
-def calibrate_hierarchy_constants(states: Iterable[FieldState]) -> tuple[complex, complex, float]:
-    """Least-squares fit of (c_R, c_Q) in I_4 - I_-4 = c_R R + c_Q Q over a
-    batch of states; returns the coefficients and the fit residual.  Used
-    once to freeze the module constants, kept as the calibration oracle."""
-    rows = []
-    rhs = []
-    for s in states:
-        rows.append([higher_charge(s), charge(s)])
-        rhs.append(explicit_In(s, 4) - explicit_In(s, -4))
-    a = np.asarray(rows, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
-    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
-    resid = float(np.max(np.abs(a @ coef - b))) if len(rhs) else 0.0
-    return complex(coef[0]), complex(coef[1]), resid
 
 
 def write_scan_csv(path, samples_with_time) -> None:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from mtmlab.grid import Grid
+from mtmlab.conserved import charge, higher_charge
+from mtmlab.grid import FieldState, Grid, quadrature
+from mtmlab.scattering import NU_BLOWUP, PoleEncounterError, ScatteringSample, explicit_In
 
 
 def prufer_zero_count(potential, half: float, lam: float) -> int:
@@ -69,3 +71,81 @@ def strang_oracle(grid: Grid, u: np.ndarray, v: np.ndarray, dt: float, n: int):
         u, v = _apply_linear(u, v, *tables)
         u, v = _apply_nonlinear(u, v, 0.5 * dt)
     return u, v
+
+
+class FourierInterpolant:
+    """Trigonometric interpolation of periodic grid samples, one direct
+    N-term sum per call (exact for the grid's Fourier representation)."""
+
+    def __init__(self, samples: np.ndarray, grid: Grid):
+        self._coeff = np.fft.fft(np.asarray(samples, dtype=complex)) / grid.n
+        self._k = grid.wavenumbers
+        self._L = grid.half_length
+
+    def __call__(self, x: float) -> complex:
+        return complex(np.sum(self._coeff * np.exp(1j * self._k * (x + self._L))))
+
+
+def riccati_oracle(
+    state: FieldState, lam: float, rtol: float = 1e-10, atol: float = 1e-12
+) -> ScatteringSample:
+    """``riccati_solve`` by RK45 with each field interpolated by its own
+    direct Fourier sum: the same Riccati equation, the same t_eval, blow-up
+    event and log a quadrature, integrated by the pre-factorization path."""
+    lam = float(lam)
+    g = state.grid
+    u_of = FourierInterpolant(state.u, g)
+    v_of = FourierInterpolant(state.v, g)
+    k = 0.25 * (lam**-2 - lam**2)
+    c = 1j / np.sqrt(2.0)
+
+    def rhs(x, y):
+        nu = y[0]
+        u = u_of(x)
+        v = v_of(x)
+        co = lam * np.conj(v) + np.conj(u) / lam
+        return [
+            -1j * (2.0 * k + abs(v) ** 2 - abs(u) ** 2) * nu
+            + c * co * nu * nu
+            - c * (lam * v + u / lam)
+        ]
+
+    def blowup(x, y):
+        return NU_BLOWUP - abs(y[0])
+
+    blowup.terminal = True
+
+    sol = solve_ivp(
+        rhs,
+        (g.x[0], g.x[-1]),
+        [0.0 + 0.0j],
+        method="RK45",
+        t_eval=g.x,
+        rtol=rtol,
+        atol=atol,
+        events=blowup,
+    )
+    if sol.status == 1:
+        raise PoleEncounterError(lam, float(sol.t_events[0][0]))
+    if not sol.success:
+        raise RuntimeError(f"Riccati integration failed: {sol.message}")
+    nu = sol.y[0]
+    co = lam * np.conj(state.v) + np.conj(state.u) / lam
+    chi = 0.5j * (np.abs(state.v) ** 2 - np.abs(state.u) ** 2) - c * co * nu
+    return ScatteringSample(lam=lam, nu=nu, chi=chi, log_a=quadrature(chi, g))
+
+
+def calibrate_hierarchy_constants(states) -> tuple[complex, complex, float]:
+    """Least-squares fit of (c_R, c_Q) in I_4 - I_-4 = c_R R + c_Q Q over a
+    batch of states; returns the coefficients and the fit residual.  The
+    calibration that froze ``HIERARCHY_R_COEFF`` and ``HIERARCHY_Q_COEFF``."""
+    rows = []
+    rhs = []
+    for s in states:
+        rows.append([higher_charge(s), charge(s)])
+        rhs.append(explicit_In(s, 4) - explicit_In(s, -4))
+    a = np.asarray(rows, dtype=complex)
+    b = np.asarray(rhs, dtype=complex)
+    coef, *_ = np.linalg.lstsq(a, b, rcond=None)
+    resid = float(np.max(np.abs(a @ coef - b))) if len(rhs) else 0.0
+    return complex(coef[0]), complex(coef[1]), resid

@@ -6,18 +6,50 @@ import pytest
 from conftest import random_decaying_state, roll_state
 from mtmlab.conserved import momentum
 from mtmlab.evolve import EvolverConfig, evolve
+from mtmlab.experiments import random_h1_perturbation
 from mtmlab.grid import FieldState, Grid, zero_state
 from mtmlab.scattering import (
     HIERARCHY_Q_COEFF,
     HIERARCHY_R_COEFF,
     PoleEncounterError,
-    calibrate_hierarchy_constants,
+    _pair_interpolant,
     explicit_In,
     hierarchy_relations,
     riccati_solve,
     write_scan_csv,
 )
 from mtmlab.soliton import SolitonParams, eval_soliton
+from oracles import FourierInterpolant, calibrate_hierarchy_constants, riccati_oracle
+
+
+@pytest.fixture(scope="module")
+def perturbed_trajectory(soliton_grid):
+    """The omega = 0.5 soliton plus a seeded 1e-2 H1 perturbation, evolved to
+    t = 1 with snapshots at t = 0 and 1."""
+    base = eval_soliton(SolitonParams(0.5), soliton_grid)
+    wu, wv = random_h1_perturbation(soliton_grid, 0, 1e-2)
+    state = FieldState(soliton_grid, base.u + wu, base.v + wv, 0.0)
+    return evolve(state, EvolverConfig(dt=1e-3, t_end=1.0, snapshot_stride=1000)).states
+
+
+class TestPairInterpolant:
+    @pytest.mark.parametrize("n", [8, 640, 1024])
+    def test_nodes_and_direct_sum(self, n):
+        g = Grid(40.0, n)
+        nyquist = (-1.0) ** np.arange(n)
+        u = np.exp(-g.x**2) * (1.0 + 0.3j) + 0.5 * nyquist
+        v = 1.0 / np.cosh(g.x) + 0.2j * np.exp(-((g.x - 3.0) ** 2)) - 0.25j * nyquist
+        at = _pair_interpolant(u, v, g)
+        scale = max(np.max(np.abs(u)), np.max(np.abs(v)))
+        nodes = np.array([at(x) for x in g.x])
+        # the node phases k (x + L) reach pi N, so their roundoff grows with N
+        assert np.max(np.abs(nodes - np.stack([u, v], axis=1))) <= 1e-15 * n * scale
+        u_of, v_of = FourierInterpolant(u, g), FourierInterpolant(v, g)
+        xs = np.random.default_rng(n).uniform(-g.half_length, g.half_length, 200)
+        for x in xs:
+            pu, pv = at(x)
+            assert abs(pu - u_of(x)) <= 1e-13 * np.max(np.abs(u))
+            assert abs(pv - v_of(x)) <= 1e-13 * np.max(np.abs(v))
 
 
 class TestRiccati:
@@ -68,6 +100,17 @@ class TestRiccati:
         with pytest.raises(PoleEncounterError) as err:
             riccati_solve(state, 1.0)
         assert np.isfinite(err.value.position)
+        with pytest.raises(PoleEncounterError) as ref:
+            riccati_oracle(state, 1.0)
+        assert abs(err.value.position - ref.value.position) <= 1e-7
+
+    def test_matches_rk45_oracle(self, perturbed_trajectory):
+        for lam in (0.5, 0.8, 1.25, 2.0):
+            for state in perturbed_trajectory:
+                fast = riccati_solve(state, lam)
+                ref = riccati_oracle(state, lam)
+                assert abs(fast.log_a - ref.log_a) <= 1e-9
+                assert np.max(np.abs(fast.nu - ref.nu)) <= 1e-8
 
     def test_scan_csv(self, tmp_path, soliton_grid):
         state = eval_soliton(SolitonParams(0.5), soliton_grid)
