@@ -47,7 +47,6 @@ from .spectral import (
     KernelDeflationError,
     SchrodingerProblem,
     SectorAnalysis,
-    block_diagonalize_check,
     build_hessian,
     build_schrodinger,
     build_sector_operator,

@@ -27,31 +27,21 @@ from .experiments import (
 from .grid import Grid, dump_state
 from .soliton import SolitonParams, eval_soliton
 
-_DEFAULTS = {
-    "omega": 0.5,
-    "grid_L": 40.0,
-    "grid_N": None,  # evolution grids fall back to 1024, spectral ones to spectral_grid
-    "dt": 1e-3,
-    "t_end": 10.0,
-    "seed": 0,
-    "out": ".",
-}
-
-
-# flag name -> type; a config file may set the same keys with values of that type
-_FLAG_TYPES = {
-    "omega": float,
-    "grid_L": float,
-    "grid_N": int,
-    "dt": float,
-    "t_end": float,
-    "seed": int,
-    "out": str,
+# flag name -> (type, default); a config file may set the same keys with
+# values of that type
+_SETTINGS = {
+    "omega": (float, 0.5),
+    "grid_L": (float, 40.0),
+    "grid_N": (int, None),  # evolution grids fall back to 1024, spectral ones to spectral_grid
+    "dt": (float, 1e-3),
+    "t_end": (float, 10.0),
+    "seed": (int, 0),
+    "out": (str, "."),
 }
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    for key, kind in _FLAG_TYPES.items():
+    for key, (kind, _) in _SETTINGS.items():
         parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
     parser.add_argument("--config", type=str, default=None)
 
@@ -70,11 +60,11 @@ def _config_file(path: str) -> dict:
         raise ValueError(f"config file {path} is not JSON: {err}") from err
     if not isinstance(file_cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(file_cfg) - set(_FLAG_TYPES)
+    unknown = set(file_cfg) - set(_SETTINGS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for key, val in file_cfg.items():
-        kind = _FLAG_TYPES[key]
+        kind = _SETTINGS[key][0]
         ok = isinstance(val, kind) or (kind is float and isinstance(val, int))
         if isinstance(val, bool) or not ok:
             raise ValueError(f"config key {key!r} must be {kind.__name__}, got {val!r}")
@@ -83,7 +73,7 @@ def _config_file(path: str) -> dict:
 
 
 def _settings(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (_, default) in _SETTINGS.items()}
     if args.config:
         cfg.update(_config_file(args.config))
     for key in cfg:

@@ -15,13 +15,13 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import conserved, spectral
 from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve
-from .grid import FieldState, Grid, differentiate, h1_norm_sq, l2_norm_sq, norms, quadrature
+from .grid import FieldState, Grid, h1_norm_sq, norms, quadrature
 from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid
 
 STABILITY_FACTOR = 10.0
@@ -355,7 +355,7 @@ def h1_bound_experiment(
         # coercivity diagnostic with empirically measured interpolation constants
         nf = snapshot_norms[-1]
         grad_sq = nf["H1_sq"] - nf["L2_sq"]
-        cp = _measured_interpolation_constant(traj.states)
+        cp = max(1.0, *(n["interp_ratio"] for n in snapshot_norms))
         r_final = traj.observables["R"][-1]
         q_final = traj.observables["Q"][-1]
         record.measurements["interp_constant"] = cp
@@ -365,23 +365,6 @@ def h1_bound_experiment(
         record.verdicts["h1_bounded"] = bool(np.all(h1 <= ceiling))
     record.duration_s = time.perf_counter() - t_start
     return record
-
-
-def _measured_interpolation_constant(states: Iterable[FieldState]) -> float:
-    """Largest observed ratio of the L4/L6 integrals to the interpolation
-    bound ||f'||^(p-1) ||f||^(p+1) across snapshots and components."""
-    best = 1.0
-    for s in states:
-        g = s.grid
-        for f in (s.u, s.v):
-            l2 = np.sqrt(max(l2_norm_sq(f, g), 1e-300))
-            dl2 = np.sqrt(max(l2_norm_sq(differentiate(f, g), g), 1e-300))
-            for p in (2, 3):
-                lp = float(np.real(quadrature(np.abs(f) ** (2 * p), g)))
-                bound = dl2 ** (p - 1) * l2 ** (p + 1)
-                if bound > 0:
-                    best = max(best, lp / bound)
-    return best
 
 
 def omega_sweep(
@@ -422,7 +405,7 @@ def omega_sweep(
         row: dict = {"omega": float(omega)}
         try:
             g = spectral.spectral_grid(omega, grid_n)
-            probe = spectral.splitting_probe([omega], g)[0]
+            probe = spectral.splitting_probe(omega, g)
             row.update(probe)
             if "minus_sector" in checks:
                 ok = probe["count_minus"] == 2 and abs(probe["kernel_minus"]) < 1e-6

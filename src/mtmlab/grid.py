@@ -116,15 +116,32 @@ def norms(state: FieldState) -> dict[str, float]:
     """L2, H1 and Lebesgue integrals of a state, summed over (u, v).
 
     Returns ``L2_sq``, ``H1_sq`` and ``L<p>`` = integral of |u|^p + |v|^p for
-    p in {4, 6}.
+    p in {4, 6}, and ``interp_ratio``: the largest ratio, over both
+    components f and p in {2, 3}, of the integral of |f|^(2p) to the
+    interpolation bound ||f'||^(p-1) ||f||^(p+1).  Each component is
+    differentiated once.
     """
+    parts = []
+    for f in (state.u, state.v):
+        absf = np.abs(f)
+        grad_sq = l2_norm_sq(differentiate(f, state.grid), state.grid)
+        parts.append((l2_norm_sq(f, state.grid), grad_sq, absf**4, absf**6))
+    (u_l2, u_grad, u4, u6), (v_l2, v_grad, v4, v6) = parts
     out = {
-        "L2_sq": l2_norm_sq(state.u, state.grid) + l2_norm_sq(state.v, state.grid),
-        "H1_sq": h1_norm_sq(state.u, state.grid) + h1_norm_sq(state.v, state.grid),
+        "L2_sq": u_l2 + v_l2,
+        "H1_sq": (u_l2 + u_grad) + (v_l2 + v_grad),
+        "L4": float(np.real(quadrature(u4 + v4, state.grid))),
+        "L6": float(np.real(quadrature(u6 + v6, state.grid))),
     }
-    for p in (4, 6):
-        dens = np.abs(state.u) ** p + np.abs(state.v) ** p
-        out[f"L{p}"] = float(np.real(quadrature(dens, state.grid)))
+    ratio = 0.0
+    for l2_sq, grad_sq, *dens in parts:
+        l2 = np.sqrt(max(l2_sq, 1e-300))
+        dl2 = np.sqrt(max(grad_sq, 1e-300))
+        for p, d in zip((2, 3), dens):
+            bound = dl2 ** (p - 1) * l2 ** (p + 1)
+            if bound > 0:
+                ratio = max(ratio, float(np.real(quadrature(d, state.grid))) / bound)
+    out["interp_ratio"] = float(ratio)
     return out
 
 

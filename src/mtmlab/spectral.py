@@ -31,9 +31,10 @@ are literal matrix positivity and eigenvalues match the complex pair problem
 one-to-one.  The Hessian acts on w = (u, v), so its coordinates are
 (Re u, Re v, Im u, Im v).  Vectors of the form (w, -conj w) are embedded
 through multiplication by i, which rotates them into (iw, conj(iw)).  The
-sector split is checked as the realified identity
-Q^T H Q = diag(plus, minus) with Q = ``realified_similarity``, and the
-isolated spectrum of any operator comes from ``isolated_spectrum``.
+isolated spectrum of any operator comes from ``isolated_spectrum``.  The
+realified similarity identity Q^T H Q = diag(plus, minus) behind the split is
+a test oracle (``tests/oracles.py``); ``omega_sweep`` re-checks the split on
+a small grid through ``constrained_split_defect``.
 
 First-order derivative terms are assembled in the symmetric product form
 i (g D + D g)/2, which absorbs the non-Hermitian multiplication pieces of
@@ -48,13 +49,12 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, eigh, eigvalsh_tridiagonal, null_space, solve
+from scipy.linalg import eigh, eigvalsh_tridiagonal, null_space, solve
 
 from .grid import Grid, quadrature
 from .soliton import (
     OMEGA_DEGENERATE,
     eval_profile,
-    omega_derivative,
     profile_derivative,
     recommended_grid,
 )
@@ -73,18 +73,6 @@ CONSTRUCTION_TOL = 1e-6
 # h/2) puts the Richardson-extrapolated eigenvalues within ~1e-8 of the limit.
 STURM_HALF_WIDTH = 16.0
 STURM_STEP = 0.004
-
-# Constant orthogonal similarity (per grid point) from the plus/minus sector
-# pairs (w+, conj w+, w-, conj w-) to the stack (u, v, conj u, conj v).
-SECTOR_SIMILARITY = np.array(
-    [
-        [1.0, 0.0, -1.0, 0.0],
-        [0.0, 1.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0, -1.0],
-        [1.0, 0.0, 1.0, 0.0],
-    ]
-) / np.sqrt(2.0)
-SECTOR_SIMILARITY.setflags(write=False)
 
 SCALAR_KINDS = (
     "sum_sector",         # stretched plus-combination problem of the minus sector
@@ -123,7 +111,6 @@ class DiscreteOperator:
 
     matrix: np.ndarray
     continuum_edge: float
-    grid: Grid
     pre_symmetry_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
@@ -219,12 +206,7 @@ def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperat
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     linear, conj_part = _sector_complex_blocks(omega, grid, sign)
-    mat = realify_conjugate_pair(linear, conj_part)
-    return DiscreteOperator(
-        matrix=mat,
-        continuum_edge=1.0 - omega * omega,
-        grid=grid,
-    )
+    return DiscreteOperator(realify_conjugate_pair(linear, conj_part), 1.0 - omega * omega)
 
 
 def _hessian_complex_blocks(omega: float, grid: Grid):
@@ -256,56 +238,7 @@ def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
     l1, l2, l3 = _hessian_complex_blocks(omega, grid)
     linear = np.block([[l1, 2.0 * l2], [2.0 * np.conj(l2), np.conj(l1)]])
     conj_part = np.block([[l2, l3], [np.conj(l3), np.conj(l2)]])
-    return DiscreteOperator(
-        matrix=realify_conjugate_pair(linear, conj_part),
-        continuum_edge=1.0 - omega * omega,
-        grid=grid,
-    )
-
-
-def hessian_quadratic_form(op: DiscreteOperator, a: np.ndarray, b: np.ndarray) -> float:
-    """Value of the second variation of Lambda along the perturbation
-    (a, b): equals d^2/d eps^2 of Lambda(soliton + eps (a, b)) at eps = 0."""
-    w = embed_conjugate_pair(np.concatenate([a, b]))
-    return float(2.0 * op.grid.dx * (w @ (op.matrix @ w)))
-
-
-def apply_to_pair(op: DiscreteOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Realified Hessian applied to the embedded perturbation (a, b)."""
-    return op.matrix @ embed_conjugate_pair(np.concatenate([a, b]))
-
-
-def realified_similarity(n: int) -> np.ndarray:
-    """Real orthogonal 4N x 4N map from the sector coordinates
-    (Re w+, Im w+, Re w-, Im w-) to the Hessian coordinates
-    (Re u, Re v, Im u, Im v), read off ``SECTOR_SIMILARITY``: a component
-    alpha w + gamma conj(w) has real part (alpha + gamma) Re w and imaginary
-    part (alpha - gamma) Im w."""
-    small = np.zeros((4, 4))
-    for comp in range(2):  # u, v rows of the similarity
-        for sector in range(2):  # plus, minus column pairs
-            alpha, gamma = SECTOR_SIMILARITY[comp, 2 * sector : 2 * sector + 2]
-            small[comp, 2 * sector] = alpha + gamma
-            small[2 + comp, 2 * sector + 1] = alpha - gamma
-    return np.kron(small, np.eye(n))
-
-
-def block_diagonalize_check(omega: float, grid: Grid) -> float:
-    """Max-norm defect of the realified similarity identity
-    Q^T H Q = diag(plus, minus) that splits the curvature operator into the
-    two sector operators."""
-    q = realified_similarity(grid.n)
-    split = q.T @ build_hessian(omega, grid).matrix @ q
-    target = block_diag(
-        build_sector_operator(omega, grid, +1).matrix,
-        build_sector_operator(omega, grid, -1).matrix,
-    )
-    return float(np.max(np.abs(split - target)))
-
-
-def similarity_orthogonality_defect() -> float:
-    s = SECTOR_SIMILARITY
-    return float(np.max(np.abs(s.T @ s - np.eye(4))))
+    return DiscreteOperator(realify_conjugate_pair(linear, conj_part), 1.0 - omega * omega)
 
 
 # ---------------------------------------------------------------------------
@@ -364,40 +297,16 @@ class SchrodingerProblem:
         v2 = -6.0 * w * (1.0 + w * ch + 1j * np.sqrt(big) * sh) ** 2 / den**3
         return v1, v2
 
-    def reference_mode(self, z: np.ndarray) -> tuple[np.ndarray, float | None]:
-        """A closed-form kernel eigenfunction and its eigenvalue 0; ``None``
-        if no closed form is available for this kind."""
-        z = np.asarray(z, dtype=float)
-        w = self.omega
-        den = w + np.cosh(2.0 * z)
-        if self.kind == "difference_sector":
-            return 1.0 / np.sqrt(den), 0.0
-        if self.kind == COUPLED_KIND:
-            mode = (w * np.sinh(2.0 * z) + 1j * np.sqrt(1.0 - w * w) * np.cosh(2.0 * z)) / den**1.5
-            return mode, 0.0
-        return np.zeros_like(z), None
-
-
 def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperator:
     """Dense symmetric discretization of a stretched-variable problem on a
     periodic z-grid: N x N for scalar kinds, realified 2N x 2N for the
     coupled kind."""
     _, d2 = differentiation_matrices(grid)
     if problem.scalar:
-        mat = -d2 + np.diag(1.0 + problem.potential(grid.x))
-        return DiscreteOperator(
-            matrix=mat,
-            continuum_edge=1.0,
-            grid=grid,
-        )
+        return DiscreteOperator(-d2 + np.diag(1.0 + problem.potential(grid.x)), 1.0)
     v1, v2 = problem.coupled_potentials(grid.x)
     linear = -d2 + np.diag(1.0 + v1)
-    mat = realify_conjugate_pair(linear.astype(complex), np.diag(v2))
-    return DiscreteOperator(
-        matrix=mat,
-        continuum_edge=1.0,
-        grid=grid,
-    )
+    return DiscreteOperator(realify_conjugate_pair(linear.astype(complex), np.diag(v2)), 1.0)
 
 
 def stretched_grid(omega: float, grid_x: Grid) -> Grid:
@@ -478,7 +387,7 @@ def sigma_closed_form(omega: float, sign: int) -> float:
     """Constraint slopes of the two sectors in closed form."""
     if abs(omega) < OMEGA_DEGENERATE:
         raise ValueError("sigma diverges at omega = 0")
-    beta = np.sqrt(1.0 - omega * omega)
+    beta = float(np.sqrt(1.0 - omega * omega))
     if sign > 0:
         return -1.0 / (2.0 * omega * beta)
     return beta / (2.0 * omega)
@@ -613,46 +522,6 @@ def sigma_index(omega: float, grid: Grid, sign: int) -> float:
     return sector_analysis(omega, grid, sign).sigma.value
 
 
-def _sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
-    """Reference for ``sigma_index``: the eigen-sum over the full spectrum of
-    a freshly built sector operator, dropping |lambda| <= KERNEL_DEFLATION."""
-    if abs(omega) < OMEGA_DEGENERATE:
-        raise ValueError("sigma solve is degenerate near omega = 0")
-    op = build_sector_operator(omega, grid, sign)
-    s = _sector_constraint_block(omega, grid, sign)[:, 0]
-    vals, vecs = eigh(op.matrix)
-    keep = np.abs(vals) > KERNEL_DEFLATION
-    proj = vecs[:, keep].T @ s
-    return float(2.0 * grid.dx * np.sum(proj * proj / vals[keep]))
-
-
-def sigma_profile_path(omega: float, grid: Grid, sign: int) -> float:
-    """The independent route to sigma through the known solutions of the
-    sector equations: the Omega-derivative of the profile for the plus
-    sector, the displayed x-weighted combination for the minus sector."""
-    if abs(omega) < OMEGA_DEGENERATE:
-        raise ValueError("sigma diverges at omega = 0")
-    u = eval_profile(omega, grid)
-    if sign > 0:
-        du = omega_derivative(omega, grid)
-        return float(-2.0 * np.real(quadrature(du * np.conj(u), grid)))
-    up = profile_derivative(omega, grid.x)
-    x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)
-    return float(2.0 * np.real(quadrature(x1 * np.conj(up), grid)))
-
-
-def generalized_mode_residual(omega: float, grid: Grid) -> float:
-    """Realified residual of the minus-sector identity mapping the
-    x-weighted combination onto the translation-type constraint vector."""
-    matrix = sector_analysis(omega, grid, -1).operator.matrix
-    u = eval_profile(omega, grid)
-    up = profile_derivative(omega, grid.x)
-    x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)
-    lhs = matrix @ embed_conjugate_pair(x1, anti=True)
-    rhs = embed_conjugate_pair(up, anti=True)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def _constraint_rows(omega: float, grid: Grid) -> np.ndarray:
     """Four real constraint functionals on (Re u, Re v, Im u, Im v): the
     real and imaginary parts of the complex constraints
@@ -691,33 +560,30 @@ def constrained_split_defect(omega: float, grid: Grid) -> float:
     return abs(sector - _constrained_min_eig_hessian(omega, grid))
 
 
-def splitting_probe(omegas, grid: Grid) -> list[dict]:
-    """Tabulate the isolated spectrum of both sector operators across omega:
-    counts below the edge, the non-kernel eigenvalue of each sector, the
-    assembly asymmetry of each sector matrix, and the degenerate-splitting
-    integral whose sign the probe settles empirically."""
-    rows = []
-    for omega in omegas:
-        row = {"omega": float(omega)}
-        for sign, tag in ((1, "plus"), (-1, "minus")):
-            analysis = sector_analysis(omega, grid, sign)
-            vals = analysis.isolated[0]
-            row[f"count_{tag}"] = len(vals)
-            row[f"pre_symmetry_defect_{tag}"] = analysis.operator.pre_symmetry_defect
-            if len(vals):
-                kernel_idx = int(np.argmin(np.abs(vals)))
-                others = np.delete(vals, kernel_idx)
-                row[f"kernel_{tag}"] = float(vals[kernel_idx])
-                row[f"second_{tag}"] = float(others[np.argmax(np.abs(others))]) if len(others) else 0.0
-            else:
-                row[f"kernel_{tag}"] = np.nan
-                row[f"second_{tag}"] = np.nan
-        zg = stretched_grid(omega, grid)
-        num = -3.0 + 2.0 * omega**2 + np.cosh(4.0 * zg.x)
-        den = (omega + np.cosh(2.0 * zg.x)) ** 4
-        row["splitting_integral"] = float(np.real(quadrature(num / den, zg)))
-        rows.append(row)
-    return rows
+def splitting_probe(omega: float, grid: Grid) -> dict:
+    """The isolated spectrum of both sector operators at one omega: counts
+    below the edge, the non-kernel eigenvalue of each sector, the assembly
+    asymmetry of each sector matrix, and the degenerate-splitting integral
+    whose sign the probe settles empirically."""
+    row = {"omega": float(omega)}
+    for sign, tag in ((1, "plus"), (-1, "minus")):
+        analysis = sector_analysis(omega, grid, sign)
+        vals = analysis.isolated[0]
+        row[f"count_{tag}"] = len(vals)
+        row[f"pre_symmetry_defect_{tag}"] = analysis.operator.pre_symmetry_defect
+        if len(vals):
+            kernel_idx = int(np.argmin(np.abs(vals)))
+            others = np.delete(vals, kernel_idx)
+            row[f"kernel_{tag}"] = float(vals[kernel_idx])
+            row[f"second_{tag}"] = float(others[np.argmax(np.abs(others))]) if len(others) else 0.0
+        else:
+            row[f"kernel_{tag}"] = np.nan
+            row[f"second_{tag}"] = np.nan
+    zg = stretched_grid(omega, grid)
+    num = -3.0 + 2.0 * omega**2 + np.cosh(4.0 * zg.x)
+    den = (omega + np.cosh(2.0 * zg.x)) ** 4
+    row["splitting_integral"] = float(np.real(quadrature(num / den, zg)))
+    return row
 
 
 def write_spectral_csv(path, rows_by_operator) -> None:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.linalg import block_diag, eigh
 
+from mtmlab import spectral
 from mtmlab.conserved import charge, higher_charge
-from mtmlab.grid import FieldState, Grid, quadrature
+from mtmlab.grid import FieldState, Grid, differentiate, l2_norm_sq, quadrature
 from mtmlab.scattering import NU_BLOWUP, PoleEncounterError, ScatteringSample, explicit_In
+from mtmlab.soliton import OMEGA_DEGENERATE, eval_profile, omega_derivative, profile_derivative
 
 
 def prufer_zero_count(potential, half: float, lam: float) -> int:
@@ -149,3 +152,131 @@ def calibrate_hierarchy_constants(states) -> tuple[complex, complex, float]:
     coef, *_ = np.linalg.lstsq(a, b, rcond=None)
     resid = float(np.max(np.abs(a @ coef - b))) if len(rhs) else 0.0
     return complex(coef[0]), complex(coef[1]), resid
+
+
+def measured_interpolation_constant(states, floor: float = 1.0) -> float:
+    """Largest observed ratio of the L4/L6 integrals to the interpolation
+    bound ||f'||^(p-1) ||f||^(p+1) across snapshots and components, and at
+    least ``floor``; each norm and derivative is computed afresh."""
+    best = floor
+    for s in states:
+        g = s.grid
+        for f in (s.u, s.v):
+            l2 = np.sqrt(max(l2_norm_sq(f, g), 1e-300))
+            dl2 = np.sqrt(max(l2_norm_sq(differentiate(f, g), g), 1e-300))
+            for p in (2, 3):
+                lp = float(np.real(quadrature(np.abs(f) ** (2 * p), g)))
+                bound = dl2 ** (p - 1) * l2 ** (p + 1)
+                if bound > 0:
+                    best = max(best, lp / bound)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# spectral layer: the sector similarity, the second variation, and the
+# independent routes to sigma
+
+# Constant orthogonal similarity (per grid point) from the plus/minus sector
+# pairs (w+, conj w+, w-, conj w-) to the stack (u, v, conj u, conj v).
+SECTOR_SIMILARITY = np.array(
+    [
+        [1.0, 0.0, -1.0, 0.0],
+        [0.0, 1.0, 0.0, 1.0],
+        [0.0, 1.0, 0.0, -1.0],
+        [1.0, 0.0, 1.0, 0.0],
+    ]
+) / np.sqrt(2.0)
+SECTOR_SIMILARITY.setflags(write=False)
+
+
+def realified_similarity(n: int) -> np.ndarray:
+    """Real orthogonal 4N x 4N map from the sector coordinates
+    (Re w+, Im w+, Re w-, Im w-) to the Hessian coordinates
+    (Re u, Re v, Im u, Im v), read off ``SECTOR_SIMILARITY``: a component
+    alpha w + gamma conj(w) has real part (alpha + gamma) Re w and imaginary
+    part (alpha - gamma) Im w."""
+    small = np.zeros((4, 4))
+    for comp in range(2):  # u, v rows of the similarity
+        for sector in range(2):  # plus, minus column pairs
+            alpha, gamma = SECTOR_SIMILARITY[comp, 2 * sector : 2 * sector + 2]
+            small[comp, 2 * sector] = alpha + gamma
+            small[2 + comp, 2 * sector + 1] = alpha - gamma
+    return np.kron(small, np.eye(n))
+
+
+def block_diagonalize_check(omega: float, grid: Grid) -> float:
+    """Max-norm defect of the realified similarity identity
+    Q^T H Q = diag(plus, minus) that splits the curvature operator into the
+    two sector operators.  The operators are looked up on ``spectral`` at
+    call time, so a patched builder is what gets checked."""
+    q = realified_similarity(grid.n)
+    split = q.T @ spectral.build_hessian(omega, grid).matrix @ q
+    target = block_diag(
+        spectral.build_sector_operator(omega, grid, +1).matrix,
+        spectral.build_sector_operator(omega, grid, -1).matrix,
+    )
+    return float(np.max(np.abs(split - target)))
+
+
+def hessian_quadratic_form(op, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """Value of the second variation of Lambda along the perturbation
+    (a, b) for the realified Hessian ``op`` on ``grid``: equals
+    d^2/d eps^2 of Lambda(soliton + eps (a, b)) at eps = 0."""
+    w = spectral.embed_conjugate_pair(np.concatenate([a, b]))
+    return float(2.0 * grid.dx * (w @ (op.matrix @ w)))
+
+
+def generalized_mode_residual(omega: float, grid: Grid) -> float:
+    """Realified residual of the minus-sector identity mapping the
+    x-weighted combination onto the translation-type constraint vector."""
+    matrix = spectral.sector_analysis(omega, grid, -1).operator.matrix
+    u = eval_profile(omega, grid)
+    up = profile_derivative(omega, grid.x)
+    x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)
+    lhs = matrix @ spectral.embed_conjugate_pair(x1, anti=True)
+    rhs = spectral.embed_conjugate_pair(up, anti=True)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
+    """Reference for ``sigma_index``: the eigen-sum over the full spectrum of
+    a freshly built sector operator, dropping |lambda| <= KERNEL_DEFLATION."""
+    if abs(omega) < OMEGA_DEGENERATE:
+        raise ValueError("sigma solve is degenerate near omega = 0")
+    op = spectral.build_sector_operator(omega, grid, sign)
+    s = spectral._sector_constraint_block(omega, grid, sign)[:, 0]
+    vals, vecs = eigh(op.matrix)
+    keep = np.abs(vals) > spectral.KERNEL_DEFLATION
+    proj = vecs[:, keep].T @ s
+    return float(2.0 * grid.dx * np.sum(proj * proj / vals[keep]))
+
+
+def sigma_profile_path(omega: float, grid: Grid, sign: int) -> float:
+    """The independent route to sigma through the known solutions of the
+    sector equations: the Omega-derivative of the profile for the plus
+    sector, the displayed x-weighted combination for the minus sector."""
+    if abs(omega) < OMEGA_DEGENERATE:
+        raise ValueError("sigma diverges at omega = 0")
+    u = eval_profile(omega, grid)
+    if sign > 0:
+        du = omega_derivative(omega, grid)
+        return float(-2.0 * np.real(quadrature(du * np.conj(u), grid)))
+    up = profile_derivative(omega, grid.x)
+    x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)
+    return float(2.0 * np.real(quadrature(x1 * np.conj(up), grid)))
+
+
+def difference_sector_kernel_mode(omega: float, z: np.ndarray) -> np.ndarray:
+    """Closed-form eigenfunction with eigenvalue 0 of the stretched
+    difference-sector problem."""
+    return 1.0 / np.sqrt(omega + np.cosh(2.0 * np.asarray(z, dtype=float)))
+
+
+def coupled_kernel_mode(omega: float, z: np.ndarray) -> np.ndarray:
+    """Closed-form eigenfunction with eigenvalue 0 of the stretched coupled
+    plus-sector problem."""
+    z = np.asarray(z, dtype=float)
+    den = omega + np.cosh(2.0 * z)
+    return (
+        omega * np.sinh(2.0 * z) + 1j * np.sqrt(1.0 - omega * omega) * np.cosh(2.0 * z)
+    ) / den**1.5

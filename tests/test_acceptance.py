@@ -39,14 +39,11 @@ from mtmlab.soliton import (
 )
 from mtmlab.spectral import (
     SchrodingerProblem,
-    block_diagonalize_check,
     build_hessian,
     build_schrodinger,
     build_sector_operator,
     constrained_min_eig,
     embed_conjugate_pair,
-    generalized_mode_residual,
-    hessian_quadratic_form,
     isolated_spectrum,
     sigma_closed_form,
     sigma_index,
@@ -55,6 +52,7 @@ from mtmlab.spectral import (
     sturm_eigenvalues,
 )
 from conftest import random_decaying_state
+from oracles import block_diagonalize_check, generalized_mode_residual, hessian_quadratic_form
 
 SEED = 123
 ROUNDOFF_DRIFT_FLOOR = 1e-10
@@ -190,7 +188,7 @@ def test_criterion_06_kernel_and_block_structure():
     checks = {}
     for name in ("gauge", "translation"):
         a, b = modes[name][0], modes[name][1]
-        val = abs(hessian_quadratic_form(hess, a, b))
+        val = abs(hessian_quadratic_form(hess, g, a, b))
         checks[f"<L F, F> ({name}) = {val:.2e} < 1e-6"] = val < 1e-6
     u = eval_profile(omega, g)
     up = profile_derivative(omega, g.x)

@@ -152,6 +152,10 @@ class TestSigmaCommand:
         lines = (tmp_path / "sigma.csv").read_text().splitlines()
         assert lines[0] == "omega,sign,sigma_numeric,sigma_closed_form"
         assert len(lines) == 3
+        for line in lines[1:]:
+            omega, _, numeric, closed = line.split(",")
+            assert float(omega) == 0.5
+            assert abs(float(numeric) - float(closed)) < 1e-3
 
     def test_unresolved_kernel_is_a_usage_error(self, tmp_path, capsys):
         # on this grid the plus-sector kernel eigenvalue sits near 1e-5,

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from mtmlab.evolve import EvolverConfig
-from mtmlab.grid import FieldState, Grid, h1_norm_sq
+from mtmlab.conserved import charge, higher_charge
+from mtmlab.evolve import EvolverConfig, evolve
+from mtmlab.grid import FieldState, Grid, h1_norm_sq, l2_norm_sq, norms, quadrature
 from mtmlab.soliton import SolitonParams, eval_profile, eval_soliton
 from mtmlab.experiments import (
     RunRecord,
@@ -20,6 +21,7 @@ from mtmlab.experiments import (
     stability_experiment,
 )
 from conftest import roll_state
+from oracles import measured_interpolation_constant
 
 
 class TestOrbitalDistance:
@@ -181,9 +183,36 @@ class TestH1Bound:
         assert record.measurements["h1_sup"] <= record.measurements["h1_ceiling"]
         assert "coercivity_gap" in record.measurements
 
+    def test_norms_and_interpolation_constant_match_oracle(self):
+        # the series are the per-snapshot sums of the component norms bit for
+        # bit, and the interpolation constant and coercivity gap equal the
+        # oracle's, which recomputes every component norm and derivative
+        g = Grid(30.0, 512)
+        record = h1_bound_experiment(0.1, 2.0, seed=3, grid=g, dt=1e-3, stride=500)
+        config = EvolverConfig(dt=1e-3, t_end=2.0, snapshot_stride=500)
+        traj = evolve(gaussian_data(g, 0.1, 3), config, {"Q": charge, "R": higher_charge})
+        states = traj.states
+        assert record.series["H1_sq"] == [h1_norm_sq(s.u, g) + h1_norm_sq(s.v, g) for s in states]
+        for p in (4, 6):
+            assert record.series[f"L{p}"] == [
+                float(np.real(quadrature(np.abs(s.u) ** p + np.abs(s.v) ** p, g))) for s in states
+            ]
+        cp = measured_interpolation_constant(states)
+        q, r = traj.observables["Q"][-1], traj.observables["R"][-1]
+        u, v = states[-1].u, states[-1].v
+        grad_sq = (h1_norm_sq(u, g) + h1_norm_sq(v, g)) - (l2_norm_sq(u, g) + l2_norm_sq(v, g))
+        gap = r + cp * (q + q**3) - 0.5 * grad_sq
+        assert record.measurements["interp_constant"] == pytest.approx(cp, rel=1e-14, abs=0.0)
+        assert record.measurements["coercivity_gap"] == pytest.approx(gap, rel=1e-14, abs=0.0)
+        # the measured ratios themselves, below the record's floor of 1
+        raw = max(norms(s)["interp_ratio"] for s in states)
+        assert 0.0 < raw < 1.0
+        assert raw == pytest.approx(
+            measured_interpolation_constant(states, floor=0.0), rel=1e-14, abs=0.0
+        )
+
     def test_charge_targeting(self):
         g = Grid(30.0, 512)
-        from mtmlab.conserved import charge
 
         state = gaussian_data(g, 0.2, seed=7)
         assert charge(state) == pytest.approx(0.2, rel=1e-10)

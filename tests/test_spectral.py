@@ -20,30 +20,33 @@ from mtmlab.spectral import (
     SchrodingerProblem,
     _constrained_min_eig_hessian,
     _constraint_rows,
-    _sigma_index_eigh,
-    apply_to_pair,
-    block_diagonalize_check,
     build_hessian,
     build_schrodinger,
     build_sector_operator,
     constrained_min_eig,
     embed_conjugate_pair,
-    generalized_mode_residual,
-    hessian_quadratic_form,
     isolated_spectrum,
-    realified_similarity,
     sector_analysis,
     sigma_closed_form,
     sigma_index,
-    sigma_profile_path,
-    similarity_orthogonality_defect,
     spectral_grid,
     splitting_probe,
     stretched_grid,
     sturm_eigenvalues,
 )
 
-from oracles import prufer_zero_count
+from oracles import (
+    SECTOR_SIMILARITY,
+    block_diagonalize_check,
+    coupled_kernel_mode,
+    difference_sector_kernel_mode,
+    generalized_mode_residual,
+    hessian_quadratic_form,
+    prufer_zero_count,
+    realified_similarity,
+    sigma_index_eigh,
+    sigma_profile_path,
+)
 
 # smallest projected curvature eigenvalue at omega = 0, frozen on the
 # automatic spectral grid (L = 22, N = 640)
@@ -118,13 +121,13 @@ class TestHessian:
         modes = zero_mode_fields(omega, g)
         for name in ("gauge", "translation"):
             a, b = modes[name][0], modes[name][1]
-            assert abs(hessian_quadratic_form(op, a, b)) < 1e-6
-            assert np.max(np.abs(apply_to_pair(op, a, b))) < 1e-6
+            assert abs(hessian_quadratic_form(op, g, a, b)) < 1e-6
+            assert np.max(np.abs(op.matrix @ embed_conjugate_pair(np.concatenate([a, b])))) < 1e-6
 
     def test_quadratic_form_matches_second_difference(self, hessian_setup):
         omega, g, op = hessian_setup
         wu, wv = random_h1_perturbation(g, seed=5, size=1.0)
-        form = hessian_quadratic_form(op, wu, wv)
+        form = hessian_quadratic_form(op, g, wu, wv)
         base = eval_soliton(SolitonParams(omega), g)
 
         def lam(eps: float) -> float:
@@ -141,7 +144,8 @@ class TestHessian:
 
     def test_block_diagonalization(self):
         assert block_diagonalize_check(0.3, Grid(25.0, 512)) < 1e-8
-        assert similarity_orthogonality_defect() < 1e-12
+        s = SECTOR_SIMILARITY
+        assert np.max(np.abs(s.T @ s - np.eye(4))) < 1e-12
 
     def test_block_defect_grid_independent(self):
         # the similarity identity is exact, not asymptotic
@@ -162,9 +166,8 @@ class TestSchrodingerForms:
         pr = SchrodingerProblem("difference_sector", 0.5)
         zg = stretched_grid(0.5, spectral_grid(0.5))
         op = build_schrodinger(pr, zg)
-        psi0, loc = pr.reference_mode(zg.x)
-        assert loc == 0.0
-        assert np.max(np.abs(op.matrix @ psi0.real)) < 1e-6
+        psi0 = difference_sector_kernel_mode(0.5, zg.x)
+        assert np.max(np.abs(op.matrix @ psi0)) < 1e-6
 
     def test_zero_frequency_ground_state(self):
         # the stretched sum-sector well at omega = 0 is the classic
@@ -180,8 +183,7 @@ class TestSchrodingerForms:
         pr = SchrodingerProblem("coupled_system", 0.3)
         zg = stretched_grid(0.3, spectral_grid(0.3))
         op = build_schrodinger(pr, zg)
-        phi0, loc = pr.reference_mode(zg.x)
-        assert loc == 0.0
+        phi0 = coupled_kernel_mode(0.3, zg.x)
         assert np.max(np.abs(op.matrix @ embed_conjugate_pair(phi0))) < 1e-6
 
     def test_minus_sector_matches_scalar_problems(self):
@@ -332,7 +334,7 @@ class TestConstrainedPositivity:
 class TestSplittingProbe:
     def test_eigenvalue_signs_near_zero(self):
         g = spectral_grid(0.1)
-        rows = splitting_probe([0.1, -0.1], g)
+        rows = [splitting_probe(omega, g) for omega in (0.1, -0.1)]
         by_omega = {row["omega"]: row for row in rows}
         assert by_omega[0.1]["second_plus"] < 0.0
         assert by_omega[-0.1]["second_plus"] > 0.0
@@ -346,7 +348,7 @@ class TestSplittingProbe:
         # quadrature check of the displayed integral at omega -> 0; its sign
         # is recorded alongside the directly measured eigenvalue signs
         g = spectral_grid(0.01)
-        row = splitting_probe([0.01], g)[0]
+        row = splitting_probe(0.01, g)
         assert row["splitting_integral"] == pytest.approx(-2.0 / 3.0, abs=0.05)
 
 
@@ -368,7 +370,7 @@ class TestSectorRoute:
         g = spectral_grid(omega, ORACLE_N)
         for sign in (1, -1):
             solve = sector_analysis(omega, g, sign).sigma
-            assert abs(solve.value - _sigma_index_eigh(omega, g, sign)) <= 1e-10
+            assert abs(solve.value - sigma_index_eigh(omega, g, sign)) <= 1e-10
             assert solve.residual < 1e-10
 
     @pytest.mark.parametrize("omega", [0.0, 0.5, -0.9])
@@ -411,7 +413,7 @@ class TestSectorRoute:
     def test_cached_matrix_is_read_only_and_shared(self):
         sector_analysis.cache_clear()
         g = spectral_grid(0.5, ORACLE_N)
-        splitting_probe([0.5], g)
+        splitting_probe(0.5, g)
         assert sector_analysis.cache_info().misses == 2
         sigma_index(0.5, g, -1)
         assert sector_analysis.cache_info().hits >= 1
