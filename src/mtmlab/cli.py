@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: soliton, evolve, conserved, spectrum, sigma, sweep, stability,
-h1bound, scatter.  Flags override values from an optional JSON config file;
+h1bound, scatter.  Each accepts only the settings it reads (``_COMMANDS``),
+as flags or as keys of an optional JSON config file, the flags winning;
 outputs land in the --out directory as record.json plus the CSV tables.
 Exit code is 0 iff every verdict of the run passes, 1 if one fails, and 2
 (with a one-line message) for input the library refuses.
@@ -17,6 +18,7 @@ from pathlib import Path
 from . import conserved, scattering, spectral
 from .evolve import EvolverConfig
 from .experiments import (
+    SLOPE_TOL,
     RunRecord,
     evolution_run,
     h1_bound_experiment,
@@ -27,8 +29,8 @@ from .experiments import (
 from .grid import Grid, dump_state
 from .soliton import SolitonParams, eval_soliton
 
-# flag name -> (type, default); a config file may set the same keys with
-# values of that type
+# setting -> (type, default); a command's flag and its config-file key set
+# the same value, the flag winning
 _SETTINGS = {
     "omega": (float, 0.5),
     "grid_L": (float, 40.0),
@@ -40,17 +42,22 @@ _SETTINGS = {
 }
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    for key, (kind, _) in _SETTINGS.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, default=None)
-    parser.add_argument("--config", type=str, default=None)
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, the library's refusals included, are one stderr line."""
+
+    def error(self, message):
+        self.exit(2, f"mtmlab: error: {message}\n")
 
 
-def _config_file(path: str) -> dict:
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _config_file(path: str, keys: tuple[str, ...], command: str) -> dict:
     """Settings from a JSON config file, refused with a ``ValueError`` that
     names the path or the key when the file is unreadable or not a JSON
-    object, a key is unknown, or a value does not have its flag's type (an
-    integer passes for a float)."""
+    object, a key is not one of the command's settings ``keys``, or a value
+    does not have its flag's type (an integer passes for a float)."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             file_cfg = json.load(f)
@@ -60,9 +67,10 @@ def _config_file(path: str) -> dict:
         raise ValueError(f"config file {path} is not JSON: {err}") from err
     if not isinstance(file_cfg, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    unknown = set(file_cfg) - set(_SETTINGS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    unread = set(file_cfg) - set(keys)
+    if unread:
+        raise ValueError(
+            f"config keys {sorted(unread)} are not read by {command!r}, which reads {list(keys)}")
     for key, val in file_cfg.items():
         kind = _SETTINGS[key][0]
         ok = isinstance(val, kind) or (kind is float and isinstance(val, int))
@@ -72,12 +80,14 @@ def _config_file(path: str) -> dict:
     return file_cfg
 
 
-def _settings(args: argparse.Namespace) -> dict:
-    cfg = {key: default for key, (_, default) in _SETTINGS.items()}
+def _settings(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    """The command's settings ``keys``, and only those: defaults, then the
+    config file, then flags."""
+    cfg = {key: default for key, (_, default) in _SETTINGS.items() if key in keys}
     if args.config:
-        cfg.update(_config_file(args.config))
-    for key in cfg:
-        val = getattr(args, key, None)
+        cfg.update(_config_file(args.config, keys, args.command))
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     return cfg
@@ -100,8 +110,7 @@ def _finish(record: RunRecord, out: Path) -> int:
     return 0 if record.passed else 1
 
 
-def _cmd_soliton(args) -> int:
-    cfg = _settings(args)
+def _cmd_soliton(cfg: dict, args) -> int:
     out = _outdir(cfg)
     params = SolitonParams(cfg["omega"], speed=args.speed, shift=args.shift, phase=args.phase)
     state = eval_soliton(params, _grid(cfg), t=args.time)
@@ -110,8 +119,7 @@ def _cmd_soliton(args) -> int:
     return 0
 
 
-def _cmd_evolve(args) -> int:
-    cfg = _settings(args)
+def _cmd_evolve(cfg: dict, args) -> int:
     out = _outdir(cfg)
     state = perturbed_soliton(cfg["omega"], _grid(cfg), cfg["seed"], args.delta)
     econf = EvolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], snapshot_stride=args.stride)
@@ -124,8 +132,7 @@ def _cmd_evolve(args) -> int:
     return _finish(record, out)
 
 
-def _cmd_conserved(args) -> int:
-    cfg = _settings(args)
+def _cmd_conserved(cfg: dict, args) -> int:
     g = _grid(cfg)
     state = eval_soliton(SolitonParams(cfg["omega"]), g)
     values = conserved.evaluate_all(state)
@@ -138,8 +145,7 @@ def _cmd_conserved(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    cfg = _settings(args)
+def _cmd_spectrum(cfg: dict, args) -> int:
     out = _outdir(cfg)
     omega = cfg["omega"]
     g = spectral.spectral_grid(omega, cfg["grid_N"])
@@ -153,8 +159,7 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_sigma(args) -> int:
-    cfg = _settings(args)
+def _cmd_sigma(cfg: dict, args) -> int:
     out = _outdir(cfg)
     omega = cfg["omega"]
     g = spectral.spectral_grid(omega, cfg["grid_N"])
@@ -163,15 +168,14 @@ def _cmd_sigma(args) -> int:
     for sign in (1, -1):
         num = spectral.sigma_index(omega, g, sign)
         closed = spectral.sigma_closed_form(omega, sign)
-        ok = ok and abs(num - closed) < 1e-3
+        ok = ok and abs(num - closed) < SLOPE_TOL
         rows.append((omega, sign, num, closed))
     spectral.write_sigma_csv(out / "sigma.csv", rows)
     print(f"wrote {out / 'sigma.csv'}")
     return 0 if ok else 1
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _settings(args)
+def _cmd_sweep(cfg: dict, args) -> int:
     out = _outdir(cfg)
     omegas = (
         [float(s) for s in args.omegas.split(",")]
@@ -182,8 +186,7 @@ def _cmd_sweep(args) -> int:
     return _finish(record, out)
 
 
-def _cmd_stability(args) -> int:
-    cfg = _settings(args)
+def _cmd_stability(cfg: dict, args) -> int:
     out = _outdir(cfg)
     record = stability_experiment(
         cfg["omega"], args.delta, cfg["t_end"], cfg["seed"],
@@ -192,8 +195,7 @@ def _cmd_stability(args) -> int:
     return _finish(record, out)
 
 
-def _cmd_h1bound(args) -> int:
-    cfg = _settings(args)
+def _cmd_h1bound(cfg: dict, args) -> int:
     out = _outdir(cfg)
     record = h1_bound_experiment(
         args.charge, cfg["t_end"], cfg["seed"],
@@ -202,8 +204,7 @@ def _cmd_h1bound(args) -> int:
     return _finish(record, out)
 
 
-def _cmd_scatter(args) -> int:
-    cfg = _settings(args)
+def _cmd_scatter(cfg: dict, args) -> int:
     out = _outdir(cfg)
     g = _grid(cfg)
     state = eval_soliton(SolitonParams(cfg["omega"]), g)
@@ -214,67 +215,54 @@ def _cmd_scatter(args) -> int:
     return 0
 
 
+# command -> (handler, help, the settings it reads, its own flags as
+# name -> (type, default)); a command accepts no other flag or config key
+_COMMANDS = {
+    "soliton": (_cmd_soliton, "dump a soliton profile state", ("omega", "grid_L", "grid_N", "out"),
+                {"speed": (float, 0.0), "shift": (float, 0.0), "phase": (float, 0.0),
+                 "time": (float, 0.0)}),
+    "evolve": (_cmd_evolve, "evolve a (perturbed) soliton", tuple(_SETTINGS),
+               {"delta": (float, 0.0), "stride": (int, 200)}),
+    "conserved": (_cmd_conserved, "conserved values of the soliton state",
+                  ("omega", "grid_L", "grid_N"), {}),
+    "spectrum": (_cmd_spectrum, "isolated spectrum of the sector operators",
+                 ("omega", "grid_N", "out"), {}),
+    "sigma": (_cmd_sigma, "constraint slopes vs closed forms", ("omega", "grid_N", "out"), {}),
+    "sweep": (_cmd_sweep, "consolidated spectral sweep over omega", ("grid_N", "out"),
+              {"omegas": (str, ""),
+               "checks": (str, "minus_sector,plus_sector,slope,constrained")}),
+    "stability": (_cmd_stability, "orbital stability experiment", tuple(_SETTINGS),
+                  {"delta": (float, 1e-3)}),
+    "h1bound": (_cmd_h1bound, "H1 boundedness experiment for small data",
+                ("grid_L", "grid_N", "dt", "t_end", "seed", "out"), {"charge": (float, 0.1)}),
+    "scatter": (_cmd_scatter, "transmission-coefficient scan", ("omega", "grid_L", "grid_N", "out"),
+                {"lambdas": (str, "0.5,0.8,1.25")}),
+}
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mtmlab",
         description="Numerical laboratory for the massive Thirring model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("soliton", help="dump a soliton profile state")
-    _common_flags(p)
-    p.add_argument("--speed", type=float, default=0.0)
-    p.add_argument("--shift", type=float, default=0.0)
-    p.add_argument("--phase", type=float, default=0.0)
-    p.add_argument("--time", type=float, default=0.0)
-    p.set_defaults(func=_cmd_soliton)
-
-    p = sub.add_parser("evolve", help="evolve a (perturbed) soliton")
-    _common_flags(p)
-    p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--stride", type=int, default=200)
-    p.set_defaults(func=_cmd_evolve)
-
-    p = sub.add_parser("conserved", help="conserved values of the soliton state")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_conserved)
-
-    p = sub.add_parser("spectrum", help="isolated spectrum of the sector operators")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("sigma", help="constraint slopes vs closed forms")
-    _common_flags(p)
-    p.set_defaults(func=_cmd_sigma)
-
-    p = sub.add_parser("sweep", help="consolidated spectral sweep over omega")
-    _common_flags(p)
-    p.add_argument("--omegas", type=str, default="")
-    p.add_argument("--checks", type=str, default="minus_sector,plus_sector,slope,constrained")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("stability", help="orbital stability experiment")
-    _common_flags(p)
-    p.add_argument("--delta", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_stability)
-
-    p = sub.add_parser("h1bound", help="H1 boundedness experiment for small data")
-    _common_flags(p)
-    p.add_argument("--charge", type=float, default=0.1)
-    p.set_defaults(func=_cmd_h1bound)
-
-    p = sub.add_parser("scatter", help="transmission-coefficient scan")
-    _common_flags(p)
-    p.add_argument("--lambdas", type=str, default="0.5,0.8,1.25")
-    p.set_defaults(func=_cmd_scatter)
+    for name, (_, help_text, keys, flags) in _COMMANDS.items():
+        # no abbreviations: sweep's --omegas would otherwise take --omega
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for key in keys:
+            p.add_argument(_flag(key), dest=key, type=_SETTINGS[key][0], default=None)
+        p.add_argument("--config", type=str, default=None)
+        for key, (kind, default) in flags.items():
+            p.add_argument(_flag(key), dest=key, type=kind, default=default)
 
     args = parser.parse_args(argv)
+    handler, _, keys, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_settings(args, keys), args)
     except (ValueError, spectral.KernelDeflationError) as err:
         # input the library refuses, a grid too coarse to resolve a sector's
         # kernel included: a usage error
-        parser.exit(2, f"mtmlab: error: {err}\n")
+        parser.error(str(err))
 
 
 if __name__ == "__main__":

@@ -44,11 +44,6 @@ class SolitonParams:
         if not abs(self.speed) < 1.0:
             raise ValueError(f"boost speed must satisfy |c| < 1, got {self.speed}")
 
-    @property
-    def big_omega(self) -> float:
-        """Reduced spectral parameter Omega = 1 - omega^2 (always recomputed)."""
-        return 1.0 - self.omega * self.omega
-
 
 def profile(omega: float, x: np.ndarray) -> np.ndarray:
     """Stationary soliton profile sampled at positions ``x``."""
@@ -107,10 +102,6 @@ def eval_profile(omega: float, grid: Grid) -> np.ndarray:
 
 def eval_soliton(params: SolitonParams, grid: Grid, t: float = 0.0) -> FieldState:
     """Soliton field state: gauge/shift transform first, then the boost."""
-    if params.speed == 0.0:
-        ph = np.exp(1j * (params.omega * t + params.phase))
-        u = profile(params.omega, grid.x + params.shift)
-        return FieldState(grid, u * ph, np.conj(u) * ph, t)
     c = params.speed
     gam = 1.0 / np.sqrt(1.0 - c * c)
     xi = gam * (grid.x - c * t)

@@ -49,7 +49,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh, eigvalsh_tridiagonal, null_space, solve
+from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal, null_space, solve
 
 from .grid import Grid, quadrature
 from .soliton import (
@@ -143,11 +143,10 @@ class DiscreteOperator:
 @lru_cache(maxsize=4)  # dense pairs are large; keep only adjacent reuse
 def differentiation_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Dense spectral first/second derivative matrices on a periodic grid,
-    cleaned to exact (anti)symmetry."""
-    eye = np.eye(grid.n)
-    f = np.fft.fft(eye, axis=0)
-    d1 = np.real(np.fft.ifft(1j * grid.wavenumbers_odd[:, None] * f, axis=0))
-    d2 = np.real(np.fft.ifft(-(grid.wavenumbers[:, None] ** 2) * f, axis=0))
+    cleaned to exact (anti)symmetry.  Each is the circulant of its first
+    column, the derivative of the unit sample at x[0]."""
+    d1 = circulant(np.real(np.fft.ifft(1j * grid.wavenumbers_odd)))
+    d2 = circulant(np.real(np.fft.ifft(-(grid.wavenumbers**2))))
     d1 = 0.5 * (d1 - d1.T)
     d2 = 0.5 * (d2 + d2.T)
     return d1, d2

@@ -154,11 +154,11 @@ def calibrate_hierarchy_constants(states) -> tuple[complex, complex, float]:
     return complex(coef[0]), complex(coef[1]), resid
 
 
-def measured_interpolation_constant(states, floor: float = 1.0) -> float:
+def measured_interpolation_constant(states) -> float:
     """Largest observed ratio of the L4/L6 integrals to the interpolation
-    bound ||f'||^(p-1) ||f||^(p+1) across snapshots and components, and at
-    least ``floor``; each norm and derivative is computed afresh."""
-    best = floor
+    bound ||f'||^(p-1) ||f||^(p+1) across snapshots and components; each
+    norm and derivative is computed afresh."""
+    best = 0.0
     for s in states:
         g = s.grid
         for f in (s.u, s.v):
@@ -170,6 +170,15 @@ def measured_interpolation_constant(states, floor: float = 1.0) -> float:
                 if bound > 0:
                     best = max(best, lp / bound)
     return best
+
+
+def differentiation_matrices_fft(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Dense first/second derivative matrices by FFTs of the identity's
+    columns, cleaned to exact (anti)symmetry."""
+    f = np.fft.fft(np.eye(grid.n), axis=0)
+    d1 = np.real(np.fft.ifft(1j * grid.wavenumbers_odd[:, None] * f, axis=0))
+    d2 = np.real(np.fft.ifft(-(grid.wavenumbers[:, None] ** 2) * f, axis=0))
+    return 0.5 * (d1 - d1.T), 0.5 * (d2 + d2.T)
 
 
 # ---------------------------------------------------------------------------

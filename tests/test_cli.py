@@ -23,6 +23,28 @@ def _usage_error(argv, capsys) -> str:
     return err
 
 
+# settings a command does not read: it refuses them as flags
+_UNREAD_FLAGS = {
+    "soliton": ("--dt", "--t-end", "--seed"),
+    "conserved": ("--dt", "--t-end", "--seed", "--out"),
+    "spectrum": ("--grid-L", "--dt", "--t-end", "--seed"),
+    "sigma": ("--grid-L", "--dt", "--t-end", "--seed"),
+    "sweep": ("--omega", "--grid-L", "--dt", "--t-end", "--seed"),
+    "h1bound": ("--omega",),
+    "scatter": ("--dt", "--t-end", "--seed"),
+}
+_FLAG_VALUES = {"--omega": "0.5", "--grid-L": "80", "--dt": "0.5", "--t-end": "3",
+                "--seed": "4", "--out": "results"}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, flags in _UNREAD_FLAGS.items() for f in flags]
+)
+def test_unread_setting_flag_rejected(command, flag, capsys):
+    err = _usage_error([command, flag, _FLAG_VALUES[flag]], capsys)
+    assert f"unrecognized arguments: {flag}" in err
+
+
 class TestSolitonCommand:
     def test_dump_matches_library(self, tmp_path):
         rc = main(
@@ -66,6 +88,12 @@ class TestConfigPrecedence:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"omegaa": 0.5}))
         assert "omegaa" in _usage_error(["conserved", "--config", str(cfg)], capsys)
+
+    def test_unread_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega": 0.5, "dt": 0.1}))
+        err = _usage_error(["spectrum", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+        assert "['dt']" in err and "'spectrum'" in err
 
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
@@ -240,3 +268,7 @@ class TestH1BoundCommand:
         record = json.loads((tmp_path / "record.json").read_text())
         assert record["passed"] is True
         assert record["verdicts"]["charge_conserved"] is True
+
+    def test_negative_charge_rejected(self, tmp_path, capsys):
+        argv = ["h1bound", "--charge", "-0.1", "--out", str(tmp_path)]
+        assert "charge must be nonnegative" in _usage_error(argv, capsys)

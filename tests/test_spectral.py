@@ -40,6 +40,7 @@ from oracles import (
     block_diagonalize_check,
     coupled_kernel_mode,
     difference_sector_kernel_mode,
+    differentiation_matrices_fft,
     generalized_mode_residual,
     hessian_quadratic_form,
     prufer_zero_count,
@@ -82,6 +83,14 @@ class TestSectorOperators:
     def test_sign_argument(self):
         with pytest.raises(ValueError):
             build_sector_operator(0.3, spectral_grid(0.3), 0)
+
+    @pytest.mark.parametrize("n", [640, 1024, 2048])
+    def test_differentiation_matrices_match_fft_build(self, n):
+        g = Grid(30.0, n)
+        # uncached call: a 2048-point pair would evict the operators' grids
+        built = spectral.differentiation_matrices.__wrapped__(g)
+        for d, ref in zip(built, differentiation_matrices_fft(g)):
+            assert np.max(np.abs(d - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestIsolatedSpectrum:
