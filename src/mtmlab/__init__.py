@@ -35,7 +35,6 @@ from .soliton import (
     SolitonParams,
     eval_profile,
     eval_soliton,
-    omega_derivative,
     profile,
     profile_absq,
     residual_first_order,
@@ -44,7 +43,6 @@ from .soliton import (
 )
 from .spectral import (
     DiscreteOperator,
-    KernelDeflationError,
     SchrodingerProblem,
     SectorAnalysis,
     build_hessian,

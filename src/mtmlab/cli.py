@@ -98,6 +98,7 @@ def _grid(cfg: dict) -> Grid:
 
 
 def _outdir(cfg: dict) -> Path:
+    """The --out directory; handlers call it once their results are in."""
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -111,19 +112,21 @@ def _finish(record: RunRecord, out: Path) -> int:
 
 
 def _cmd_soliton(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     params = SolitonParams(cfg["omega"], speed=args.speed, shift=args.shift, phase=args.phase)
     state = eval_soliton(params, _grid(cfg), t=args.time)
+    out = _outdir(cfg)
     dump_state(state, out / "soliton.csv")
     print(f"wrote {out / 'soliton.csv'}")
     return 0
 
 
 def _cmd_evolve(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     state = perturbed_soliton(cfg["omega"], _grid(cfg), cfg["seed"], args.delta)
     econf = EvolverConfig(dt=cfg["dt"], t_end=cfg["t_end"], snapshot_stride=args.stride)
-    record, traj = evolution_run("evolve", state, econf, cfg["seed"], cfg | {"delta": args.delta})
+    # the record describes the run, not where it is written
+    settings = {key: val for key, val in cfg.items() if key != "out"} | {"delta": args.delta}
+    record, traj = evolution_run("evolve", state, econf, cfg["seed"], settings)
+    out = _outdir(cfg)
     if traj is not None:
         s = record.series
         sets = map(conserved.ConservedSet, s["Q"], s["P"], s["H"], s["R"], s["t"])
@@ -146,21 +149,20 @@ def _cmd_conserved(cfg: dict, args) -> int:
 
 
 def _cmd_spectrum(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     omega = cfg["omega"]
     g = spectral.spectral_grid(omega, cfg["grid_N"])
     rows = []
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = spectral.sector_analysis(omega, g, sign)
-        vals = [float(v) for v in analysis.isolated[0]]
+        vals = [float(v) for v in analysis.isolated]
         rows.append((omega, tag, vals, analysis.operator.cutoff))
+    out = _outdir(cfg)
     spectral.write_spectral_csv(out / "spectrum.csv", rows)
     print(f"wrote {out / 'spectrum.csv'}")
     return 0
 
 
 def _cmd_sigma(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     omega = cfg["omega"]
     g = spectral.spectral_grid(omega, cfg["grid_N"])
     rows = []
@@ -170,46 +172,44 @@ def _cmd_sigma(cfg: dict, args) -> int:
         closed = spectral.sigma_closed_form(omega, sign)
         ok = ok and abs(num - closed) < SLOPE_TOL
         rows.append((omega, sign, num, closed))
+    out = _outdir(cfg)
     spectral.write_sigma_csv(out / "sigma.csv", rows)
     print(f"wrote {out / 'sigma.csv'}")
     return 0 if ok else 1
 
 
 def _cmd_sweep(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     omegas = (
         [float(s) for s in args.omegas.split(",")]
         if args.omegas
         else [s * o for o in (0.1, 0.3, 0.5, 0.7, 0.9) for s in (1, -1)] + [0.0]
     )
     record = omega_sweep(sorted(omegas), grid_n=cfg["grid_N"], checks=tuple(args.checks.split(",")))
-    return _finish(record, out)
+    return _finish(record, _outdir(cfg))
 
 
 def _cmd_stability(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     record = stability_experiment(
         cfg["omega"], args.delta, cfg["t_end"], cfg["seed"],
         grid=_grid(cfg), dt=cfg["dt"],
     )
-    return _finish(record, out)
+    return _finish(record, _outdir(cfg))
 
 
 def _cmd_h1bound(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     record = h1_bound_experiment(
         args.charge, cfg["t_end"], cfg["seed"],
         grid=_grid(cfg), dt=cfg["dt"],
     )
-    return _finish(record, out)
+    return _finish(record, _outdir(cfg))
 
 
 def _cmd_scatter(cfg: dict, args) -> int:
-    out = _outdir(cfg)
     g = _grid(cfg)
     state = eval_soliton(SolitonParams(cfg["omega"]), g)
     lambdas = [float(s) for s in args.lambdas.split(",")]
     samples = [(scattering.riccati_solve(state, lam), state.t) for lam in lambdas]
+    out = _outdir(cfg)
     scattering.write_scan_csv(out / "scatter.csv", samples)
     print(f"wrote {out / 'scatter.csv'}")
     return 0
@@ -259,9 +259,7 @@ def main(argv=None) -> int:
     handler, _, keys, _ = _COMMANDS[args.command]
     try:
         return handler(_settings(args, keys), args)
-    except (ValueError, spectral.KernelDeflationError) as err:
-        # input the library refuses, a grid too coarse to resolve a sector's
-        # kernel included: a usage error
+    except ValueError as err:  # input the library refuses: a usage error
         parser.error(str(err))
 
 

@@ -383,11 +383,8 @@ def omega_sweep(
       per-sector route agrees with the full-Hessian route within
       SPLIT_DEFECT_TOL.
 
-    Per-omega failures are isolated and recorded; the sweep continues.  The
-    slope check runs last because its kernel-deflated solve raises when the
-    grid does not resolve a sector's kernel (``KernelDeflationError``), and
-    the other checks are still recorded then.  An unknown check name is
-    refused with a ``ValueError`` before any work.
+    Per-omega failures are isolated and recorded; the sweep continues.  An
+    unknown check name is refused with a ``ValueError`` before any work.
     """
     unknown = [name for name in checks if name not in SWEEP_CHECKS]
     if unknown:
@@ -418,13 +415,6 @@ def omega_sweep(
                         ok = ok and sign_ok
                     row["plus_sector_sign_reported"] = bool(sign_ok)
                 row["plus_sector_ok"] = bool(ok)
-            if "constrained" in checks:
-                lam_min = spectral.constrained_min_eig(omega, g)
-                check_grid = spectral.spectral_grid(omega, min(g.n, SPLIT_CHECK_N))
-                defect = spectral.constrained_split_defect(omega, check_grid)
-                row["constrained_min"] = lam_min
-                row["constrained_split_defect"] = defect
-                row["constrained_ok"] = bool(lam_min > 0.0 and defect <= SPLIT_DEFECT_TOL)
             if "slope" in checks and abs(omega) >= 0.1:
                 for sign, tag in ((1, "plus"), (-1, "minus")):
                     num = spectral.sigma_index(omega, g, sign)
@@ -434,6 +424,13 @@ def omega_sweep(
                     row[f"sigma_{tag}_residual"] = spectral.sector_analysis(
                         omega, g, sign).sigma.residual
                     row[f"sigma_{tag}_ok"] = bool(abs(num - closed) < SLOPE_TOL)
+            if "constrained" in checks:
+                lam_min = spectral.constrained_min_eig(omega, g)
+                check_grid = spectral.spectral_grid(omega, min(g.n, SPLIT_CHECK_N))
+                defect = spectral.constrained_split_defect(omega, check_grid)
+                row["constrained_min"] = lam_min
+                row["constrained_split_defect"] = defect
+                row["constrained_ok"] = bool(lam_min > 0.0 and defect <= SPLIT_DEFECT_TOL)
         except Exception as err:  # noqa: BLE001 - isolate per-omega failures
             row["error"] = repr(err)
         rows.append(row)

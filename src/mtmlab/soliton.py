@@ -8,9 +8,7 @@ The stationary profile at frequency ``omega`` in (-1, 1) is
 with beta = sqrt(1 - omega^2).  The full orbit is generated by a gauge
 phase, a spatial shift and, for moving solitons, a Lorentz boost.  This
 module also provides residual checks against the first- and second-order
-stationary equations, the symmetry-induced kernel vector fields, and the
-derivative of the profile with respect to the reduced spectral parameter
-Omega = 1 - omega^2.
+stationary equations and the symmetry-induced kernel vector fields.
 """
 
 from __future__ import annotations
@@ -183,30 +181,3 @@ def zero_mode_fields(omega: float, grid: Grid) -> dict[str, np.ndarray]:
         "extra_minus": extra_minus,
     }
 
-
-def omega_derivative(
-    omega: float,
-    grid: Grid,
-    step: float | None = None,
-    return_residual: bool = False,
-):
-    """d U / d Omega via Richardson-extrapolated central differences in omega.
-
-    Omega = 1 - omega^2, so dU/dOmega = -(1 / 2 omega) dU/domega.  Rejected
-    near omega = 0 where the 1/(2 omega) factor blows up.
-    """
-    _check_omega(omega)
-    if abs(omega) < OMEGA_DEGENERATE:
-        raise ValueError("Omega-derivative degenerates near omega = 0")
-    h = step if step is not None else min(5e-3, 0.2 * (1.0 - abs(omega)))
-
-    def central(hh: float) -> np.ndarray:
-        return (profile(omega + hh, grid.x) - profile(omega - hh, grid.x)) / (2.0 * hh)
-
-    d_h = central(h)
-    d_h2 = central(h / 2.0)
-    d_omega = (4.0 * d_h2 - d_h) / 3.0
-    d_big = -d_omega / (2.0 * omega)
-    if return_residual:
-        return d_big, float(np.max(np.abs(d_h2 - d_h)))
-    return d_big

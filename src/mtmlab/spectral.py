@@ -36,6 +36,23 @@ realified similarity identity Q^T H Q = diag(plus, minus) behind the split is
 a test oracle (``tests/oracles.py``); ``omega_sweep`` re-checks the split on
 a small grid through ``constrained_split_defect``.
 
+The lattice reflection R: j -> -j mod N (x -> -x, fixing j = 0 and N/2) and
+U(-x) = conj U(x) make K = diag(R, -R) on (Re w, Im w) commute with both
+sector matrices.  In the orthonormal bases e_0, e_{N/2},
+(e_j + e_{N-j})/sqrt 2 of even and (e_j - e_{N-j})/sqrt 2 of odd lattice
+functions, K = +1 on (even Re w, odd Im w) and -1 on (odd Re w, even Im w)
+(``parity_split``), so a sector operator is the (2, N, N) stack of two
+blocks, gathered from the circulant derivative columns; the 2N x 2N matrix
+is never formed.  The constraint vector s of each sector lies in its +1
+block and the kernel vector k in its -1 block: the isolated spectrum is the
+union of the block spectra, sigma = 2 dx s+^T M+^{-1} s+ is one solve on the
++1 block, which the kernel does not enter, and the constrained minimum is
+the smaller of the +1 block's minimum off s+ and the -1 block's off k-.  The
+symmetry breaks only in the e^-22 tail at the fixed point x = -L;
+``parity_defect`` records the largest wrong-parity component of the
+coefficients and of s and k, refused above CONSTRUCTION_TOL (a domain too
+short for the soliton).  The coupled Schrodinger problem is stacked alike.
+
 First-order derivative terms are assembled in the symmetric product form
 i (g D + D g)/2, which absorbs the non-Hermitian multiplication pieces of
 the displayed operators exactly (using the profile identity
@@ -66,7 +83,6 @@ from .soliton import (
 # omega = 0.9, so the margin must stay below 0.010; 0.005 leaves a clear
 # gap on both sides (validated by doubling L and N).
 CONTINUUM_MARGIN = 0.005
-KERNEL_DEFLATION = 1e-8  # |eigenvalue| at or below this is treated as kernel
 CONSTRUCTION_TOL = 1e-6
 # Sturm counts of the stretched scalar problems: the sech-type potentials are
 # below 1e-10 beyond this half-width, and the finite-difference step h (then
@@ -83,13 +99,8 @@ ALL_KINDS = SCALAR_KINDS + (COUPLED_KIND,)
 
 
 class OperatorConstructionError(RuntimeError):
-    """Raised when an assembled matrix is asymmetric beyond tolerance,
-    which signals a sign error in the operator coefficients."""
-
-
-class KernelDeflationError(RuntimeError):
-    """Raised when a sector operator shows no eigenvalue within
-    KERNEL_DEFLATION of zero, so its kernel cannot be deflated."""
+    """Raised when an assembled matrix is asymmetric (a sign error in the
+    coefficients) or reflection-asymmetric beyond tolerance."""
 
 
 def _asymmetry(m: np.ndarray) -> float:
@@ -103,30 +114,33 @@ def _asymmetry(m: np.ndarray) -> float:
 
 @dataclass
 class DiscreteOperator:
-    """Real symmetric matrix realization of a linearized operator.
-
-    The assembled ``matrix`` is measured once for asymmetry (recorded as
-    ``pre_symmetry_defect``; above CONSTRUCTION_TOL it signals a sign error)
-    and replaced by its exactly symmetric part."""
+    """Real symmetric matrix realization of a linearized operator: an (n, n)
+    ``matrix``, or the (2, N, N) stack of the K = +1 and K = -1 blocks of a
+    realified pair operator.  Each block is measured once for asymmetry
+    (``pre_symmetry_defect``) and replaced by its exactly symmetric part; it
+    and the assembly's ``parity_defect`` are refused above CONSTRUCTION_TOL."""
 
     matrix: np.ndarray
     continuum_edge: float
+    parity_defect: float = 0.0
     pre_symmetry_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
+        if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.ndim == 3 and len(m) != 2:
+            raise ValueError("operator matrix must be square or a stack of two square blocks")
         if not self.continuum_edge > 0.0:
             raise ValueError("continuum edge must be positive")
-        defect = _asymmetry(m)
-        if defect > CONSTRUCTION_TOL:
+        defect = max(_asymmetry(block) for block in m.reshape(-1, *m.shape[-2:]))
+        if max(defect, self.parity_defect) > CONSTRUCTION_TOL:
             raise OperatorConstructionError(
-                f"assembled matrix asymmetric by {defect:.3e}; sign error suspected"
+                f"assembled matrix asymmetric by {defect:.3e} (a sign error) or parity defect "
+                f"{self.parity_defect:.3e} (a domain too short for the soliton's tail)"
             )
-        sym = m + m.T
-        sym *= 0.5
-        self.matrix = sym
+        if defect > 0.0:  # an exactly symmetric assembly is kept as it is
+            sym = m + np.swapaxes(m, -1, -2)
+            sym *= 0.5
+            self.matrix = sym
         self.pre_symmetry_defect = defect
 
     @property
@@ -137,19 +151,24 @@ class DiscreteOperator:
 
 
 # ---------------------------------------------------------------------------
-# dense differentiation matrices and realification helpers
+# differentiation, realification and the parity split
+
+
+def _derivative_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """First columns of the spectral first/second derivative matrices (the
+    derivatives of the unit sample at x[0]), cleaned to exact odd/even
+    symmetry under j -> -j mod N."""
+    c1 = np.real(np.fft.ifft(1j * grid.wavenumbers_odd))
+    c2 = np.real(np.fft.ifft(-(grid.wavenumbers**2)))
+    mirror = -np.arange(grid.n) % grid.n
+    return 0.5 * (c1 - c1[mirror]), 0.5 * (c2 + c2[mirror])
 
 
 @lru_cache(maxsize=4)  # dense pairs are large; keep only adjacent reuse
 def differentiation_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Dense spectral first/second derivative matrices on a periodic grid,
-    cleaned to exact (anti)symmetry.  Each is the circulant of its first
-    column, the derivative of the unit sample at x[0]."""
-    d1 = circulant(np.real(np.fft.ifft(1j * grid.wavenumbers_odd)))
-    d2 = circulant(np.real(np.fft.ifft(-(grid.wavenumbers**2))))
-    d1 = 0.5 * (d1 - d1.T)
-    d2 = 0.5 * (d2 + d2.T)
-    return d1, d2
+    exactly (anti)symmetric: the circulants of ``_derivative_columns``."""
+    return tuple(map(circulant, _derivative_columns(grid)))
 
 
 def _symmetric_first_order(g: np.ndarray, d1: np.ndarray) -> np.ndarray:
@@ -175,13 +194,65 @@ def embed_conjugate_pair(w: np.ndarray, anti: bool = False) -> np.ndarray:
     return np.concatenate([w.real, w.imag])
 
 
+def parity_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The K = +1 and K = -1 coordinates, (even Re w, odd Im w) and
+    (odd Re w, even Im w), of a realified vector (Re w, Im w)."""
+    pair = w.reshape(2, -1)
+    h = pair.shape[1] // 2
+    ahead, behind = pair[:, 1:h], pair[:, :h:-1]  # the samples at j and N - j
+    even = np.hstack([pair[:, :1], (ahead + behind) / np.sqrt(2.0), pair[:, h : h + 1]])
+    odd = (ahead - behind) / np.sqrt(2.0)
+    return np.concatenate([even[0], odd[1]]), np.concatenate([odd[0], even[1]])
+
+
+def _parity_blocks(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float]:
+    """The K = +1 and K = -1 blocks of the realified pair operator
+    [[-D2 + pa, -S + q], [S + q, -D2 + pd]], S = (g D1 + D1 g)/2, for even
+    diagonals g, pa, pd and odd q, and the coefficients' largest coordinate
+    of wrong parity (the -1 part of each pair (c, q)).  With s_i = 1/sqrt 2
+    at the fixed points i = 0, N/2 and 1 elsewhere, the even-even part of D2
+    is s_i s_j (c2[i-j] + c2[i+j]), its odd-odd part c2[i-j] - c2[i+j], and
+    the even-odd part of S s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2."""
+    n, h = grid.n, grid.n // 2
+    c1, c2 = _derivative_columns(grid)
+    even, odd = np.arange(h + 1), np.arange(1, h)
+    scale = np.where(even % h == 0, np.sqrt(0.5), 1.0)
+
+    def gather(col, rows, cols, sign):
+        return col[(rows[:, None] - cols) % n] + sign * col[(rows[:, None] + cols) % n]
+
+    ee = scale[:, None] * gather(c2, even, even, 1.0) * scale
+    oo = gather(c2, odd, odd, -1.0)
+    eo = 0.5 * scale[:, None] * (g[: h + 1, None] + g[odd]) * gather(c1, even, odd, -1.0)
+    q_eo = np.zeros_like(eo)
+    q_eo[odd, odd - 1] = q[odd]
+    off_plus, off_minus = q_eo - eo, q_eo + eo
+    plus = np.block([[np.diag(pa[: h + 1]) - ee, off_plus], [off_plus.T, np.diag(pd[odd]) - oo]])
+    minus = np.block([[np.diag(pa[odd]) - oo, off_minus.T], [off_minus, np.diag(pd[: h + 1]) - ee]])
+    wrong = [parity_split(np.concatenate([c, q]))[1] for c in (g, pa, pd)]
+    return np.stack([plus, minus]), max(float(np.max(np.abs(w))) for w in wrong)
+
+
 # ---------------------------------------------------------------------------
 # sector operators and the full Hessian
 
 
-def _sector_complex_blocks(omega: float, grid: Grid, sign: int):
-    """Complex (linear, conjugate) blocks of the plus/minus sector operator."""
-    d1, d2 = differentiation_matrices(grid)
+def _sector_constraints(omega: float, grid: Grid, sign: int):
+    """``parity_split`` of the sector's constraint vector s and kernel
+    vector k: (U, U') for plus, (iU', iU) for minus."""
+    u = eval_profile(omega, grid)
+    up = profile_derivative(omega, grid.x)
+    s, k = (u, up) if sign > 0 else (1j * up, 1j * u)
+    return parity_split(embed_conjugate_pair(s)), parity_split(embed_conjugate_pair(k))
+
+
+def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperator:
+    """The parity-block stack of the realified 2N x 2N operator of the
+    v = sign * conj(u) reduction: sign=+1 gives the sector whose kernel holds
+    the translation mode (U', conj U'), sign=-1 the gauge mode (U, -conj U).
+    The parity defect includes the dropped parts s- and k+."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     u = eval_profile(omega, grid)
     absq = np.abs(u) ** 2
     big = 1.0 - omega * omega
@@ -193,19 +264,10 @@ def _sector_complex_blocks(omega: float, grid: Grid, sign: int):
         g = -2.0 * absq
         pot = -2.0 * absq**2 - 2.0 * omega * absq + big
         off = 2.0 * omega * u**2
-    linear = -d2 + _symmetric_first_order(g, d1) + np.diag(pot)
-    return linear, np.diag(off)
-
-
-def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperator:
-    """Realified 2N x 2N operator of the v = sign * conj(u) reduction.
-
-    sign=+1 gives the sector whose kernel holds the translation mode
-    (U', conj U'); sign=-1 the sector with the gauge mode (U, -conj U)."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    linear, conj_part = _sector_complex_blocks(omega, grid, sign)
-    return DiscreteOperator(realify_conjugate_pair(linear, conj_part), 1.0 - omega * omega)
+    blocks, defect = _parity_blocks(grid, g, pot + off.real, pot - off.real, off.imag)
+    (_, s_dropped), (k_dropped, _) = _sector_constraints(omega, grid, sign)
+    defect = max(defect, float(np.max(np.abs(s_dropped))), float(np.max(np.abs(k_dropped))))
+    return DiscreteOperator(blocks, big, parity_defect=defect)
 
 
 def _hessian_complex_blocks(omega: float, grid: Grid):
@@ -298,14 +360,16 @@ class SchrodingerProblem:
 
 def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperator:
     """Dense symmetric discretization of a stretched-variable problem on a
-    periodic z-grid: N x N for scalar kinds, realified 2N x 2N for the
-    coupled kind."""
-    _, d2 = differentiation_matrices(grid)
+    periodic z-grid: N x N for scalar kinds; for the coupled kind, whose V1
+    is even and V2(-z) = conj V2(z), the K = +1 and K = -1 blocks of the
+    realified 2N x 2N matrix."""
     if problem.scalar:
+        _, d2 = differentiation_matrices(grid)
         return DiscreteOperator(-d2 + np.diag(1.0 + problem.potential(grid.x)), 1.0)
     v1, v2 = problem.coupled_potentials(grid.x)
-    linear = -d2 + np.diag(1.0 + v1)
-    return DiscreteOperator(realify_conjugate_pair(linear.astype(complex), np.diag(v2)), 1.0)
+    blocks, defect = _parity_blocks(
+        grid, np.zeros(grid.n), 1.0 + v1 + v2.real, 1.0 + v1 - v2.real, v2.imag)
+    return DiscreteOperator(blocks, 1.0, parity_defect=defect)
 
 
 def stretched_grid(omega: float, grid_x: Grid) -> Grid:
@@ -317,14 +381,17 @@ def stretched_grid(omega: float, grid_x: Grid) -> Grid:
 # isolated spectra, Sturm counts, constrained minima
 
 
-def isolated_spectrum(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors strictly below ``op.cutoff``,
-    from a subset eigensolve: only the isolated part of the spectrum is
+def isolated_spectrum(op: DiscreteOperator) -> np.ndarray:
+    """Eigenvalues (ascending) strictly below ``op.cutoff``, from a subset
+    eigensolve of each block: only the isolated part of the spectrum is
     computed.  The margin below the edge excludes discretized continuum
     states that scatter slightly below it on finite domains."""
-    vals, vecs = eigh(op.matrix, subset_by_value=(-np.inf, op.cutoff))
-    keep = vals < op.cutoff
-    return vals[keep], vecs[:, keep]
+    m = op.matrix
+    vals = np.concatenate([
+        eigh(block, eigvals_only=True, subset_by_value=(-np.inf, op.cutoff))
+        for block in m.reshape(-1, *m.shape[-2:])
+    ])
+    return np.sort(vals[vals < op.cutoff])
 
 
 def _fd_eigenvalues(problem: SchrodingerProblem, half: float, cells: int) -> np.ndarray:
@@ -398,66 +465,43 @@ def spectral_grid(omega: float, n: int | None = None) -> Grid:
     return recommended_grid(omega, n=n, tail_exponent=22.0)
 
 
-def _sector_constraint_block(omega: float, grid: Grid, sign: int) -> np.ndarray:
-    """The sector's two of the four real constraint rows, as a 2N x 2 block:
-    {U, U'} for plus and {iU', iU} for minus (see the module docstring).  The
-    first column is the sector's constraint vector s, the second its kernel
-    vector."""
-    u = eval_profile(omega, grid)
-    up = profile_derivative(omega, grid.x)
-    if sign > 0:
-        return np.column_stack([embed_conjugate_pair(u), embed_conjugate_pair(up)])
-    return np.column_stack(
-        [embed_conjugate_pair(up, anti=True), embed_conjugate_pair(u, anti=True)]
-    )
-
-
-def _min_eig_on_complement(matrix: np.ndarray, block: np.ndarray) -> float:
+def _min_eig_on_complement(matrix: np.ndarray, vector: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix restricted to the orthogonal
-    complement of the columns of ``block``.
+    complement of ``vector``.
 
-    Householder reflectors H_j = I - beta_j v_j v_j^T reduce ``block`` to
-    upper-triangular form; each is applied to both sides of the matrix as the
-    symmetric rank-two update H M H = M - v w^T - w v^T, O(n^2).  The leading
-    rows and columns, which span the block, are then dropped."""
+    The Householder reflector H = I - beta v v^T that maps ``vector`` onto
+    the first axis is applied to both sides of the matrix as the symmetric
+    rank-two update H M H = M - v w^T - w v^T, O(n^2); the first row and
+    column, which span ``vector``, are then dropped."""
     m = np.array(matrix)
-    c = np.array(block, dtype=float)
-    k = c.shape[1]
-    for j in range(k):
-        v = c[j:, j].copy()
-        v[0] += np.copysign(np.linalg.norm(v), v[0])
-        beta = 2.0 / (v @ v)
-        c[j:, j:] -= beta * np.outer(v, v @ c[j:, j:])
-        sub = m[j:, j:]
-        p = beta * (sub @ v)
-        w = p - (0.5 * beta * (p @ v)) * v
-        sub -= np.outer(v, w)
-        sub -= np.outer(w, v)
-    vals = eigh(m[k:, k:], eigvals_only=True, subset_by_index=[0, 0])
+    v = np.array(vector, dtype=float)
+    v[0] += np.copysign(np.linalg.norm(v), v[0])
+    beta = 2.0 / (v @ v)
+    p = beta * (m @ v)
+    w = p - (0.5 * beta * (p @ v)) * v
+    m -= np.outer(v, w)
+    m -= np.outer(w, v)
+    vals = eigh(m[1:, 1:], eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
 
 
 class SigmaSolve(NamedTuple):
     value: float  # the constraint slope sigma
-    residual: float  # max |(M + K K^T) x - s_perp| of the deflated solve
+    residual: float  # max |M+ x - s+| of the +1 block solve
 
 
 @dataclass(frozen=True)
 class SectorAnalysis:
     """Every spectral quantity of one (omega, sector) from one operator.
 
-    The realified 2N x 2N sector matrix is built once and marked read-only;
-    the isolated spectrum, the constraint slope and the constrained minimum
-    are each computed from it on first use.  Obtain instances through
+    The sector's parity-block stack is built once and marked read-only; the
+    isolated spectrum, the constraint slope and the constrained minimum are
+    each computed from it on first use.  Obtain instances through
     ``sector_analysis`` so that consumers share them."""
 
     omega: float
     grid: Grid
     sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
 
     @cached_property
     def operator(self) -> DiscreteOperator:
@@ -466,44 +510,32 @@ class SectorAnalysis:
         return op
 
     @cached_property
-    def isolated(self) -> tuple[np.ndarray, np.ndarray]:
-        """Isolated eigenvalues (ascending) and their eigenvectors."""
+    def isolated(self) -> np.ndarray:
+        """Isolated eigenvalues (ascending)."""
         return isolated_spectrum(self.operator)
 
     @cached_property
     def sigma(self) -> SigmaSolve:
-        """Constraint slope <L^{-1} s, s> by a kernel-deflated symmetric solve.
-
-        K holds the isolated eigenvectors with |lambda| <= KERNEL_DEFLATION.
-        With s_perp = s - K K^T s, sigma = 2 dx s_perp^T (M + K K^T)^{-1} s_perp,
-        which equals the eigen-sum over the non-kernel spectrum.  The factor
-        2 dx turns the realified dot into the complex two-component pairing."""
+        """Constraint slope <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ by one
+        symmetric solve on the +1 block, which holds no kernel; the factor
+        2 dx turns the realified dot into the two-component pairing."""
         if abs(self.omega) < OMEGA_DEGENERATE:
             raise ValueError("sigma solve is degenerate near omega = 0; "
                              "use a direct constrained eigensolve instead")
-        vals, vecs = self.isolated
-        kernel = vecs[:, np.abs(vals) <= KERNEL_DEFLATION]
-        if kernel.shape[1] == 0:
-            nearest = float(np.min(np.abs(vals))) if len(vals) else float("nan")
-            raise KernelDeflationError(
-                f"sector {self.sign:+d} at omega={self.omega!r}: no eigenvalue within "
-                f"{KERNEL_DEFLATION:g} of zero (nearest isolated |lambda| = {nearest:.3e})"
-            )
-        m = self.operator.matrix
-        s = _sector_constraint_block(self.omega, self.grid, self.sign)[:, 0]
-        s_perp = s - kernel @ (kernel.T @ s)
-        deflated = kernel @ kernel.T
-        deflated += m
-        x = solve(deflated, s_perp, assume_a="sym", overwrite_a=True)
-        residual = float(np.max(np.abs(m @ x + kernel @ (kernel.T @ x) - s_perp)))
-        return SigmaSolve(float(2.0 * self.grid.dx * (s_perp @ x)), residual)
+        (s, _), _ = _sector_constraints(self.omega, self.grid, self.sign)
+        plus = self.operator.matrix[0]
+        x = solve(plus, s, assume_a="sym")
+        residual = float(np.max(np.abs(plus @ x - s)))
+        return SigmaSolve(float(2.0 * self.grid.dx * (s @ x)), residual)
 
     @cached_property
     def constrained_min(self) -> float:
         """Smallest eigenvalue of the sector operator on the orthogonal
-        complement of the sector's two constraint vectors."""
-        block = _sector_constraint_block(self.omega, self.grid, self.sign)
-        return _min_eig_on_complement(self.operator.matrix, block)
+        complement of the sector's two constraint vectors: the smaller of the
+        +1 block's minimum off s+ and the -1 block's minimum off k-."""
+        (s, _), (_, k) = _sector_constraints(self.omega, self.grid, self.sign)
+        plus, minus = self.operator.matrix
+        return min(_min_eig_on_complement(plus, s), _min_eig_on_complement(minus, k))
 
 
 @lru_cache(maxsize=2)  # the current omega's two sectors
@@ -513,8 +545,8 @@ def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
 
 
 def sigma_index(omega: float, grid: Grid, sign: int) -> float:
-    """Constraint slope <L^{-1} s, s> via a kernel-deflated solve on the
-    shared sector analysis (see ``SectorAnalysis.sigma``).
+    """Constraint slope <L^{-1} s, s> by the +1 block solve of the shared
+    sector analysis (see ``SectorAnalysis.sigma``).
 
     The inner product is the complex two-component pairing, which equals
     twice the realified dot with the quadrature weight."""
@@ -562,14 +594,15 @@ def constrained_split_defect(omega: float, grid: Grid) -> float:
 def splitting_probe(omega: float, grid: Grid) -> dict:
     """The isolated spectrum of both sector operators at one omega: counts
     below the edge, the non-kernel eigenvalue of each sector, the assembly
-    asymmetry of each sector matrix, and the degenerate-splitting integral
-    whose sign the probe settles empirically."""
+    asymmetry and parity defect of each sector operator, and the
+    degenerate-splitting integral whose sign the probe settles empirically."""
     row = {"omega": float(omega)}
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = sector_analysis(omega, grid, sign)
-        vals = analysis.isolated[0]
+        vals = analysis.isolated
         row[f"count_{tag}"] = len(vals)
         row[f"pre_symmetry_defect_{tag}"] = analysis.operator.pre_symmetry_defect
+        row[f"parity_defect_{tag}"] = analysis.operator.parity_defect
         if len(vals):
             kernel_idx = int(np.argmin(np.abs(vals)))
             others = np.delete(vals, kernel_idx)

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag, eigh
+from scipy.linalg import block_diag, eigh, solve
 
 from mtmlab import spectral
 from mtmlab.conserved import charge, higher_charge
 from mtmlab.grid import FieldState, Grid, differentiate, l2_norm_sq, quadrature
 from mtmlab.scattering import NU_BLOWUP, PoleEncounterError, ScatteringSample, explicit_In
-from mtmlab.soliton import OMEGA_DEGENERATE, eval_profile, omega_derivative, profile_derivative
+from mtmlab.soliton import (
+    OMEGA_DEGENERATE,
+    _check_omega,
+    eval_profile,
+    profile,
+    profile_derivative,
+)
 
 
 def prufer_zero_count(potential, half: float, lam: float) -> int:
@@ -181,6 +187,34 @@ def differentiation_matrices_fft(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (d1 - d1.T), 0.5 * (d2 + d2.T)
 
 
+def omega_derivative(
+    omega: float,
+    grid: Grid,
+    step: float | None = None,
+    return_residual: bool = False,
+):
+    """d U / d Omega via Richardson-extrapolated central differences in omega.
+
+    Omega = 1 - omega^2, so dU/dOmega = -(1 / 2 omega) dU/domega.  Rejected
+    near omega = 0 where the 1/(2 omega) factor blows up.
+    """
+    _check_omega(omega)
+    if abs(omega) < OMEGA_DEGENERATE:
+        raise ValueError("Omega-derivative degenerates near omega = 0")
+    h = step if step is not None else min(5e-3, 0.2 * (1.0 - abs(omega)))
+
+    def central(hh: float) -> np.ndarray:
+        return (profile(omega + hh, grid.x) - profile(omega - hh, grid.x)) / (2.0 * hh)
+
+    d_h = central(h)
+    d_h2 = central(h / 2.0)
+    d_omega = (4.0 * d_h2 - d_h) / 3.0
+    d_big = -d_omega / (2.0 * omega)
+    if return_residual:
+        return d_big, float(np.max(np.abs(d_h2 - d_h)))
+    return d_big
+
+
 # ---------------------------------------------------------------------------
 # spectral layer: the sector similarity, the second variation, and the
 # independent routes to sigma
@@ -213,6 +247,60 @@ def realified_similarity(n: int) -> np.ndarray:
     return np.kron(small, np.eye(n))
 
 
+def sector_vectors(omega: float, grid: Grid, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sector's realified constraint vector s and kernel vector k:
+    (U, U') for plus, (iU', iU) for minus."""
+    u = eval_profile(omega, grid)
+    up = profile_derivative(omega, grid.x)
+    if sign > 0:
+        return spectral.embed_conjugate_pair(u), spectral.embed_conjugate_pair(up)
+    return (spectral.embed_conjugate_pair(up, anti=True),
+            spectral.embed_conjugate_pair(u, anti=True))
+
+
+def sector_matrix(omega: float, grid: Grid, sign: int) -> np.ndarray:
+    """The realified 2N x 2N sector matrix assembled from its complex
+    (linear, conjugate) N x N blocks, without the parity split."""
+    d1, d2 = spectral.differentiation_matrices(grid)
+    u = eval_profile(omega, grid)
+    absq = np.abs(u) ** 2
+    big = 1.0 - omega * omega
+    if sign > 0:
+        g = -6.0 * absq
+        pot = 6.0 * absq**2 - 6.0 * omega * absq + big
+        off = -6.0 * omega * u**2
+    else:
+        g = -2.0 * absq
+        pot = -2.0 * absq**2 - 2.0 * omega * absq + big
+        off = 2.0 * omega * u**2
+    linear = -d2 + spectral._symmetric_first_order(g, d1) + np.diag(pot)
+    m = spectral.realify_conjugate_pair(linear, np.diag(off))
+    return 0.5 * (m + m.T)
+
+
+def parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """2N x N orthonormal bases of the K = +1 and K = -1 eigenspaces, in the
+    coordinate order of the parity blocks: the even lattice functions e_0,
+    (e_j + e_{N-j})/sqrt 2 for 0 < j < N/2, e_{N/2} and the odd ones
+    (e_j - e_{N-j})/sqrt 2; +1 is (even Re w, odd Im w), -1 is
+    (odd Re w, even Im w)."""
+    h = n // 2
+    even = np.zeros((n, h + 1))
+    odd = np.zeros((n, h - 1))
+    even[0, 0] = even[h, h] = 1.0
+    for j in range(1, h):
+        even[j, j] = even[n - j, j] = odd[j, j - 1] = 1.0 / np.sqrt(2.0)
+        odd[n - j, j - 1] = -1.0 / np.sqrt(2.0)
+    return block_diag(even, odd), block_diag(odd, even)
+
+
+def full_matrix(op) -> np.ndarray:
+    """The realified 2N x 2N matrix of a stacked operator,
+    P+ M+ P+^T + P- M- P-^T."""
+    plus, minus = parity_bases(op.matrix.shape[-1])
+    return plus @ op.matrix[0] @ plus.T + minus @ op.matrix[1] @ minus.T
+
+
 def block_diagonalize_check(omega: float, grid: Grid) -> float:
     """Max-norm defect of the realified similarity identity
     Q^T H Q = diag(plus, minus) that splits the curvature operator into the
@@ -221,8 +309,8 @@ def block_diagonalize_check(omega: float, grid: Grid) -> float:
     q = realified_similarity(grid.n)
     split = q.T @ spectral.build_hessian(omega, grid).matrix @ q
     target = block_diag(
-        spectral.build_sector_operator(omega, grid, +1).matrix,
-        spectral.build_sector_operator(omega, grid, -1).matrix,
+        full_matrix(spectral.build_sector_operator(omega, grid, +1)),
+        full_matrix(spectral.build_sector_operator(omega, grid, -1)),
     )
     return float(np.max(np.abs(split - target)))
 
@@ -238,7 +326,7 @@ def hessian_quadratic_form(op, grid: Grid, a: np.ndarray, b: np.ndarray) -> floa
 def generalized_mode_residual(omega: float, grid: Grid) -> float:
     """Realified residual of the minus-sector identity mapping the
     x-weighted combination onto the translation-type constraint vector."""
-    matrix = spectral.sector_analysis(omega, grid, -1).operator.matrix
+    matrix = full_matrix(spectral.sector_analysis(omega, grid, -1).operator)
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)
@@ -247,15 +335,50 @@ def generalized_mode_residual(omega: float, grid: Grid) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
-    """Reference for ``sigma_index``: the eigen-sum over the full spectrum of
-    a freshly built sector operator, dropping |lambda| <= KERNEL_DEFLATION."""
+# |eigenvalue| at or below this is treated as kernel by the sigma references
+KERNEL_DEFLATION = 1e-8
+
+
+def sigma_deflated(omega: float, grid: Grid, sign: int) -> float:
+    """Reference for ``sigma_index`` on the 2N x 2N ``sector_matrix``: one
+    symmetric solve with the kernel deflated.  With K the isolated
+    eigenvectors with |lambda| <= KERNEL_DEFLATION and s_perp = s - K K^T s,
+    sigma = 2 dx s_perp^T (M + K K^T)^{-1} s_perp."""
     if abs(omega) < OMEGA_DEGENERATE:
         raise ValueError("sigma solve is degenerate near omega = 0")
-    op = spectral.build_sector_operator(omega, grid, sign)
-    s = spectral._sector_constraint_block(omega, grid, sign)[:, 0]
-    vals, vecs = eigh(op.matrix)
-    keep = np.abs(vals) > spectral.KERNEL_DEFLATION
+    m = sector_matrix(omega, grid, sign)
+    edge = 1.0 - omega * omega
+    vals, vecs = eigh(m, subset_by_value=(-np.inf, edge * (1.0 - spectral.CONTINUUM_MARGIN)))
+    kernel = vecs[:, np.abs(vals) <= KERNEL_DEFLATION]
+    if kernel.shape[1] == 0:
+        raise RuntimeError(f"sector {sign:+d} at omega={omega!r}: no kernel eigenvalue")
+    s = sector_vectors(omega, grid, sign)[0]
+    s_perp = s - kernel @ (kernel.T @ s)
+    x = solve(m + kernel @ kernel.T, s_perp, assume_a="sym")
+    return float(2.0 * grid.dx * (s_perp @ x))
+
+
+def constrained_min_2n(omega: float, grid: Grid, sign: int) -> float:
+    """Reference for a sector's constrained minimum on the 2N x 2N
+    ``sector_matrix``: with C an orthonormal basis of {s, k} and P = I - C C^T,
+    the smallest eigenvalue of P M P + 10 C C^T, whose eigenvalues are those of
+    M on the complement of {s, k} plus 10 (above any constrained minimum,
+    which is below the continuum edge <= 1) twice."""
+    m = sector_matrix(omega, grid, sign)
+    c, _ = np.linalg.qr(np.column_stack(sector_vectors(omega, grid, sign)))
+    mc = m @ c
+    projected = m - c @ mc.T - mc @ c.T + c @ (c.T @ mc) @ c.T + 10.0 * (c @ c.T)
+    return float(eigh(projected, eigvals_only=True, subset_by_index=[0, 0])[0])
+
+
+def sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
+    """Reference for ``sigma_index``: the eigen-sum over the full spectrum of
+    the 2N x 2N ``sector_matrix``, dropping |lambda| <= KERNEL_DEFLATION."""
+    if abs(omega) < OMEGA_DEGENERATE:
+        raise ValueError("sigma solve is degenerate near omega = 0")
+    s = sector_vectors(omega, grid, sign)[0]
+    vals, vecs = eigh(sector_matrix(omega, grid, sign))
+    keep = np.abs(vals) > KERNEL_DEFLATION
     proj = vecs[:, keep].T @ s
     return float(2.0 * grid.dx * np.sum(proj * proj / vals[keep]))
 

@@ -52,7 +52,12 @@ from mtmlab.spectral import (
     sturm_eigenvalues,
 )
 from conftest import random_decaying_state
-from oracles import block_diagonalize_check, generalized_mode_residual, hessian_quadratic_form
+from oracles import (
+    block_diagonalize_check,
+    full_matrix,
+    generalized_mode_residual,
+    hessian_quadratic_form,
+)
 
 SEED = 123
 ROUNDOFF_DRIFT_FLOOR = 1e-10
@@ -192,11 +197,11 @@ def test_criterion_06_kernel_and_block_structure():
         checks[f"<L F, F> ({name}) = {val:.2e} < 1e-6"] = val < 1e-6
     u = eval_profile(omega, g)
     up = profile_derivative(omega, g.x)
-    plus = build_sector_operator(omega, g, +1)
-    minus = build_sector_operator(omega, g, -1)
-    val = np.max(np.abs(plus.matrix @ embed_conjugate_pair(up)))
+    plus = full_matrix(build_sector_operator(omega, g, +1))
+    minus = full_matrix(build_sector_operator(omega, g, -1))
+    val = np.max(np.abs(plus @ embed_conjugate_pair(up)))
     checks[f"plus-sector kernel = {val:.2e} < 1e-6"] = val < 1e-6
-    val = np.max(np.abs(minus.matrix @ embed_conjugate_pair(u, anti=True)))
+    val = np.max(np.abs(minus @ embed_conjugate_pair(u, anti=True)))
     checks[f"minus-sector kernel = {val:.2e} < 1e-6"] = val < 1e-6
 
     defect = block_diagonalize_check(omega, Grid(26.0, 512))
@@ -205,11 +210,11 @@ def test_criterion_06_kernel_and_block_structure():
     g0 = spectral_grid(0.0)
     u0 = eval_profile(0.0, g0)
     up0 = profile_derivative(0.0, g0.x)
-    val = np.max(
-        np.abs(build_sector_operator(0.0, g0, +1).matrix @ embed_conjugate_pair(up0, anti=True))
-    )
+    plus0 = full_matrix(build_sector_operator(0.0, g0, +1))
+    minus0 = full_matrix(build_sector_operator(0.0, g0, -1))
+    val = np.max(np.abs(plus0 @ embed_conjugate_pair(up0, anti=True)))
     checks[f"extra plus kernel at omega=0 = {val:.2e} < 1e-6"] = val < 1e-6
-    val = np.max(np.abs(build_sector_operator(0.0, g0, -1).matrix @ embed_conjugate_pair(u0)))
+    val = np.max(np.abs(minus0 @ embed_conjugate_pair(u0)))
     checks[f"extra minus kernel at omega=0 = {val:.2e} < 1e-6"] = val < 1e-6
 
     overlap = quadrature(np.conj(u0) * up0 - u0 * np.conj(up0), g0)
@@ -226,7 +231,7 @@ OMEGA_SWEEP = (0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9)
 def _isolated(omega, sign):
     g = spectral_grid(omega)
     op = build_sector_operator(omega, g, sign)
-    vals = isolated_spectrum(op)[0]
+    vals = isolated_spectrum(op)
     kernel_idx = int(np.argmin(np.abs(vals))) if len(vals) else -1
     others = np.delete(vals, kernel_idx) if len(vals) else vals
     return g, vals, (vals[kernel_idx] if len(vals) else np.nan), others
@@ -243,7 +248,7 @@ def test_criterion_07_minus_sector_spectrum():
         scaled = []
         for kind in ("sum_sector", "difference_sector"):
             op = build_schrodinger(SchrodingerProblem(kind, omega), zg)
-            scaled += [(1.0 - omega**2) * v for v in isolated_spectrum(op)[0]]
+            scaled += [(1.0 - omega**2) * v for v in isolated_spectrum(op)]
         agree = np.max(np.abs(np.sort(vals) - np.sort(scaled))) if len(scaled) == len(vals) else np.inf
         checks[f"scalar-form agreement at omega={omega:+.1f} ({agree:.1e})"] = agree < 1e-5
 
@@ -258,7 +263,7 @@ def test_criterion_07_minus_sector_spectrum():
             half = float(min(max(24.0, 9.0 / kappa), 120.0))
             dz = min(0.08 * beta, 0.12 * np.arccos(-omega) / 2.0)
             n = 128 * int(np.ceil(2.0 * half / dz / 128.0))
-            dense = isolated_spectrum(build_schrodinger(pr, Grid(half, n)))[0]
+            dense = isolated_spectrum(build_schrodinger(pr, Grid(half, n)))
             agree = (
                 np.max(np.abs(np.sort(shot) - np.sort(dense)))
                 if len(dense) == len(shot)
@@ -267,7 +272,7 @@ def test_criterion_07_minus_sector_spectrum():
             checks[f"shooting {kind} at omega={omega:+.1f} ({agree:.1e})"] = agree < 1e-5
 
     zg0 = stretched_grid(0.0, spectral_grid(0.0))
-    vals0 = isolated_spectrum(build_schrodinger(SchrodingerProblem("sum_sector", 0.0), zg0))[0]
+    vals0 = isolated_spectrum(build_schrodinger(SchrodingerProblem("sum_sector", 0.0), zg0))
     checks["zero-frequency ground state at 0 (1e-6)"] = (
         len(vals0) == 1 and abs(vals0[0]) < 1e-6
     )

@@ -140,6 +140,15 @@ class TestEvolveCommand:
         assert lines[0] == "t,Q,P,H,R,Lambda"
         assert (tmp_path / "final_state.csv").exists()
 
+    def test_record_config_does_not_name_the_out_directory(self, tmp_path):
+        argv = ["evolve", "--grid-N", "256", "--t-end", "0.01", "--delta", "1e-3"]
+        configs = []
+        for name in ("ev_a", "ev_b"):
+            assert main(argv + ["--out", str(tmp_path / name)]) == 0
+            configs.append(json.loads((tmp_path / name / "record.json").read_text())["config"])
+        assert "out" not in configs[0]
+        assert configs[0] == configs[1]
+
 
     def test_negative_delta_rejected(self, tmp_path, capsys):
         argv = ["evolve", "--delta=-1e-2", "--grid-N", "256", "--out", str(tmp_path)]
@@ -185,11 +194,14 @@ class TestSigmaCommand:
             assert float(omega) == 0.5
             assert abs(float(numeric) - float(closed)) < 1e-3
 
-    def test_unresolved_kernel_is_a_usage_error(self, tmp_path, capsys):
-        # on this grid the plus-sector kernel eigenvalue sits near 1e-5,
-        # outside the deflation window
-        argv = ["sigma", "--omega", "-0.3", "--grid-N", "256", "--out", str(tmp_path)]
-        assert "no eigenvalue within" in _usage_error(argv, capsys)
+    def test_unresolved_kernel_needs_no_deflation(self, tmp_path):
+        # on this grid the plus-sector kernel eigenvalue sits near 1e-5; the
+        # slope comes from the +1 parity block, which the kernel does not enter
+        rc = main(["sigma", "--omega", "-0.3", "--grid-N", "256", "--out", str(tmp_path)])
+        assert rc == 0
+        for line in (tmp_path / "sigma.csv").read_text().splitlines()[1:]:
+            _, _, numeric, closed = line.split(",")
+            assert abs(float(numeric) - float(closed)) < 1e-4
 
 
 class TestSpectrumCommand:
@@ -272,3 +284,8 @@ class TestH1BoundCommand:
     def test_negative_charge_rejected(self, tmp_path, capsys):
         argv = ["h1bound", "--charge", "-0.1", "--out", str(tmp_path)]
         assert "charge must be nonnegative" in _usage_error(argv, capsys)
+
+    def test_refused_run_leaves_no_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "refused"
+        _usage_error(["h1bound", "--charge", "-0.1", "--out", str(out)], capsys)
+        assert not out.exists()

@@ -8,7 +8,6 @@ from mtmlab.soliton import (
     SolitonParams,
     eval_profile,
     eval_soliton,
-    omega_derivative,
     profile,
     profile_absq,
     profile_derivative,
@@ -17,6 +16,8 @@ from mtmlab.soliton import (
     residual_second_order,
     zero_mode_fields,
 )
+
+from oracles import omega_derivative
 
 # boosted-soliton invariants have no closed forms here; frozen from the
 # N = 4096, L = 40 quadrature oracle

@@ -3,9 +3,10 @@ and constrained positivity."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from mtmlab.conserved import lyapunov
-from mtmlab.experiments import random_h1_perturbation
+from mtmlab.experiments import omega_sweep, random_h1_perturbation
 from mtmlab.grid import FieldState, Grid, quadrature
 from mtmlab.soliton import (
     SolitonParams,
@@ -16,8 +17,9 @@ from mtmlab.soliton import (
 )
 from mtmlab import spectral
 from mtmlab.spectral import (
-    KernelDeflationError,
+    OperatorConstructionError,
     SchrodingerProblem,
+    SectorAnalysis,
     _constrained_min_eig_hessian,
     _constraint_rows,
     build_hessian,
@@ -38,13 +40,18 @@ from mtmlab.spectral import (
 from oracles import (
     SECTOR_SIMILARITY,
     block_diagonalize_check,
+    constrained_min_2n,
     coupled_kernel_mode,
     difference_sector_kernel_mode,
     differentiation_matrices_fft,
+    full_matrix,
     generalized_mode_residual,
     hessian_quadratic_form,
+    parity_bases,
     prufer_zero_count,
     realified_similarity,
+    sector_matrix,
+    sigma_deflated,
     sigma_index_eigh,
     sigma_profile_path,
 )
@@ -66,19 +73,19 @@ class TestSectorOperators:
         g = spectral_grid(omega)
         up = profile_derivative(omega, g.x)
         u = eval_profile(omega, g)
-        plus = build_sector_operator(omega, g, +1)
-        minus = build_sector_operator(omega, g, -1)
-        assert np.max(np.abs(plus.matrix @ embed_conjugate_pair(up))) < 1e-6
-        assert np.max(np.abs(minus.matrix @ embed_conjugate_pair(u, anti=True))) < 1e-6
+        plus = full_matrix(build_sector_operator(omega, g, +1))
+        minus = full_matrix(build_sector_operator(omega, g, -1))
+        assert np.max(np.abs(plus @ embed_conjugate_pair(up))) < 1e-6
+        assert np.max(np.abs(minus @ embed_conjugate_pair(u, anti=True))) < 1e-6
 
     def test_extra_kernels_at_zero_frequency(self):
         g = spectral_grid(0.0)
         u = eval_profile(0.0, g)
         up = profile_derivative(0.0, g.x)
-        plus = build_sector_operator(0.0, g, +1)
-        minus = build_sector_operator(0.0, g, -1)
-        assert np.max(np.abs(plus.matrix @ embed_conjugate_pair(up, anti=True))) < 1e-6
-        assert np.max(np.abs(minus.matrix @ embed_conjugate_pair(u))) < 1e-6
+        plus = full_matrix(build_sector_operator(0.0, g, +1))
+        minus = full_matrix(build_sector_operator(0.0, g, -1))
+        assert np.max(np.abs(plus @ embed_conjugate_pair(up, anti=True))) < 1e-6
+        assert np.max(np.abs(minus @ embed_conjugate_pair(u))) < 1e-6
 
     def test_sign_argument(self):
         with pytest.raises(ValueError):
@@ -96,21 +103,21 @@ class TestSectorOperators:
 class TestIsolatedSpectrum:
     def test_minus_sector_at_positive_omega(self):
         g = spectral_grid(0.5)
-        vals, _ = isolated_spectrum(build_sector_operator(0.5, g, -1))
+        vals = isolated_spectrum(build_sector_operator(0.5, g, -1))
         assert len(vals) == 2
         assert abs(vals[0]) < 1e-6
         assert vals[1] > 0.0
 
     def test_minus_sector_at_negative_omega(self):
         g = spectral_grid(-0.5)
-        vals, _ = isolated_spectrum(build_sector_operator(-0.5, g, -1))
+        vals = isolated_spectrum(build_sector_operator(-0.5, g, -1))
         assert len(vals) == 2
         assert vals[0] < 0.0
         assert abs(vals[1]) < 1e-6
 
     def test_plus_sector_small_positive_omega(self):
         g = spectral_grid(0.2)
-        vals, _ = isolated_spectrum(build_sector_operator(0.2, g, +1))
+        vals = isolated_spectrum(build_sector_operator(0.2, g, +1))
         assert len(vals) == 2
         assert vals[0] < 0.0
         assert abs(vals[1]) < 1e-6
@@ -184,7 +191,7 @@ class TestSchrodingerForms:
         # value mapping to zero
         zg = stretched_grid(0.0, spectral_grid(0.0))
         op = build_schrodinger(SchrodingerProblem("sum_sector", 0.0), zg)
-        vals, _ = isolated_spectrum(op)
+        vals = isolated_spectrum(op)
         assert len(vals) == 1
         assert abs(vals[0]) < 1e-6
 
@@ -193,27 +200,27 @@ class TestSchrodingerForms:
         zg = stretched_grid(0.3, spectral_grid(0.3))
         op = build_schrodinger(pr, zg)
         phi0 = coupled_kernel_mode(0.3, zg.x)
-        assert np.max(np.abs(op.matrix @ embed_conjugate_pair(phi0))) < 1e-6
+        assert np.max(np.abs(full_matrix(op) @ embed_conjugate_pair(phi0))) < 1e-6
 
     def test_minus_sector_matches_scalar_problems(self):
         omega = 0.5
         g = spectral_grid(omega)
         zg = stretched_grid(omega, g)
-        sector = isolated_spectrum(build_sector_operator(omega, g, -1))[0]
+        sector = isolated_spectrum(build_sector_operator(omega, g, -1))
         scalars = []
         for kind in ("sum_sector", "difference_sector"):
             op = build_schrodinger(SchrodingerProblem(kind, omega), zg)
-            scalars += [(1.0 - omega**2) * v for v in isolated_spectrum(op)[0]]
+            scalars += [(1.0 - omega**2) * v for v in isolated_spectrum(op)]
         assert np.allclose(sorted(sector), sorted(scalars), atol=1e-5)
 
     def test_plus_sector_matches_coupled_problem(self):
         omega = 0.3
         g = spectral_grid(omega)
         zg = stretched_grid(omega, g)
-        sector = isolated_spectrum(build_sector_operator(omega, g, +1))[0]
+        sector = isolated_spectrum(build_sector_operator(omega, g, +1))
         coupled = (1.0 - omega**2) * isolated_spectrum(
             build_schrodinger(SchrodingerProblem("coupled_system", omega), zg)
-        )[0]
+        )
         assert np.allclose(sorted(sector), sorted(coupled), atol=1e-5)
 
     def test_unknown_kind(self):
@@ -277,7 +284,7 @@ class TestShooting:
         pr = SchrodingerProblem("sum_sector", 0.5)
         shot = sturm_eigenvalues(pr)
         zg = stretched_grid(0.5, spectral_grid(0.5))
-        dense = isolated_spectrum(build_schrodinger(pr, zg))[0]
+        dense = isolated_spectrum(build_schrodinger(pr, zg))
         assert len(shot) == len(dense) == 1
         assert abs(shot[0] - dense[0]) < 1e-5
 
@@ -323,11 +330,11 @@ class TestConstrainedPositivity:
 
     def test_unprojected_operator_is_not_positive(self):
         g = spectral_grid(0.0)
-        vals, _ = isolated_spectrum(build_hessian(0.0, g))
+        vals = isolated_spectrum(build_hessian(0.0, g))
         assert np.sum(np.abs(vals) < 1e-6) >= 4
         assert np.min(vals) < 1e-6
         g3 = spectral_grid(0.3)
-        vals3, _ = isolated_spectrum(build_hessian(0.3, g3))
+        vals3 = isolated_spectrum(build_hessian(0.3, g3))
         assert np.min(vals3) < -1e-3
 
     def test_excluded_direction_overlap(self):
@@ -376,9 +383,12 @@ class TestSectorRoute:
 
     @pytest.mark.parametrize("omega", [0.3, 0.5, 0.9])
     def test_deflated_sigma_matches_eigen_sum(self, omega):
+        # the +1 block solve against the kernel-deflated solve and the
+        # eigen-sum, both on the 2N x 2N oracle matrix
         g = spectral_grid(omega, ORACLE_N)
         for sign in (1, -1):
             solve = sector_analysis(omega, g, sign).sigma
+            assert abs(solve.value - sigma_deflated(omega, g, sign)) <= 1e-10
             assert abs(solve.value - sigma_index_eigh(omega, g, sign)) <= 1e-10
             assert solve.residual < 1e-10
 
@@ -387,8 +397,8 @@ class TestSectorRoute:
         g = spectral_grid(omega, ORACLE_N)
         for sign in (1, -1):
             analysis = sector_analysis(omega, g, sign)
-            vals = analysis.isolated[0]
-            full = np.linalg.eigvalsh(analysis.operator.matrix)
+            vals = analysis.isolated
+            full = np.linalg.eigvalsh(sector_matrix(omega, g, sign))
             full = full[full < analysis.operator.cutoff]
             assert len(vals) == len(full)
             assert np.max(np.abs(vals - full)) <= 1e-12
@@ -402,8 +412,8 @@ class TestSectorRoute:
         assert np.max(np.abs(q.T @ q - np.eye(4 * n))) < 1e-14
         # the realified Hessian splits into the two realified sector matrices
         split = q.T @ build_hessian(omega, g).matrix @ q
-        plus = build_sector_operator(omega, g, +1).matrix
-        minus = build_sector_operator(omega, g, -1).matrix
+        plus = sector_matrix(omega, g, +1)
+        minus = sector_matrix(omega, g, -1)
         assert np.max(np.abs(split[: 2 * n, : 2 * n] - plus)) < 1e-8
         assert np.max(np.abs(split[2 * n :, 2 * n :] - minus)) < 1e-8
         assert np.max(np.abs(split[: 2 * n, 2 * n :])) < 1e-8
@@ -432,13 +442,80 @@ class TestSectorRoute:
         with pytest.raises(ValueError):
             matrix[0, 0] = 1.0
 
-    def test_sigma_fails_loudly_without_a_resolved_kernel(self):
-        # on this coarse grid the minus-sector kernel eigenvalue is ~1e-7,
-        # outside the deflation window: the eigen-sum would silently keep it
-        # as a 1/lambda term
+    def test_sigma_needs_no_resolved_kernel(self):
+        # on this coarse grid the plus-sector kernel eigenvalue is ~1e-5: the
+        # sector check still fails on it, while the +1 block solve, which
+        # the kernel does not enter, gives sigma near its closed form
         omega = -0.3
+        record = omega_sweep([omega], grid_n=ORACLE_N, checks=("plus_sector", "slope"))
+        row = record.tables["sweep"][0]
+        assert 1e-6 < abs(row["kernel_plus"]) < 1e-4
+        assert record.verdicts["plus_sector"] is False
+        assert record.verdicts["slope"] and record.verdicts["no_errors"]
+        for tag in ("plus", "minus"):
+            assert abs(row[f"sigma_{tag}"] - row[f"sigma_{tag}_closed"]) < 1e-4
+
+
+# every omega of the spectral criteria (7-10)
+CRITERION_OMEGAS = (0.0, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9)
+# one full spectral grid per sign of omega
+FULL_GRID_OMEGAS = (0.5, -0.7)
+
+
+class TestParityBlocks:
+    """The directly assembled K = +1 / -1 blocks against the 2N x 2N oracle
+    matrix and the projections onto the eigenspaces of K = diag(R, -R)."""
+
+    @pytest.mark.parametrize(
+        "omega, n",
+        [(w, ORACLE_N) for w in CRITERION_OMEGAS] + [(w, None) for w in FULL_GRID_OMEGAS],
+    )
+    def test_reflection_commutes_with_oracle_matrix(self, omega, n):
+        # K M K - M, with K = diag(R, -R) applied as a signed permutation,
+        # has the entries of K M - M K up to order and sign
+        g = spectral_grid(omega, n)
+        mirror = -np.arange(2 * g.n) % g.n + np.repeat([0, g.n], g.n)
+        signs = np.repeat([1.0, -1.0], g.n)
+        for sign in (1, -1):
+            m = sector_matrix(omega, g, sign)
+            kmk = signs[:, None] * m[np.ix_(mirror, mirror)] * signs
+            assert np.max(np.abs(kmk - m)) <= 1e-11
+
+    @pytest.mark.parametrize("omega", CRITERION_OMEGAS)
+    def test_blocks_equal_projections(self, omega):
         g = spectral_grid(omega, ORACLE_N)
-        near_kernel = np.min(np.abs(sector_analysis(omega, g, -1).isolated[0]))
-        assert spectral.KERNEL_DEFLATION < near_kernel < 1e-6
-        with pytest.raises(KernelDeflationError):
-            sigma_index(omega, g, -1)
+        plus, minus = parity_bases(g.n)
+        for sign in (1, -1):
+            m = sector_matrix(omega, g, sign)
+            blocks = build_sector_operator(omega, g, sign).matrix
+            assert np.max(np.abs(plus.T @ m @ plus - blocks[0])) <= 1e-12
+            assert np.max(np.abs(minus.T @ m @ minus - blocks[1])) <= 1e-12
+            assert np.max(np.abs(plus.T @ m @ minus)) <= 1e-12
+
+    def test_coupled_schrodinger_blocks(self):
+        zg = stretched_grid(0.3, spectral_grid(0.3, ORACLE_N))
+        op = build_schrodinger(SchrodingerProblem("coupled_system", 0.3), zg)
+        v1, v2 = SchrodingerProblem("coupled_system", 0.3).coupled_potentials(zg.x)
+        _, d2 = spectral.differentiation_matrices(zg)
+        m = spectral.realify_conjugate_pair((-d2 + np.diag(1.0 + v1)).astype(complex), np.diag(v2))
+        assert op.matrix.shape == (2, zg.n, zg.n)
+        assert np.max(np.abs(full_matrix(op) - m)) <= 1e-12
+
+    @pytest.mark.parametrize("full", [False, True], ids=["oracle_n", "full_grid"])
+    @pytest.mark.parametrize("omega", FULL_GRID_OMEGAS)
+    def test_route_matches_oracles(self, omega, full):
+        g = spectral_grid(omega, None if full else ORACLE_N)
+        for sign in (1, -1):
+            analysis = SectorAnalysis(omega, g, sign)
+            m = sector_matrix(omega, g, sign)
+            ref = eigh(m, eigvals_only=True, subset_by_value=(-np.inf, analysis.operator.cutoff))
+            vals = analysis.isolated
+            assert len(vals) == len(ref)
+            assert np.max(np.abs(vals - ref)) <= 1e-10
+            assert abs(analysis.constrained_min - constrained_min_2n(omega, g, sign)) <= 1e-10
+            if full:  # the deflated oracle needs a resolved kernel
+                assert abs(analysis.sigma.value - sigma_deflated(omega, g, sign)) <= 1e-10
+
+    def test_short_domain_refused(self):
+        with pytest.raises(OperatorConstructionError, match="parity defect"):
+            build_sector_operator(0.5, Grid(3.0, 128), +1)
