@@ -31,7 +31,6 @@ are literal matrix positivity and eigenvalues match the complex pair problem
 one-to-one.  The Hessian acts on w = (u, v), so its coordinates are
 (Re u, Re v, Im u, Im v).  Vectors of the form (w, -conj w) are embedded
 through multiplication by i, which rotates them into (iw, conj(iw)).  The
-isolated spectrum of any operator comes from ``isolated_spectrum``.  The
 realified similarity identity Q^T H Q = diag(plus, minus) behind the split is
 a test oracle (``tests/oracles.py``); ``omega_sweep`` re-checks the split on
 a small grid through ``constrained_split_defect``.
@@ -44,29 +43,31 @@ functions, K = +1 on (even Re w, odd Im w) and -1 on (odd Re w, even Im w)
 (``parity_split``), so a sector operator is the (2, N, N) stack of two
 blocks, gathered from the circulant derivative columns; the 2N x 2N matrix
 is never formed.  The constraint vector s of each sector lies in its +1
-block and the kernel vector k in its -1 block: the isolated spectrum is the
-union of the block spectra, sigma = 2 dx s+^T M+^{-1} s+ is one solve on the
-+1 block, which the kernel does not enter, and the constrained minimum is
-the smaller of the +1 block's minimum off s+ and the -1 block's off k-.  The
-symmetry breaks only in the e^-22 tail at the fixed point x = -L;
-``parity_defect`` records the largest wrong-parity component of the
-coefficients and of s and k, refused above CONSTRUCTION_TOL (a domain too
-short for the soliton).  The coupled Schrodinger problem is stacked alike.
+block and the kernel vector k in its -1 block; each block is reduced to
+tridiagonal form once, with s+ (or k-) reflected onto e_1, for its share of
+the isolated spectrum, its minimum off that vector and, on the kernel-free
++1 block, sigma = 2 dx s+^T M+^{-1} s+.  The symmetry breaks only in the
+e^-22 tail at the fixed point x = -L; ``parity_defect`` records the largest
+wrong-parity component of the coefficients and of s and k, refused above
+CONSTRUCTION_TOL (a domain too short for the soliton).  The coupled
+Schrodinger problem is stacked alike.
 
 First-order derivative terms are assembled in the symmetric product form
 i (g D + D g)/2, which absorbs the non-Hermitian multiplication pieces of
 the displayed operators exactly (using the profile identity
-d|U|^2/dx = 2 Im U^2) and keeps the raw matrices symmetric to roundoff.
+d|U|^2/dx = 2 Im U^2) and keeps the assembled matrices exactly symmetric.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal, null_space, solve
+from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal, null_space
+from scipy.linalg.blas import dsyr2
+from scipy.linalg.lapack import dgtsv, dsytrd, dsytrd_lwork
 
 from .grid import Grid, quadrature
 from .soliton import (
@@ -99,31 +100,19 @@ ALL_KINDS = SCALAR_KINDS + (COUPLED_KIND,)
 
 
 class OperatorConstructionError(RuntimeError):
-    """Raised when an assembled matrix is asymmetric (a sign error in the
-    coefficients) or reflection-asymmetric beyond tolerance."""
-
-
-def _asymmetry(m: np.ndarray) -> float:
-    """max |m - m^T|, taken in row strips so no full-size temporary is made."""
-    rows = 256
-    return max(
-        float(np.max(np.abs(m[i : i + rows] - m[:, i : i + rows].T)))
-        for i in range(0, m.shape[0], rows)
-    )
+    """Raised when an operator's parity defect exceeds CONSTRUCTION_TOL."""
 
 
 @dataclass
 class DiscreteOperator:
     """Real symmetric matrix realization of a linearized operator: an (n, n)
     ``matrix``, or the (2, N, N) stack of the K = +1 and K = -1 blocks of a
-    realified pair operator.  Each block is measured once for asymmetry
-    (``pre_symmetry_defect``) and replaced by its exactly symmetric part; it
-    and the assembly's ``parity_defect`` are refused above CONSTRUCTION_TOL."""
+    realified pair operator, assembled exactly symmetric by every builder;
+    a ``parity_defect`` above CONSTRUCTION_TOL is refused."""
 
     matrix: np.ndarray
     continuum_edge: float
     parity_defect: float = 0.0
-    pre_symmetry_defect: float = field(init=False, default=0.0)
 
     def __post_init__(self) -> None:
         m = self.matrix
@@ -131,17 +120,9 @@ class DiscreteOperator:
             raise ValueError("operator matrix must be square or a stack of two square blocks")
         if not self.continuum_edge > 0.0:
             raise ValueError("continuum edge must be positive")
-        defect = max(_asymmetry(block) for block in m.reshape(-1, *m.shape[-2:]))
-        if max(defect, self.parity_defect) > CONSTRUCTION_TOL:
-            raise OperatorConstructionError(
-                f"assembled matrix asymmetric by {defect:.3e} (a sign error) or parity defect "
-                f"{self.parity_defect:.3e} (a domain too short for the soliton's tail)"
-            )
-        if defect > 0.0:  # an exactly symmetric assembly is kept as it is
-            sym = m + np.swapaxes(m, -1, -2)
-            sym *= 0.5
-            self.matrix = sym
-        self.pre_symmetry_defect = defect
+        if self.parity_defect > CONSTRUCTION_TOL:
+            raise OperatorConstructionError(f"parity defect {self.parity_defect:.3e} (a domain "
+                                            "too short for the soliton's tail)")
 
     @property
     def cutoff(self) -> float:
@@ -246,11 +227,13 @@ def _sector_constraints(omega: float, grid: Grid, sign: int):
     return parity_split(embed_conjugate_pair(s)), parity_split(embed_conjugate_pair(k))
 
 
-def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperator:
+def build_sector_operator(
+        omega: float, grid: Grid, sign: int, constraints=None) -> DiscreteOperator:
     """The parity-block stack of the realified 2N x 2N operator of the
     v = sign * conj(u) reduction: sign=+1 gives the sector whose kernel holds
     the translation mode (U', conj U'), sign=-1 the gauge mode (U, -conj U).
-    The parity defect includes the dropped parts s- and k+."""
+    The parity defect includes the dropped parts s- and k+ of the sector's
+    ``_sector_constraints``, evaluated here unless given as ``constraints``."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     u = eval_profile(omega, grid)
@@ -265,7 +248,7 @@ def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperat
         pot = -2.0 * absq**2 - 2.0 * omega * absq + big
         off = 2.0 * omega * u**2
     blocks, defect = _parity_blocks(grid, g, pot + off.real, pot - off.real, off.imag)
-    (_, s_dropped), (k_dropped, _) = _sector_constraints(omega, grid, sign)
+    (_, s_dropped), (k_dropped, _) = constraints or _sector_constraints(omega, grid, sign)
     defect = max(defect, float(np.max(np.abs(s_dropped))), float(np.max(np.abs(k_dropped))))
     return DiscreteOperator(blocks, big, parity_defect=defect)
 
@@ -381,17 +364,60 @@ def stretched_grid(omega: float, grid_x: Grid) -> Grid:
 # isolated spectra, Sturm counts, constrained minima
 
 
+class SigmaSolve(NamedTuple):
+    value: float  # the constraint slope sigma (v^T M^{-1} v from ``_reduce_block``)
+    residual: float  # max |M x - v| of the solve
+
+
 def isolated_spectrum(op: DiscreteOperator) -> np.ndarray:
-    """Eigenvalues (ascending) strictly below ``op.cutoff``, from a subset
-    eigensolve of each block: only the isolated part of the spectrum is
-    computed.  The margin below the edge excludes discretized continuum
+    """Eigenvalues (ascending) strictly below ``op.cutoff`` from one reduction
+    of each block; the margin below the edge excludes discretized continuum
     states that scatter slightly below it on finite domains."""
-    m = op.matrix
-    vals = np.concatenate([
-        eigh(block, eigvals_only=True, subset_by_value=(-np.inf, op.cutoff))
-        for block in m.reshape(-1, *m.shape[-2:])
-    ])
-    return np.sort(vals[vals < op.cutoff])
+    blocks = op.matrix.reshape(-1, *op.matrix.shape[-2:])
+    return _eigenvalues_below([_reduce_block(b)[:2] for b in blocks], op.cutoff)
+
+
+def _eigenvalues_below(tridiagonals, cutoff: float) -> np.ndarray:
+    """Eigenvalues (ascending) below ``cutoff`` of tridiagonals (d, e), by
+    bisection: only the isolated part of the spectrum is computed."""
+    vals = np.concatenate([eigvalsh_tridiagonal(d, e, select="v", select_range=(-np.inf, cutoff))
+                           for d, e in tridiagonals])
+    return np.sort(vals[vals < cutoff])
+
+
+def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
+    """Tridiagonal form (d, e) of a symmetric block M from one in-place
+    reduction of a copy, and with ``solve`` the ``SigmaSolve`` of v^T M^{-1} v.
+    A ``vector`` v is first reflected onto e_1 by the rank-two update
+    H M H = M - h w^T - w h^T (H = I - beta h h^T, H v = -a e_1, a = |v|
+    signed as v_0).  LAPACK's lower reduction H M H = Q T Q^T keeps e_1 fixed
+    (Golub & Van Loan, sec. 8.3): T has the spectrum of M, T[1:, 1:] is M off
+    v, and T y = e_1 gives v^T M^{-1} v = a^2 y_0, checked by the residual of
+    x = -a H Q y with Q applied from the stored reflectors."""
+    n = matrix.shape[0]
+    t = np.array(matrix, order="C").T  # Fortran-ordered, as M is symmetric
+    if vector is not None:
+        h = np.array(vector, dtype=float)
+        a = np.copysign(np.linalg.norm(h), h[0])
+        h[0] += a
+        beta = 2.0 / (h @ h)
+        p = beta * (matrix @ h)
+        w = p - (0.5 * beta * (p @ h)) * h
+        t = dsyr2(-1.0, h, w, lower=1, a=t, overwrite_a=1)
+    lwork, _ = dsytrd_lwork(n, lower=1)
+    c, d, e, tau, _ = dsytrd(t, lower=1, lwork=int(lwork), overwrite_a=1)
+    if not solve:
+        return d, e, None
+    *_, y, info = dgtsv(e, d, e, np.eye(1, n)[0])
+    if info:
+        raise np.linalg.LinAlgError("singular block: v^T M^{-1} v is undefined")
+    value = float(a * a * y[0])
+    for j in range(n - 2, -1, -1):  # Q y = H(1) ... H(n-1) y
+        u = c[j + 1 :, j]
+        u[0] = 1.0
+        y[j + 1 :] -= (tau[j] * (u @ y[j + 1 :])) * u
+    x = -a * (y - (beta * (h @ y)) * h)
+    return d, e, SigmaSolve(value, float(np.max(np.abs(matrix @ x - vector))))
 
 
 def _fd_eigenvalues(problem: SchrodingerProblem, half: float, cells: int) -> np.ndarray:
@@ -465,77 +491,56 @@ def spectral_grid(omega: float, n: int | None = None) -> Grid:
     return recommended_grid(omega, n=n, tail_exponent=22.0)
 
 
-def _min_eig_on_complement(matrix: np.ndarray, vector: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix restricted to the orthogonal
-    complement of ``vector``.
-
-    The Householder reflector H = I - beta v v^T that maps ``vector`` onto
-    the first axis is applied to both sides of the matrix as the symmetric
-    rank-two update H M H = M - v w^T - w v^T, O(n^2); the first row and
-    column, which span ``vector``, are then dropped."""
-    m = np.array(matrix)
-    v = np.array(vector, dtype=float)
-    v[0] += np.copysign(np.linalg.norm(v), v[0])
-    beta = 2.0 / (v @ v)
-    p = beta * (m @ v)
-    w = p - (0.5 * beta * (p @ v)) * v
-    m -= np.outer(v, w)
-    m -= np.outer(w, v)
-    vals = eigh(m[1:, 1:], eigvals_only=True, subset_by_index=[0, 0])
-    return float(vals[0])
-
-
-class SigmaSolve(NamedTuple):
-    value: float  # the constraint slope sigma
-    residual: float  # max |M+ x - s+| of the +1 block solve
-
-
 @dataclass(frozen=True)
 class SectorAnalysis:
-    """Every spectral quantity of one (omega, sector) from one operator.
-
-    The sector's parity-block stack is built once and marked read-only; the
-    isolated spectrum, the constraint slope and the constrained minimum are
-    each computed from it on first use.  Obtain instances through
-    ``sector_analysis`` so that consumers share them."""
+    """Every spectral quantity of one (omega, sector) from one evaluation of
+    its constraints, one read-only parity-block stack and one
+    ``_reduce_block`` per block, of which only (d, e) and the slope's solve
+    are kept.  Obtain instances through ``sector_analysis`` so that
+    consumers share them."""
 
     omega: float
     grid: Grid
     sign: int
 
     @cached_property
+    def _constraints(self):
+        return _sector_constraints(self.omega, self.grid, self.sign)
+
+    @cached_property
     def operator(self) -> DiscreteOperator:
-        op = build_sector_operator(self.omega, self.grid, self.sign)
+        op = build_sector_operator(self.omega, self.grid, self.sign, self._constraints)
         op.matrix.setflags(write=False)
         return op
 
     @cached_property
-    def isolated(self) -> np.ndarray:
-        """Isolated eigenvalues (ascending)."""
-        return isolated_spectrum(self.operator)
+    def _reductions(self):
+        """The blocks' (d, e) and the +1 block's solve (none near omega = 0)."""
+        (s, _), (_, k) = self._constraints
+        plus, minus = self.operator.matrix
+        *t_plus, solved = _reduce_block(plus, s, solve=abs(self.omega) >= OMEGA_DEGENERATE)
+        return (t_plus, _reduce_block(minus, k)[:2]), solved
 
     @cached_property
+    def isolated(self) -> np.ndarray:
+        """Isolated eigenvalues (ascending): the union of the block spectra."""
+        return _eigenvalues_below(self._reductions[0], self.operator.cutoff)
+
+    @property
     def sigma(self) -> SigmaSolve:
-        """Constraint slope <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ by one
-        symmetric solve on the +1 block, which holds no kernel; the factor
-        2 dx turns the realified dot into the two-component pairing."""
+        """Constraint slope <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ (the +1 block
+        holds no kernel; 2 dx turns the realified dot into the pairing)."""
         if abs(self.omega) < OMEGA_DEGENERATE:
-            raise ValueError("sigma solve is degenerate near omega = 0; "
-                             "use a direct constrained eigensolve instead")
-        (s, _), _ = _sector_constraints(self.omega, self.grid, self.sign)
-        plus = self.operator.matrix[0]
-        x = solve(plus, s, assume_a="sym")
-        residual = float(np.max(np.abs(plus @ x - s)))
-        return SigmaSolve(float(2.0 * self.grid.dx * (s @ x)), residual)
+            raise ValueError("sigma solve is degenerate near omega = 0")
+        solved = self._reductions[1]
+        return solved._replace(value=2.0 * self.grid.dx * solved.value)
 
     @cached_property
     def constrained_min(self) -> float:
-        """Smallest eigenvalue of the sector operator on the orthogonal
-        complement of the sector's two constraint vectors: the smaller of the
-        +1 block's minimum off s+ and the -1 block's minimum off k-."""
-        (s, _), (_, k) = _sector_constraints(self.omega, self.grid, self.sign)
-        plus, minus = self.operator.matrix
-        return min(_min_eig_on_complement(plus, s), _min_eig_on_complement(minus, k))
+        """Smallest eigenvalue of the sector operator off its two constraint
+        vectors: the lowest eigenvalue of the blocks' T[1:, 1:]."""
+        return min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
+                   for d, e in self._reductions[0])
 
 
 @lru_cache(maxsize=2)  # the current omega's two sectors
@@ -545,11 +550,8 @@ def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
 
 
 def sigma_index(omega: float, grid: Grid, sign: int) -> float:
-    """Constraint slope <L^{-1} s, s> by the +1 block solve of the shared
-    sector analysis (see ``SectorAnalysis.sigma``).
-
-    The inner product is the complex two-component pairing, which equals
-    twice the realified dot with the quadrature weight."""
+    """Constraint slope <L^{-1} s, s> of the shared sector analysis (see
+    ``SectorAnalysis.sigma``)."""
     return sector_analysis(omega, grid, sign).sigma.value
 
 
@@ -593,15 +595,14 @@ def constrained_split_defect(omega: float, grid: Grid) -> float:
 
 def splitting_probe(omega: float, grid: Grid) -> dict:
     """The isolated spectrum of both sector operators at one omega: counts
-    below the edge, the non-kernel eigenvalue of each sector, the assembly
-    asymmetry and parity defect of each sector operator, and the
-    degenerate-splitting integral whose sign the probe settles empirically."""
+    below the edge, the non-kernel eigenvalue of each sector, the parity
+    defect of each sector operator, and the degenerate-splitting integral
+    whose sign the probe settles empirically."""
     row = {"omega": float(omega)}
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = sector_analysis(omega, grid, sign)
         vals = analysis.isolated
         row[f"count_{tag}"] = len(vals)
-        row[f"pre_symmetry_defect_{tag}"] = analysis.operator.pre_symmetry_defect
         row[f"parity_defect_{tag}"] = analysis.operator.parity_defect
         if len(vals):
             kernel_idx = int(np.argmin(np.abs(vals)))
@@ -609,8 +610,7 @@ def splitting_probe(omega: float, grid: Grid) -> dict:
             row[f"kernel_{tag}"] = float(vals[kernel_idx])
             row[f"second_{tag}"] = float(others[np.argmax(np.abs(others))]) if len(others) else 0.0
         else:
-            row[f"kernel_{tag}"] = np.nan
-            row[f"second_{tag}"] = np.nan
+            row[f"kernel_{tag}"] = row[f"second_{tag}"] = np.nan
     zg = stretched_grid(omega, grid)
     num = -3.0 + 2.0 * omega**2 + np.cosh(4.0 * zg.x)
     den = (omega + np.cosh(2.0 * zg.x)) ** 4

@@ -231,7 +231,6 @@ class TestOmegaSweep:
         row = record.tables["sweep"][0]
         assert 0.0 <= row["constrained_split_defect"] <= 1e-10
         for tag in ("plus", "minus"):
-            assert 0.0 <= row[f"pre_symmetry_defect_{tag}"] < 1e-12
             assert 0.0 < row[f"parity_defect_{tag}"] < 1e-9
             assert row[f"sigma_{tag}_residual"] < 1e-10
 

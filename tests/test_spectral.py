@@ -3,7 +3,7 @@ and constrained positivity."""
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh_tridiagonal, null_space
 
 from mtmlab.conserved import lyapunov
 from mtmlab.experiments import omega_sweep, random_h1_perturbation
@@ -62,11 +62,19 @@ CONSTRAINED_MARGIN_ZERO = 0.7350832488511114
 
 
 class TestSectorOperators:
-    def test_assembly_is_symmetric(self):
-        g = spectral_grid(0.5)
-        op = build_sector_operator(0.5, g, +1)
-        assert op.pre_symmetry_defect < 1e-12
-        assert op.continuum_edge == pytest.approx(0.75)
+    def test_builders_are_exactly_symmetric(self):
+        # the reductions read one triangle only, so every builder must
+        # assemble its blocks exactly symmetric
+        assert build_sector_operator(0.5, spectral_grid(0.5, ORACLE_N), +1).continuum_edge == 0.75
+        for omega in (0.0, 0.3, -0.7, 0.9):
+            g = spectral_grid(omega, ORACLE_N)
+            zg = stretched_grid(omega, g)
+            ops = [build_sector_operator(omega, g, sign) for sign in (1, -1)]
+            ops += [build_schrodinger(SchrodingerProblem(kind, omega), zg)
+                    for kind in spectral.ALL_KINDS]
+            ops.append(build_hessian(omega, g))
+            for op in ops:
+                assert np.array_equal(op.matrix, op.matrix.swapaxes(-1, -2))
 
     @pytest.mark.parametrize("omega", [0.3, 0.5])
     def test_kernel_vectors(self, omega):
@@ -516,6 +524,49 @@ class TestParityBlocks:
             if full:  # the deflated oracle needs a resolved kernel
                 assert abs(analysis.sigma.value - sigma_deflated(omega, g, sign)) <= 1e-10
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sector_path_makes_no_dense_eigensolve(self, sign, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on the sector path")
+
+        monkeypatch.setattr(spectral, "eigh", refuse)
+        assert not hasattr(spectral, "solve")
+        analysis = SectorAnalysis(0.5, spectral_grid(0.5, ORACLE_N), sign)
+        assert len(analysis.isolated) == 2
+        assert analysis.sigma.residual < 1e-10
+        assert analysis.constrained_min > 0.0
+
     def test_short_domain_refused(self):
         with pytest.raises(OperatorConstructionError, match="parity defect"):
             build_sector_operator(0.5, Grid(3.0, 128), +1)
+
+
+class TestReduction:
+    """``_reduce_block`` on random symmetric matrices with eigenvalues of
+    both signs and modulus in [1, 4], against dense references."""
+
+    @pytest.mark.parametrize("first", ["negative", "zero", "axis"])
+    @pytest.mark.parametrize("n", [7, 64])
+    def test_matches_dense_references(self, n, first):
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * (rng.uniform(1.0, 4.0, n) * rng.choice([-1.0, 1.0], n))) @ q.T
+        m = 0.5 * (m + m.T)
+        v = rng.standard_normal(n)
+        if first == "axis":
+            v = -1.7 * np.eye(n)[0]
+        else:
+            v[0] = -abs(v[0]) if first == "negative" else 0.0
+        d, e, solved = spectral._reduce_block(m, v, solve=True)
+        full = np.linalg.eigvalsh(m)
+        cutoff = 0.5 * (full[n // 2] + full[n // 2 + 1])
+        below = spectral._eigenvalues_below([(d, e)], cutoff)
+        assert len(below) == n // 2 + 1
+        assert np.max(np.abs(below - full[: n // 2 + 1])) <= 1e-12 * 4.0
+        basis = null_space(v[None, :])
+        complement = np.linalg.eigvalsh(basis.T @ m @ basis)[0]
+        lowest = eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0]
+        assert abs(lowest - complement) <= 1e-12 * 4.0
+        quadratic = v @ np.linalg.solve(m, v)
+        assert abs(solved.value - quadratic) <= 1e-12 * (v @ v)
+        assert solved.residual <= 1e-12 * 4.0 * np.linalg.norm(v)
