@@ -52,6 +52,14 @@ wrong-parity component of the coefficients and of s and k, refused above
 CONSTRUCTION_TOL (a domain too short for the soliton).  The coupled
 Schrodinger problem is stacked alike.
 
+Every dense matrix product on the sector path (the reflection's M h, the
+sigma residual's M x, Q y and the Hessian self-check's projection) goes
+through scipy's BLAS/LAPACK, the runtime of ``dsytrd``.  numpy links its own
+OpenBLAS, whose worker threads keep spinning for a while after a numpy matrix
+product; on a host with few cores they would compete with the next reduction
+for the same cores.  Only 1-D inner products, which OpenBLAS runs on one
+thread at these sizes, stay in numpy.
+
 First-order derivative terms are assembled in the symmetric product form
 i (g D + D g)/2, which absorbs the non-Hermitian multiplication pieces of
 the displayed operators exactly (using the profile identity
@@ -66,8 +74,8 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal, null_space
-from scipy.linalg.blas import dsyr2
-from scipy.linalg.lapack import dgtsv, dsytrd, dsytrd_lwork
+from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2
+from scipy.linalg.lapack import dgtsv, dormqr, dsytrd, dsytrd_lwork
 
 from .grid import Grid, quadrature
 from .soliton import (
@@ -202,16 +210,27 @@ def _parity_blocks(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float]:
     def gather(col, rows, cols, sign):
         return col[(rows[:, None] - cols) % n] + sign * col[(rows[:, None] + cols) % n]
 
-    ee = scale[:, None] * gather(c2, even, even, 1.0) * scale
-    oo = gather(c2, odd, odd, -1.0)
-    eo = 0.5 * scale[:, None] * (g[: h + 1, None] + g[odd]) * gather(c1, even, odd, -1.0)
-    q_eo = np.zeros_like(eo)
-    q_eo[odd, odd - 1] = q[odd]
-    off_plus, off_minus = q_eo - eo, q_eo + eo
-    plus = np.block([[np.diag(pa[: h + 1]) - ee, off_plus], [off_plus.T, np.diag(pd[odd]) - oo]])
-    minus = np.block([[np.diag(pa[odd]) - oo, off_minus.T], [off_minus, np.diag(pd[: h + 1]) - ee]])
+    # +1 = [[pa - ee, q - eo], [(q - eo)^T, pd - oo]] on (even, odd) and
+    # -1 = [[pa - oo, (q + eo)^T], [q + eo, pd - ee]] on (odd, even)
+    blocks = np.empty((2, n, n))
+    plus, minus = blocks
+    e, o = slice(None, h + 1), slice(h + 1, None)
+    np.negative(scale[:, None] * gather(c2, even, even, 1.0) * scale, out=plus[e, e])
+    np.negative(gather(c2, odd, odd, -1.0), out=plus[o, o])
+    off_minus = minus[h - 1 :, : h - 1]  # eo, then q + eo
+    np.multiply(0.5 * scale[:, None] * (g[: h + 1, None] + g[odd]), gather(c1, even, odd, -1.0),
+                out=off_minus)
+    np.negative(off_minus, out=plus[e, o])
+    plus[odd, h + odd] += q[odd]
+    off_minus[odd, odd - 1] += q[odd]
+    plus[o, e] = plus[e, o].T
+    minus[: h - 1, h - 1 :] = off_minus.T
+    minus[: h - 1, : h - 1] = plus[o, o]
+    minus[h - 1 :, h - 1 :] = plus[e, e]
+    plus.flat[:: n + 1] += np.concatenate([pa[: h + 1], pd[odd]])
+    minus.flat[:: n + 1] += np.concatenate([pa[odd], pd[: h + 1]])
     wrong = [parity_split(np.concatenate([c, q]))[1] for c in (g, pa, pd)]
-    return np.stack([plus, minus]), max(float(np.max(np.abs(w))) for w in wrong)
+    return blocks, max(float(np.max(np.abs(w))) for w in wrong)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +412,8 @@ def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
     signed as v_0).  LAPACK's lower reduction H M H = Q T Q^T keeps e_1 fixed
     (Golub & Van Loan, sec. 8.3): T has the spectrum of M, T[1:, 1:] is M off
     v, and T y = e_1 gives v^T M^{-1} v = a^2 y_0, checked by the residual of
-    x = -a H Q y with Q applied from the stored reflectors."""
+    x = -a H Q y with Q applied from the stored reflectors.  Products with M
+    are BLAS ``dsymv`` calls (see the module docstring)."""
     n = matrix.shape[0]
     t = np.array(matrix, order="C").T  # Fortran-ordered, as M is symmetric
     if vector is not None:
@@ -401,7 +421,7 @@ def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
         a = np.copysign(np.linalg.norm(h), h[0])
         h[0] += a
         beta = 2.0 / (h @ h)
-        p = beta * (matrix @ h)
+        p = dsymv(beta, matrix.T, h, lower=1)
         w = p - (0.5 * beta * (p @ h)) * h
         t = dsyr2(-1.0, h, w, lower=1, a=t, overwrite_a=1)
     lwork, _ = dsytrd_lwork(n, lower=1)
@@ -412,12 +432,12 @@ def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
     if info:
         raise np.linalg.LinAlgError("singular block: v^T M^{-1} v is undefined")
     value = float(a * a * y[0])
-    for j in range(n - 2, -1, -1):  # Q y = H(1) ... H(n-1) y
-        u = c[j + 1 :, j]
-        u[0] = 1.0
-        y[j + 1 :] -= (tau[j] * (u @ y[j + 1 :])) * u
+    # Q y = H(1) ... H(n-1) y, applied as LAPACK's dormtr does for a lower
+    # reduction; lwork = 1 selects the unblocked loop, the cheaper for one column
+    y[1:] = dormqr("L", "N", c[1:, : n - 1], tau, y[1:, None], 1)[0][:, 0]
     x = -a * (y - (beta * (h @ y)) * h)
-    return d, e, SigmaSolve(value, float(np.max(np.abs(matrix @ x - vector))))
+    residual = dsymv(1.0, matrix.T, x, beta=-1.0, y=vector, lower=1)
+    return d, e, SigmaSolve(value, float(np.max(np.abs(residual))))
 
 
 def _fd_eigenvalues(problem: SchrodingerProblem, half: float, cells: int) -> np.ndarray:
@@ -580,7 +600,7 @@ def _constrained_min_eig_hessian(omega: float, grid: Grid) -> float:
     and a null-space basis of the four constraint rows; for small grids."""
     op = build_hessian(omega, grid)
     basis = null_space(_constraint_rows(omega, grid))
-    projected = basis.T @ op.matrix @ basis
+    projected = dgemm(1.0, basis, dsymm(1.0, op.matrix.T, basis, lower=1), trans_a=1)
     vals = eigh(projected, eigvals_only=True, subset_by_index=[0, 0])
     return float(vals[0])
 

@@ -294,6 +294,29 @@ def parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     return block_diag(even, odd), block_diag(odd, even)
 
 
+def parity_blocks_assembled(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float]:
+    """``spectral._parity_blocks`` assembled from separate sub-blocks with
+    ``np.block``, ``np.diag`` and ``np.stack`` instead of in place."""
+    n, h = grid.n, grid.n // 2
+    c1, c2 = spectral._derivative_columns(grid)
+    even, odd = np.arange(h + 1), np.arange(1, h)
+    scale = np.where(even % h == 0, np.sqrt(0.5), 1.0)
+
+    def gather(col, rows, cols, sign):
+        return col[(rows[:, None] - cols) % n] + sign * col[(rows[:, None] + cols) % n]
+
+    ee = scale[:, None] * gather(c2, even, even, 1.0) * scale
+    oo = gather(c2, odd, odd, -1.0)
+    eo = 0.5 * scale[:, None] * (g[: h + 1, None] + g[odd]) * gather(c1, even, odd, -1.0)
+    q_eo = np.zeros_like(eo)
+    q_eo[odd, odd - 1] = q[odd]
+    off_plus, off_minus = q_eo - eo, q_eo + eo
+    plus = np.block([[np.diag(pa[: h + 1]) - ee, off_plus], [off_plus.T, np.diag(pd[odd]) - oo]])
+    minus = np.block([[np.diag(pa[odd]) - oo, off_minus.T], [off_minus, np.diag(pd[: h + 1]) - ee]])
+    wrong = [spectral.parity_split(np.concatenate([c, q]))[1] for c in (g, pa, pd)]
+    return np.stack([plus, minus]), max(float(np.max(np.abs(w))) for w in wrong)
+
+
 def full_matrix(op) -> np.ndarray:
     """The realified 2N x 2N matrix of a stacked operator,
     P+ M+ P+^T + P- M- P-^T."""

@@ -48,6 +48,7 @@ from oracles import (
     generalized_mode_residual,
     hessian_quadratic_form,
     parity_bases,
+    parity_blocks_assembled,
     prufer_zero_count,
     realified_similarity,
     sector_matrix,
@@ -536,6 +537,52 @@ class TestParityBlocks:
         assert analysis.sigma.residual < 1e-10
         assert analysis.constrained_min > 0.0
 
+    @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.9])
+    def test_in_place_assembly_matches_block_oracle(self, omega, monkeypatch):
+        built = []
+
+        def recording(grid, *coefficients):
+            blocks, defect = assemble(grid, *coefficients)
+            built.append((blocks, defect, parity_blocks_assembled(grid, *coefficients)))
+            return blocks, defect
+
+        assemble = spectral._parity_blocks
+        monkeypatch.setattr(spectral, "_parity_blocks", recording)
+        g = spectral_grid(omega)
+        for sign in (1, -1):
+            build_sector_operator(omega, g, sign)
+        build_schrodinger(SchrodingerProblem("coupled_system", omega), stretched_grid(omega, g))
+        assert len(built) == 3
+        for blocks, defect, (ref_blocks, ref_defect) in built:
+            assert np.array_equal(blocks, ref_blocks)
+            assert defect == ref_defect
+
+    def test_sector_path_makes_no_numpy_matmul(self, monkeypatch):
+        # the sector path's products go through scipy's BLAS, the runtime of
+        # its LAPACK calls, so numpy's separate BLAS thread pool stays idle
+        class NoMatmul(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    raise AssertionError("numpy matmul on the sector path")
+                inputs = [x.view(np.ndarray) if isinstance(x, NoMatmul) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        g = spectral_grid(0.5, ORACLE_N)
+        analysis = SectorAnalysis(0.5, g, 1)
+        (s, _), _ = analysis._constraints
+        block = analysis.operator.matrix[0]
+        d, e, solved = spectral._reduce_block(block.view(NoMatmul), s, solve=True)
+        ref_d, ref_e, ref_solved = spectral._reduce_block(block, s, solve=True)
+        assert np.array_equal(d, ref_d) and np.array_equal(e, ref_e)
+        assert solved == ref_solved and solved.residual < 1e-10
+
+        small = spectral_grid(0.5, 64)
+        expected = _constrained_min_eig_hessian(0.5, small)
+        hessian = build_hessian(0.5, small)
+        monkeypatch.setattr(spectral, "build_hessian", lambda omega, grid: spectral.DiscreteOperator(
+            hessian.matrix.view(NoMatmul), hessian.continuum_edge))
+        assert _constrained_min_eig_hessian(0.5, small) == expected
+
     def test_short_domain_refused(self):
         with pytest.raises(OperatorConstructionError, match="parity defect"):
             build_sector_operator(0.5, Grid(3.0, 128), +1)
@@ -545,13 +592,17 @@ class TestReduction:
     """``_reduce_block`` on random symmetric matrices with eigenvalues of
     both signs and modulus in [1, 4], against dense references."""
 
+    @staticmethod
+    def random_symmetric(rng, n):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        m = (q * (rng.uniform(1.0, 4.0, n) * rng.choice([-1.0, 1.0], n))) @ q.T
+        return 0.5 * (m + m.T)
+
     @pytest.mark.parametrize("first", ["negative", "zero", "axis"])
     @pytest.mark.parametrize("n", [7, 64])
     def test_matches_dense_references(self, n, first):
         rng = np.random.default_rng(n)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        m = (q * (rng.uniform(1.0, 4.0, n) * rng.choice([-1.0, 1.0], n))) @ q.T
-        m = 0.5 * (m + m.T)
+        m = self.random_symmetric(rng, n)
         v = rng.standard_normal(n)
         if first == "axis":
             v = -1.7 * np.eye(n)[0]
@@ -567,6 +618,17 @@ class TestReduction:
         complement = np.linalg.eigvalsh(basis.T @ m @ basis)[0]
         lowest = eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0]
         assert abs(lowest - complement) <= 1e-12 * 4.0
+        quadratic = v @ np.linalg.solve(m, v)
+        assert abs(solved.value - quadratic) <= 1e-12 * (v @ v)
+        assert solved.residual <= 1e-12 * 4.0 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("n", [2, 3])  # one and two stored reflectors
+    def test_small_blocks_solve(self, n):
+        rng = np.random.default_rng(n)
+        m = self.random_symmetric(rng, n)
+        v = rng.standard_normal(n)
+        _, e, solved = spectral._reduce_block(m, v, solve=True)
+        assert len(e) == n - 1
         quadratic = v @ np.linalg.solve(m, v)
         assert abs(solved.value - quadratic) <= 1e-12 * (v @ v)
         assert solved.residual <= 1e-12 * 4.0 * np.linalg.norm(v)
