@@ -49,8 +49,11 @@ the isolated spectrum, its minimum off that vector and, on the kernel-free
 +1 block, sigma = 2 dx s+^T M+^{-1} s+.  The symmetry breaks only in the
 e^-22 tail at the fixed point x = -L; ``parity_defect`` records the largest
 wrong-parity component of the coefficients and of s and k, refused above
-CONSTRUCTION_TOL (a domain too short for the soliton).  The coupled
-Schrodinger problem is stacked alike.
+CONSTRUCTION_TOL (a domain too short for the soliton).  The Schrodinger
+problems are stacked alike, a scalar one (V even) as its blocks on the even
+and the odd lattice functions; every -D2 part is one gather,
+``_negative_d2_blocks``, and the dense circulants of
+``differentiation_matrices`` serve only the small-N Hessian self-check.
 
 Every dense matrix product on the sector path (the reflection's M h, the
 sigma residual's M x, Q y and the Hessian self-check's projection) goes
@@ -73,6 +76,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal, null_space
 from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2
 from scipy.linalg.lapack import dgtsv, dormqr, dsytrd, dsytrd_lwork
@@ -108,15 +112,18 @@ ALL_KINDS = SCALAR_KINDS + (COUPLED_KIND,)
 
 
 class OperatorConstructionError(RuntimeError):
-    """Raised when an operator's parity defect exceeds CONSTRUCTION_TOL."""
+    """Raised when an operator's parity defect exceeds CONSTRUCTION_TOL or is
+    not finite."""
 
 
 @dataclass
 class DiscreteOperator:
     """Real symmetric matrix realization of a linearized operator: an (n, n)
-    ``matrix``, or the (2, N, N) stack of the K = +1 and K = -1 blocks of a
-    realified pair operator, assembled exactly symmetric by every builder;
-    a ``parity_defect`` above CONSTRUCTION_TOL is refused."""
+    ``matrix`` (the Hessian), or the stack of two blocks, split by a
+    reflection, whose spectra together are the operator's: (2, N, N) for a
+    realified pair operator, (2, N/2+1, N/2+1) for a scalar Schrodinger
+    operator.  Every builder assembles them exactly symmetric; a
+    ``parity_defect`` that is not at most CONSTRUCTION_TOL is refused."""
 
     matrix: np.ndarray
     continuum_edge: float
@@ -128,9 +135,10 @@ class DiscreteOperator:
             raise ValueError("operator matrix must be square or a stack of two square blocks")
         if not self.continuum_edge > 0.0:
             raise ValueError("continuum edge must be positive")
-        if self.parity_defect > CONSTRUCTION_TOL:
+        if not self.parity_defect <= CONSTRUCTION_TOL:  # NaN included
             raise OperatorConstructionError(f"parity defect {self.parity_defect:.3e} (a domain "
-                                            "too short for the soliton's tail)")
+                                            "too short for the soliton's tail, or "
+                                            "non-finite coefficients)")
 
     @property
     def cutoff(self) -> float:
@@ -174,12 +182,10 @@ def realify_conjugate_pair(linear: np.ndarray, conj_part: np.ndarray) -> np.ndar
     return np.block([[ar + br, -ai + bi], [ai + bi, ar - br]])
 
 
-def embed_conjugate_pair(w: np.ndarray, anti: bool = False) -> np.ndarray:
+def embed_conjugate_pair(w: np.ndarray) -> np.ndarray:
     """Realify the first component of a structured pair: (w, conj w) maps to
-    (Re w, Im w); with ``anti`` the pair (w, -conj w) is rotated by i first."""
+    (Re w, Im w).  A pair (w, -conj w) is embedded as ``1j * w``."""
     w = np.asarray(w, dtype=complex)
-    if anti:
-        w = 1j * w
     return np.concatenate([w.real, w.imag])
 
 
@@ -194,32 +200,53 @@ def parity_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([even[0], odd[1]]), np.concatenate([odd[0], even[1]])
 
 
+def _reflection_views(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views, without copies, of the circulant of ``col`` against the
+    reflection: T[i, j] = col[i - j] and H[i, j] = col[i + j] (mod N) for
+    0 <= i, j <= N/2, sliding windows over two short gathers of ``col``."""
+    n, h = len(col), len(col) // 2
+    t = np.arange(2 * h + 1)
+    return (sliding_window_view(col[(h - t) % n], h + 1)[::-1],
+            sliding_window_view(col[t % n], h + 1))
+
+
+def _negative_d2_blocks(c2: np.ndarray, even_out: np.ndarray, odd_out: np.ndarray) -> None:
+    """Write -D2 (second-derivative column ``c2``) on the even and on the odd
+    lattice functions into ``even_out`` (N/2+1 square) and ``odd_out``
+    (N/2-1 square).  With s_i = 1/sqrt 2 at the fixed points i = 0, N/2 and
+    1 elsewhere, the even-even part of D2 is s_i s_j (c2[i-j] + c2[i+j]) and
+    its odd-odd part c2[i-j] - c2[i+j]."""
+    h = len(c2) // 2
+    toeplitz, hankel = _reflection_views(c2)
+    np.add(toeplitz, hankel, out=even_out)
+    np.negative(even_out, out=even_out)
+    even_out[::h] *= np.sqrt(0.5)
+    even_out[:, ::h] *= np.sqrt(0.5)
+    np.subtract(hankel[1:h, 1:h], toeplitz[1:h, 1:h], out=odd_out)
+
+
 def _parity_blocks(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float]:
     """The K = +1 and K = -1 blocks of the realified pair operator
     [[-D2 + pa, -S + q], [S + q, -D2 + pd]], S = (g D1 + D1 g)/2, for even
     diagonals g, pa, pd and odd q, and the coefficients' largest coordinate
-    of wrong parity (the -1 part of each pair (c, q)).  With s_i = 1/sqrt 2
-    at the fixed points i = 0, N/2 and 1 elsewhere, the even-even part of D2
-    is s_i s_j (c2[i-j] + c2[i+j]), its odd-odd part c2[i-j] - c2[i+j], and
-    the even-odd part of S s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2."""
+    of wrong parity (the -1 part of each pair (c, q)).  The -D2 parts are
+    ``_negative_d2_blocks``; the even-odd part of S is
+    s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2."""
     n, h = grid.n, grid.n // 2
     c1, c2 = _derivative_columns(grid)
-    even, odd = np.arange(h + 1), np.arange(1, h)
-    scale = np.where(even % h == 0, np.sqrt(0.5), 1.0)
-
-    def gather(col, rows, cols, sign):
-        return col[(rows[:, None] - cols) % n] + sign * col[(rows[:, None] + cols) % n]
+    odd = np.arange(1, h)
+    scale = np.where(np.arange(h + 1) % h == 0, np.sqrt(0.5), 1.0)
 
     # +1 = [[pa - ee, q - eo], [(q - eo)^T, pd - oo]] on (even, odd) and
     # -1 = [[pa - oo, (q + eo)^T], [q + eo, pd - ee]] on (odd, even)
     blocks = np.empty((2, n, n))
     plus, minus = blocks
     e, o = slice(None, h + 1), slice(h + 1, None)
-    np.negative(scale[:, None] * gather(c2, even, even, 1.0) * scale, out=plus[e, e])
-    np.negative(gather(c2, odd, odd, -1.0), out=plus[o, o])
+    _negative_d2_blocks(c2, plus[e, e], plus[o, o])
     off_minus = minus[h - 1 :, : h - 1]  # eo, then q + eo
-    np.multiply(0.5 * scale[:, None] * (g[: h + 1, None] + g[odd]), gather(c1, even, odd, -1.0),
-                out=off_minus)
+    toeplitz, hankel = _reflection_views(c1)
+    np.subtract(toeplitz[:, 1:h], hankel[:, 1:h], out=off_minus)
+    off_minus *= 0.5 * scale[:, None] * (g[: h + 1, None] + g[odd])
     np.negative(off_minus, out=plus[e, o])
     plus[odd, h + odd] += q[odd]
     off_minus[odd, odd - 1] += q[odd]
@@ -329,17 +356,22 @@ class SchrodingerProblem:
     def scalar(self) -> bool:
         return self.kind != COUPLED_KIND
 
+    def _well(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """1/(w + cosh 2z), cosh 2z/(w + cosh 2z) and sinh 2z/(w + cosh 2z)
+        through e = exp(-2|z|): they underflow to 0 (or tend to +-1) instead of
+        overflowing on wide domains."""
+        z = np.asarray(z, dtype=float)
+        e = np.exp(-2.0 * np.abs(z))
+        e2 = np.exp(-4.0 * np.abs(z))
+        den = 1.0 + e2 + 2.0 * self.omega * e
+        return e * 2.0 / den, (1.0 + e2) / den, np.sign(z) * (1.0 - e2) / den
+
     def potential(self, z: np.ndarray) -> np.ndarray:
         """Scalar potential V(z) (the eigenvalue problem is
         -psi'' + (1 + V) psi = lambda psi)."""
-        z = np.asarray(z, dtype=float)
         w = self.omega
         big = 1.0 - w * w
-        # sech-type wells: work with 1/(w + cosh 2z), which underflows to 0
-        # instead of overflowing on wide Sturm domains
-        inv = np.exp(-2.0 * np.abs(z)) * 2.0 / (
-            1.0 + np.exp(-4.0 * np.abs(z)) + 2.0 * w * np.exp(-2.0 * np.abs(z))
-        )
+        inv = self._well(z)[0]
         if self.kind == "sum_sector":
             return -3.0 * big * inv**2
         if self.kind == "difference_sector":
@@ -350,24 +382,34 @@ class SchrodingerProblem:
         """(V1, V2) of the coupled plus-sector problem."""
         if self.kind != COUPLED_KIND:
             raise ValueError("coupled potentials only exist for the coupled kind")
-        z = np.asarray(z, dtype=float)
         w = self.omega
         big = 1.0 - w * w
-        ch = np.cosh(2.0 * z)
-        sh = np.sinh(2.0 * z)
-        den = w + ch
-        v1 = -3.0 * big / den**2 - 6.0 * w / den
-        v2 = -6.0 * w * (1.0 + w * ch + 1j * np.sqrt(big) * sh) ** 2 / den**3
+        inv, ch, sh = self._well(z)
+        v1 = -3.0 * big * inv**2 - 6.0 * w * inv
+        # (1 + w cosh + i sqrt(big) sinh)^2 / den^3, one factor 1/den per term
+        v2 = -6.0 * w * inv * (inv + w * ch + 1j * np.sqrt(big) * sh) ** 2
         return v1, v2
+
 
 def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperator:
     """Dense symmetric discretization of a stretched-variable problem on a
-    periodic z-grid: N x N for scalar kinds; for the coupled kind, whose V1
-    is even and V2(-z) = conj V2(z), the K = +1 and K = -1 blocks of the
-    realified 2N x 2N matrix."""
+    periodic z-grid, split by the reflection z -> -z.  A scalar kind (V even)
+    gives its blocks on the even and the odd lattice functions, the odd one
+    padded to the even one's size N/2+1 with two decoupled entries at the
+    continuum edge 1, above ``cutoff``; the coupled kind (V1 even,
+    V2(-z) = conj V2(z)) the K = +1 and K = -1 blocks of the realified
+    2N x 2N matrix.  The parity defect is the wrong-parity part of the
+    potentials."""
     if problem.scalar:
-        _, d2 = differentiation_matrices(grid)
-        return DiscreteOperator(-d2 + np.diag(1.0 + problem.potential(grid.x)), 1.0)
+        h = grid.n // 2
+        diag = 1.0 + problem.potential(grid.x)
+        blocks = np.zeros((2, h + 1, h + 1))
+        even, odd = blocks
+        _negative_d2_blocks(_derivative_columns(grid)[1], even, odd[: h - 1, : h - 1])
+        even.flat[:: h + 2] += diag[: h + 1]
+        odd.flat[:: h + 2] += np.concatenate([diag[1:h], [1.0, 1.0]])
+        wrong = parity_split(np.concatenate([diag, np.zeros(grid.n)]))[1]
+        return DiscreteOperator(blocks, 1.0, parity_defect=float(np.max(np.abs(wrong))))
     v1, v2 = problem.coupled_potentials(grid.x)
     blocks, defect = _parity_blocks(
         grid, np.zeros(grid.n), 1.0 + v1 + v2.real, 1.0 + v1 - v2.real, v2.imag)

@@ -254,8 +254,8 @@ def sector_vectors(omega: float, grid: Grid, sign: int) -> tuple[np.ndarray, np.
     up = profile_derivative(omega, grid.x)
     if sign > 0:
         return spectral.embed_conjugate_pair(u), spectral.embed_conjugate_pair(up)
-    return (spectral.embed_conjugate_pair(up, anti=True),
-            spectral.embed_conjugate_pair(u, anti=True))
+    return (spectral.embed_conjugate_pair(1j * up),
+            spectral.embed_conjugate_pair(1j * u))
 
 
 def sector_matrix(omega: float, grid: Grid, sign: int) -> np.ndarray:
@@ -278,12 +278,11 @@ def sector_matrix(omega: float, grid: Grid, sign: int) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """2N x N orthonormal bases of the K = +1 and K = -1 eigenspaces, in the
-    coordinate order of the parity blocks: the even lattice functions e_0,
-    (e_j + e_{N-j})/sqrt 2 for 0 < j < N/2, e_{N/2} and the odd ones
-    (e_j - e_{N-j})/sqrt 2; +1 is (even Re w, odd Im w), -1 is
-    (odd Re w, even Im w)."""
+def scalar_parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """N x (N/2+1) and N x (N/2-1) orthonormal bases of the even and the odd
+    lattice functions under j -> -j mod N, in the coordinate order of the
+    parity blocks: e_0, (e_j + e_{N-j})/sqrt 2 for 0 < j < N/2, e_{N/2} and
+    (e_j - e_{N-j})/sqrt 2."""
     h = n // 2
     even = np.zeros((n, h + 1))
     odd = np.zeros((n, h - 1))
@@ -291,6 +290,14 @@ def parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, h):
         even[j, j] = even[n - j, j] = odd[j, j - 1] = 1.0 / np.sqrt(2.0)
         odd[n - j, j - 1] = -1.0 / np.sqrt(2.0)
+    return even, odd
+
+
+def parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """2N x N orthonormal bases of the K = +1 and K = -1 eigenspaces, in the
+    coordinate order of the parity blocks: +1 is (even Re w, odd Im w), -1
+    is (odd Re w, even Im w) (``scalar_parity_bases``)."""
+    even, odd = scalar_parity_bases(n)
     return block_diag(even, odd), block_diag(odd, even)
 
 
@@ -324,6 +331,21 @@ def full_matrix(op) -> np.ndarray:
     return plus @ op.matrix[0] @ plus.T + minus @ op.matrix[1] @ minus.T
 
 
+def schrodinger_matrix(problem, grid: Grid) -> np.ndarray:
+    """The N x N matrix -D2 + diag(1 + V) of a scalar Schrodinger problem
+    from the dense circulant D2, without the parity split."""
+    _, d2 = spectral.differentiation_matrices(grid)
+    return -d2 + np.diag(1.0 + problem.potential(grid.x))
+
+
+def scalar_full_matrix(op) -> np.ndarray:
+    """The N x N matrix of a scalar Schrodinger stack,
+    P_e M_e P_e^T + P_o M_o P_o^T, the odd block's padding dropped."""
+    even, odd = scalar_parity_bases(2 * (op.matrix.shape[-1] - 1))
+    m = odd.shape[1]
+    return even @ op.matrix[0] @ even.T + odd @ op.matrix[1, :m, :m] @ odd.T
+
+
 def block_diagonalize_check(omega: float, grid: Grid) -> float:
     """Max-norm defect of the realified similarity identity
     Q^T H Q = diag(plus, minus) that splits the curvature operator into the
@@ -353,8 +375,8 @@ def generalized_mode_residual(omega: float, grid: Grid) -> float:
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)
-    lhs = matrix @ spectral.embed_conjugate_pair(x1, anti=True)
-    rhs = spectral.embed_conjugate_pair(up, anti=True)
+    lhs = matrix @ spectral.embed_conjugate_pair(1j * x1)
+    rhs = spectral.embed_conjugate_pair(1j * up)
     return float(np.max(np.abs(lhs - rhs)))
 
 

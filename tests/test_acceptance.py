@@ -201,7 +201,7 @@ def test_criterion_06_kernel_and_block_structure():
     minus = full_matrix(build_sector_operator(omega, g, -1))
     val = np.max(np.abs(plus @ embed_conjugate_pair(up)))
     checks[f"plus-sector kernel = {val:.2e} < 1e-6"] = val < 1e-6
-    val = np.max(np.abs(minus @ embed_conjugate_pair(u, anti=True)))
+    val = np.max(np.abs(minus @ embed_conjugate_pair(1j * u)))
     checks[f"minus-sector kernel = {val:.2e} < 1e-6"] = val < 1e-6
 
     defect = block_diagonalize_check(omega, Grid(26.0, 512))
@@ -212,7 +212,7 @@ def test_criterion_06_kernel_and_block_structure():
     up0 = profile_derivative(0.0, g0.x)
     plus0 = full_matrix(build_sector_operator(0.0, g0, +1))
     minus0 = full_matrix(build_sector_operator(0.0, g0, -1))
-    val = np.max(np.abs(plus0 @ embed_conjugate_pair(up0, anti=True)))
+    val = np.max(np.abs(plus0 @ embed_conjugate_pair(1j * up0)))
     checks[f"extra plus kernel at omega=0 = {val:.2e} < 1e-6"] = val < 1e-6
     val = np.max(np.abs(minus0 @ embed_conjugate_pair(u0)))
     checks[f"extra minus kernel at omega=0 = {val:.2e} < 1e-6"] = val < 1e-6

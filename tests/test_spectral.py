@@ -1,6 +1,8 @@
 """Curvature operators, sector reductions, Sturm counts, constraint slopes,
 and constrained positivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh, eigvalsh_tridiagonal, null_space
@@ -51,6 +53,9 @@ from oracles import (
     parity_blocks_assembled,
     prufer_zero_count,
     realified_similarity,
+    scalar_full_matrix,
+    scalar_parity_bases,
+    schrodinger_matrix,
     sector_matrix,
     sigma_deflated,
     sigma_index_eigh,
@@ -60,6 +65,8 @@ from oracles import (
 # smallest projected curvature eigenvalue at omega = 0, frozen on the
 # automatic spectral grid (L = 22, N = 640)
 CONSTRAINED_MARGIN_ZERO = 0.7350832488511114
+# grid size of the dense-oracle comparisons
+ORACLE_N = 256
 
 
 class TestSectorOperators:
@@ -85,7 +92,7 @@ class TestSectorOperators:
         plus = full_matrix(build_sector_operator(omega, g, +1))
         minus = full_matrix(build_sector_operator(omega, g, -1))
         assert np.max(np.abs(plus @ embed_conjugate_pair(up))) < 1e-6
-        assert np.max(np.abs(minus @ embed_conjugate_pair(u, anti=True))) < 1e-6
+        assert np.max(np.abs(minus @ embed_conjugate_pair(1j * u))) < 1e-6
 
     def test_extra_kernels_at_zero_frequency(self):
         g = spectral_grid(0.0)
@@ -93,7 +100,7 @@ class TestSectorOperators:
         up = profile_derivative(0.0, g.x)
         plus = full_matrix(build_sector_operator(0.0, g, +1))
         minus = full_matrix(build_sector_operator(0.0, g, -1))
-        assert np.max(np.abs(plus @ embed_conjugate_pair(up, anti=True))) < 1e-6
+        assert np.max(np.abs(plus @ embed_conjugate_pair(1j * up))) < 1e-6
         assert np.max(np.abs(minus @ embed_conjugate_pair(u))) < 1e-6
 
     def test_sign_argument(self):
@@ -192,7 +199,7 @@ class TestSchrodingerForms:
         zg = stretched_grid(0.5, spectral_grid(0.5))
         op = build_schrodinger(pr, zg)
         psi0 = difference_sector_kernel_mode(0.5, zg.x)
-        assert np.max(np.abs(op.matrix @ psi0)) < 1e-6
+        assert np.max(np.abs(scalar_full_matrix(op) @ psi0)) < 1e-6
 
     def test_zero_frequency_ground_state(self):
         # the stretched sum-sector well at omega = 0 is the classic
@@ -235,6 +242,99 @@ class TestSchrodingerForms:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             SchrodingerProblem("mystery", 0.3)
+
+    @pytest.mark.parametrize("omega", [0.5, -0.7, 0.9])
+    def test_coupled_potentials_do_not_overflow(self, omega):
+        # the direct cosh(2z)^3 form overflows to NaN beyond |z| ~ 178
+        pr = SchrodingerProblem("coupled_system", omega)
+        z = np.linspace(-400.0, 400.0, 8001)
+        v1, v2 = pr.coupled_potentials(z)
+        assert np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            ch, sh = np.cosh(2.0 * z), np.sinh(2.0 * z)
+            den = omega + ch
+            ref1 = -3.0 * (1.0 - omega**2) / den**2 - 6.0 * omega / den
+            ref2 = -6.0 * omega * (1.0 + omega * ch + 1j * np.sqrt(1.0 - omega**2) * sh) ** 2 / den**3
+        finite = np.isfinite(ref2)
+        assert 0 < np.count_nonzero(finite) < len(z)
+        assert np.max(np.abs(v1[finite] - ref1[finite])) <= 1e-12
+        assert np.max(np.abs(v2[finite] - ref2[finite])) <= 1e-12
+
+    def test_coupled_operator_on_a_wide_domain(self):
+        op = build_schrodinger(SchrodingerProblem("coupled_system", 0.5), Grid(200.0, 1024))
+        assert np.all(np.isfinite(op.matrix))
+        assert op.parity_defect <= 1e-12
+
+    def test_non_finite_parity_defect_refused(self):
+        with pytest.raises(OperatorConstructionError, match="parity defect nan"):
+            spectral.DiscreteOperator(np.zeros((2, 5, 5)), 1.0, parity_defect=np.nan)
+
+
+SCALAR_SPLIT_OMEGAS = (0.0, 0.5, -0.7, 0.9)
+
+
+class TestScalarSplit:
+    """The scalar Schrodinger operators' even/odd blocks against the dense
+    circulant matrix -D2 + diag(1 + V) (``oracles.schrodinger_matrix``)."""
+
+    @staticmethod
+    def grid(omega, n):
+        return stretched_grid(omega, spectral_grid(omega, n))
+
+    @pytest.mark.parametrize("n", [None, 8], ids=["spectral_grid", "n8"])
+    @pytest.mark.parametrize("omega", SCALAR_SPLIT_OMEGAS)
+    @pytest.mark.parametrize("kind", spectral.SCALAR_KINDS)
+    def test_isolated_spectrum_matches_circulant_oracle(self, kind, omega, n):
+        pr = SchrodingerProblem(kind, omega)
+        zg = self.grid(omega, n)
+        vals = isolated_spectrum(build_schrodinger(pr, zg))
+        ref = isolated_spectrum(spectral.DiscreteOperator(schrodinger_matrix(pr, zg), 1.0))
+        assert len(vals) == len(ref)
+        assert len(vals) or n == 8
+        assert np.max(np.abs(vals - ref), initial=0.0) <= 1e-11
+
+    @pytest.mark.parametrize("n", [ORACLE_N, 8])
+    @pytest.mark.parametrize("omega", SCALAR_SPLIT_OMEGAS)
+    @pytest.mark.parametrize("kind", spectral.SCALAR_KINDS)
+    def test_blocks_are_oracle_projections(self, kind, omega, n):
+        pr = SchrodingerProblem(kind, omega)
+        zg = self.grid(omega, n)
+        op = build_schrodinger(pr, zg)
+        h = zg.n // 2
+        assert op.matrix.shape == (2, h + 1, h + 1) and op.continuum_edge == 1.0
+        assert op.parity_defect <= 1e-12
+        even, odd = scalar_parity_bases(zg.n)
+        m = schrodinger_matrix(pr, zg)
+        assert np.max(np.abs(even.T @ m @ even - op.matrix[0])) <= 1e-12
+        assert np.max(np.abs(odd.T @ m @ odd - op.matrix[1, : h - 1, : h - 1])) <= 1e-12
+        assert np.max(np.abs(even.T @ m @ odd)) <= 1e-12
+        padding = np.zeros((2, h + 1))
+        padding[:, h - 1 :] = np.eye(2)
+        assert np.array_equal(op.matrix[1, h - 1 :], padding)
+        assert np.array_equal(op.matrix[1, :, h - 1 :], padding.T)
+
+    def test_no_schrodinger_kind_builds_a_dense_circulant(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense circulant on the Schrodinger path")
+
+        monkeypatch.setattr(spectral, "differentiation_matrices", refuse)
+        monkeypatch.setattr(spectral, "circulant", refuse)
+        zg = self.grid(0.5, ORACLE_N)
+        for kind in spectral.ALL_KINDS:
+            assert len(isolated_spectrum(build_schrodinger(SchrodingerProblem(kind, 0.5), zg)))
+
+    def test_scalar_build_holds_half_a_dense_matrix(self):
+        # the two blocks are 2 (N/2 + 1)^2 doubles; a dense N x N matrix, and
+        # its circulant D2 beside it, would exceed the bound
+        n = 2048
+        zg = Grid(37.0, n)
+        tracemalloc.start()
+        try:
+            build_schrodinger(SchrodingerProblem("sum_sector", 0.5), zg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
 
 
 class TestShooting:
@@ -377,8 +477,6 @@ class TestSplittingProbe:
         assert row["splitting_integral"] == pytest.approx(-2.0 / 3.0, abs=0.05)
 
 
-ORACLE_N = 256
-
 
 class TestSectorRoute:
     """The per-sector spectral route against the full-spectrum and
@@ -432,9 +530,9 @@ class TestSectorRoute:
         zero = np.zeros(2 * n)
         expected = np.array([
             np.concatenate([embed_conjugate_pair(u), zero]),
-            np.concatenate([zero, -embed_conjugate_pair(u, anti=True)]),
+            np.concatenate([zero, -embed_conjugate_pair(1j * u)]),
             np.concatenate([embed_conjugate_pair(up), zero]),
-            np.concatenate([zero, -embed_conjugate_pair(up, anti=True)]),
+            np.concatenate([zero, -embed_conjugate_pair(1j * up)]),
         ])
         assert np.max(np.abs(mapped - expected)) < 1e-14 * np.max(np.abs(expected))
 
