@@ -155,7 +155,7 @@ def _cmd_spectrum(cfg: dict, args) -> int:
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = spectral.sector_analysis(omega, g, sign)
         vals = [float(v) for v in analysis.isolated]
-        rows.append((omega, tag, vals, analysis.operator.cutoff))
+        rows.append((omega, tag, vals, analysis.cutoff))
     out = _outdir(cfg)
     spectral.write_spectral_csv(out / "spectrum.csv", rows)
     print(f"wrote {out / 'spectrum.csv'}")

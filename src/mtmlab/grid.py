@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +21,19 @@ import numpy as np
 class Grid:
     """Periodic lattice of ``n`` points on [-L, L).
 
-    ``n`` must be even and at least 8 so that spectral differentiation has a
-    well-defined Nyquist mode.
+    ``half_length`` must be finite and positive, and ``n`` an even integer of
+    at least 8 so that spectral differentiation has a well-defined Nyquist
+    mode.
     """
 
     half_length: float
     n: int
 
     def __post_init__(self) -> None:
-        if not self.half_length > 0.0:
-            raise ValueError("half_length must be positive")
+        if not 0.0 < self.half_length < np.inf:
+            raise ValueError(f"half_length must be finite and positive, got {self.half_length!r}")
+        if not isinstance(self.n, Integral):
+            raise ValueError(f"point count n must be an integer, got {self.n!r}")
         if self.n < 8:
             raise ValueError("need at least 8 grid points")
         if self.n % 2 != 0:

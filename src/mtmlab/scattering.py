@@ -35,6 +35,9 @@ from .grid import FieldState, Grid, differentiate, quadrature
 
 LAMBDA_WINDOW = (0.05, 20.0)
 NU_BLOWUP = 1e6
+# DOP853 tolerances of the Riccati solve
+RICCATI_RTOL = 1e-10
+RICCATI_ATOL = 1e-12
 
 # Proportionality constants tying I_4 - I_-4 to the higher charge and the
 # charge.  Frozen from a least-squares calibration over 12 random smooth
@@ -96,12 +99,7 @@ def _pair_interpolant(u: np.ndarray, v: np.ndarray, grid: Grid):
     return at
 
 
-def riccati_solve(
-    state: FieldState,
-    lam: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ScatteringSample:
+def riccati_solve(state: FieldState, lam: float) -> ScatteringSample:
     """Integrate the Riccati equation left to right and form log a(lambda).
 
     The state must decay at the grid edges; the periodic state is read as
@@ -137,8 +135,8 @@ def riccati_solve(
         [0.0 + 0.0j],
         method="DOP853",
         t_eval=g.x,
-        rtol=rtol,
-        atol=atol,
+        rtol=RICCATI_RTOL,
+        atol=RICCATI_ATOL,
         events=blowup,
     )
     if sol.status == 1:

@@ -21,8 +21,9 @@ so the plus sector is constrained to the complement of {U, U'} and the minus
 sector to the complement of {iU', iU}.  Constrained positivity of the full
 operator is therefore the smaller of two per-sector constrained minima, and
 every spectral quantity of a sector (isolated eigenvalues, the constraint
-slope sigma, the constrained minimum) comes from one shared, cached
-``SectorAnalysis``; the 4N x 4N Hessian is kept as a small-N reference.
+slope sigma, the constrained minimum) comes from one cached ``SectorAnalysis``
+record, computed once and holding no matrix; the 4N x 4N Hessian is kept as a
+small-N reference.
 
 Everything is realified in one layout: a complex pair (w, conj w) maps to the
 real vector (Re w, Im w) (``embed_conjugate_pair``, ``realify_conjugate_pair``)
@@ -72,7 +73,7 @@ d|U|^2/dx = 2 Im U^2) and keeps the assembled matrices exactly symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -553,68 +554,47 @@ def spectral_grid(omega: float, n: int | None = None) -> Grid:
     return recommended_grid(omega, n=n, tail_exponent=22.0)
 
 
-@dataclass(frozen=True)
-class SectorAnalysis:
-    """Every spectral quantity of one (omega, sector) from one evaluation of
-    its constraints, one read-only parity-block stack and one
-    ``_reduce_block`` per block, of which only (d, e) and the slope's solve
-    are kept.  Obtain instances through ``sector_analysis`` so that
-    consumers share them."""
+class SectorAnalysis(NamedTuple):
+    """Every spectral quantity of one (omega, sector), as ``sector_analysis``
+    computes it; the record keeps no matrix."""
 
-    omega: float
-    grid: Grid
-    sign: int
-
-    @cached_property
-    def _constraints(self):
-        return _sector_constraints(self.omega, self.grid, self.sign)
-
-    @cached_property
-    def operator(self) -> DiscreteOperator:
-        op = build_sector_operator(self.omega, self.grid, self.sign, self._constraints)
-        op.matrix.setflags(write=False)
-        return op
-
-    @cached_property
-    def _reductions(self):
-        """The blocks' (d, e) and the +1 block's solve (none near omega = 0)."""
-        (s, _), (_, k) = self._constraints
-        plus, minus = self.operator.matrix
-        *t_plus, solved = _reduce_block(plus, s, solve=abs(self.omega) >= OMEGA_DEGENERATE)
-        return (t_plus, _reduce_block(minus, k)[:2]), solved
-
-    @cached_property
-    def isolated(self) -> np.ndarray:
-        """Isolated eigenvalues (ascending): the union of the block spectra."""
-        return _eigenvalues_below(self._reductions[0], self.operator.cutoff)
-
-    @property
-    def sigma(self) -> SigmaSolve:
-        """Constraint slope <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ (the +1 block
-        holds no kernel; 2 dx turns the realified dot into the pairing)."""
-        if abs(self.omega) < OMEGA_DEGENERATE:
-            raise ValueError("sigma solve is degenerate near omega = 0")
-        solved = self._reductions[1]
-        return solved._replace(value=2.0 * self.grid.dx * solved.value)
-
-    @cached_property
-    def constrained_min(self) -> float:
-        """Smallest eigenvalue of the sector operator off its two constraint
-        vectors: the lowest eigenvalue of the blocks' T[1:, 1:]."""
-        return min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
-                   for d, e in self._reductions[0])
+    isolated: np.ndarray  # isolated eigenvalues (ascending): the union of the block spectra
+    constrained_min: float  # smallest eigenvalue off the two constraint vectors
+    sigma: SigmaSolve | None  # the slope, scaled by 2 dx, and its residual; None near omega = 0
+    parity_defect: float  # of the sector operator
+    cutoff: float  # upper end of the isolated spectrum
 
 
 @lru_cache(maxsize=2)  # the current omega's two sectors
 def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
-    """The shared ``SectorAnalysis`` of one (omega, sector)."""
-    return SectorAnalysis(omega, grid, sign)
+    """The ``SectorAnalysis`` of one (omega, sector) from one evaluation of
+    its constraints, one parity-block stack and one ``_reduce_block`` per
+    block; the stack is dropped once both blocks are reduced.  The isolated
+    spectrum is the union of the blocks' T spectra, the constrained minimum
+    the lowest eigenvalue of their T[1:, 1:], and sigma
+    <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ (the +1 block holds no kernel; 2 dx
+    turns the realified dot into the pairing)."""
+    constraints = _sector_constraints(omega, grid, sign)
+    (s, _), (_, k) = constraints
+    op = build_sector_operator(omega, grid, sign, constraints)
+    plus, minus = op.matrix
+    *t_plus, solved = _reduce_block(plus, s, solve=abs(omega) >= OMEGA_DEGENERATE)
+    tridiagonals = (t_plus, _reduce_block(minus, k)[:2])
+    lowest = min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
+                 for d, e in tridiagonals)
+    if solved is not None:
+        solved = solved._replace(value=2.0 * grid.dx * solved.value)
+    return SectorAnalysis(_eigenvalues_below(tridiagonals, op.cutoff), lowest, solved,
+                          op.parity_defect, op.cutoff)
 
 
 def sigma_index(omega: float, grid: Grid, sign: int) -> float:
     """Constraint slope <L^{-1} s, s> of the shared sector analysis (see
-    ``SectorAnalysis.sigma``)."""
-    return sector_analysis(omega, grid, sign).sigma.value
+    ``sector_analysis``)."""
+    solved = sector_analysis(omega, grid, sign).sigma
+    if solved is None:
+        raise ValueError("sigma solve is degenerate near omega = 0")
+    return solved.value
 
 
 def _constraint_rows(omega: float, grid: Grid) -> np.ndarray:
@@ -651,7 +631,8 @@ def constrained_split_defect(omega: float, grid: Grid) -> float:
     """|per-sector route - full-Hessian route| of the constrained minimum on
     ``grid``: a self-check of the constraint split, meant for small grids.
     Its sector analyses bypass the cache, so the current omega's stay in it."""
-    sector = min(SectorAnalysis(omega, grid, sign).constrained_min for sign in (1, -1))
+    sector = min(sector_analysis.__wrapped__(omega, grid, sign).constrained_min
+                 for sign in (1, -1))
     return abs(sector - _constrained_min_eig_hessian(omega, grid))
 
 
@@ -665,7 +646,7 @@ def splitting_probe(omega: float, grid: Grid) -> dict:
         analysis = sector_analysis(omega, grid, sign)
         vals = analysis.isolated
         row[f"count_{tag}"] = len(vals)
-        row[f"parity_defect_{tag}"] = analysis.operator.parity_defect
+        row[f"parity_defect_{tag}"] = analysis.parity_defect
         if len(vals):
             kernel_idx = int(np.argmin(np.abs(vals)))
             others = np.delete(vals, kernel_idx)

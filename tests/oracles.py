@@ -371,7 +371,7 @@ def hessian_quadratic_form(op, grid: Grid, a: np.ndarray, b: np.ndarray) -> floa
 def generalized_mode_residual(omega: float, grid: Grid) -> float:
     """Realified residual of the minus-sector identity mapping the
     x-weighted combination onto the translation-type constraint vector."""
-    matrix = full_matrix(spectral.sector_analysis(omega, grid, -1).operator)
+    matrix = full_matrix(spectral.build_sector_operator(omega, grid, -1))
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     x1 = -0.5 * grid.x * u - 1j * u / (4.0 * omega)

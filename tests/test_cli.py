@@ -264,6 +264,10 @@ class TestStabilityCommand:
         record = json.loads((tmp_path / "record.json").read_text())
         assert record["passed"] is True
 
+    def test_infinite_domain_rejected(self, tmp_path, capsys):
+        argv = ["stability", "--grid-L", "inf", "--out", str(tmp_path)]
+        assert "half_length must be finite" in _usage_error(argv, capsys)
+
 
 class TestH1BoundCommand:
     def test_record_is_written(self, tmp_path):

@@ -21,13 +21,19 @@ from mtmlab.soliton import eval_soliton, SolitonParams
 
 
 class TestGridInvariants:
-    def test_periodic_needs_even_points(self):
-        with pytest.raises(ValueError):
-            Grid(10.0, 257)
+    @pytest.mark.parametrize("n, named", [(257, "even point count"), (1024.0, "integer")])
+    def test_periodic_needs_even_points(self, n, named):
+        with pytest.raises(ValueError, match=named):
+            Grid(10.0, n)
 
     def test_minimum_point_count(self):
         with pytest.raises(ValueError):
             Grid(10.0, 4)
+
+    @pytest.mark.parametrize("half_length", [np.inf, np.nan, 0.0])
+    def test_half_length_finite_and_positive(self, half_length):
+        with pytest.raises(ValueError, match="half_length"):
+            Grid(half_length, 8)
 
     def test_spacing_and_positions(self):
         g = Grid(20.0, 256)

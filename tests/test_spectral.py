@@ -21,7 +21,6 @@ from mtmlab import spectral
 from mtmlab.spectral import (
     OperatorConstructionError,
     SchrodingerProblem,
-    SectorAnalysis,
     _constrained_min_eig_hessian,
     _constraint_rows,
     build_hessian,
@@ -506,7 +505,7 @@ class TestSectorRoute:
             analysis = sector_analysis(omega, g, sign)
             vals = analysis.isolated
             full = np.linalg.eigvalsh(sector_matrix(omega, g, sign))
-            full = full[full < analysis.operator.cutoff]
+            full = full[full < analysis.cutoff]
             assert len(vals) == len(full)
             assert np.max(np.abs(vals - full)) <= 1e-12
 
@@ -536,18 +535,25 @@ class TestSectorRoute:
         ])
         assert np.max(np.abs(mapped - expected)) < 1e-14 * np.max(np.abs(expected))
 
-    def test_cached_matrix_is_read_only_and_shared(self):
+    def test_cached_analysis_is_shared_and_keeps_no_matrix(self):
         sector_analysis.cache_clear()
         g = spectral_grid(0.5, ORACLE_N)
-        splitting_probe(0.5, g)
-        assert sector_analysis.cache_info().misses == 2
-        sigma_index(0.5, g, -1)
+        tracemalloc.start()
+        try:
+            splitting_probe(0.5, g)
+            assert sector_analysis.cache_info().misses == 2
+            sigma_index(0.5, g, -1)
+            constrained_min_eig(0.5, g)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         assert sector_analysis.cache_info().hits >= 1
         assert sector_analysis.cache_info().misses == 2
-        matrix = sector_analysis(0.5, g, -1).operator.matrix
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1.0
+        # both cached analyses together hold less than one N x N block
+        assert retained < g.n * g.n * 8
+        before = sector_analysis.cache_info()
+        spectral.constrained_split_defect(0.5, spectral_grid(0.5, 64))
+        assert sector_analysis.cache_info() == before
 
     def test_sigma_needs_no_resolved_kernel(self):
         # on this coarse grid the plus-sector kernel eigenvalue is ~1e-5: the
@@ -613,9 +619,9 @@ class TestParityBlocks:
     def test_route_matches_oracles(self, omega, full):
         g = spectral_grid(omega, None if full else ORACLE_N)
         for sign in (1, -1):
-            analysis = SectorAnalysis(omega, g, sign)
+            analysis = sector_analysis(omega, g, sign)
             m = sector_matrix(omega, g, sign)
-            ref = eigh(m, eigvals_only=True, subset_by_value=(-np.inf, analysis.operator.cutoff))
+            ref = eigh(m, eigvals_only=True, subset_by_value=(-np.inf, analysis.cutoff))
             vals = analysis.isolated
             assert len(vals) == len(ref)
             assert np.max(np.abs(vals - ref)) <= 1e-10
@@ -630,7 +636,7 @@ class TestParityBlocks:
 
         monkeypatch.setattr(spectral, "eigh", refuse)
         assert not hasattr(spectral, "solve")
-        analysis = SectorAnalysis(0.5, spectral_grid(0.5, ORACLE_N), sign)
+        analysis = sector_analysis.__wrapped__(0.5, spectral_grid(0.5, ORACLE_N), sign)
         assert len(analysis.isolated) == 2
         assert analysis.sigma.residual < 1e-10
         assert analysis.constrained_min > 0.0
@@ -666,9 +672,8 @@ class TestParityBlocks:
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
         g = spectral_grid(0.5, ORACLE_N)
-        analysis = SectorAnalysis(0.5, g, 1)
-        (s, _), _ = analysis._constraints
-        block = analysis.operator.matrix[0]
+        (s, _), _ = spectral._sector_constraints(0.5, g, 1)
+        block = build_sector_operator(0.5, g, 1).matrix[0]
         d, e, solved = spectral._reduce_block(block.view(NoMatmul), s, solve=True)
         ref_d, ref_e, ref_solved = spectral._reduce_block(block, s, solve=True)
         assert np.array_equal(d, ref_d) and np.array_equal(e, ref_e)
