@@ -225,17 +225,18 @@ def evolution_run(
     config: EvolverConfig,
     seed: int | None,
     settings: dict,
-    observers: dict | None = None,
 ) -> tuple[RunRecord, Trajectory | None]:
-    """Evolve ``state`` with the Q, P, H, R observers added to ``observers``
-    and record the run.
+    """Evolve ``state`` and record the run; its series are computed from
+    the snapshots after the run.
 
     The record's config is ``settings`` plus the step, grid and stride of the
-    run.  A blow-up is recorded as ``blowup_t`` with ``no_blowup`` False and
-    no trajectory.  Otherwise the record carries every observer series, the
-    relative drifts ``drift_{Q,P,H,R}`` (sup over snapshots, normalized by
-    Q(0)), ``no_blowup`` and ``charge_conserved`` (drift_Q < 1e-10).
+    run, and ``duration_s`` is the wall time of this call.  A blow-up is
+    recorded as ``blowup_t`` with ``no_blowup`` False and no trajectory.
+    Otherwise the record carries the t, Q, P, H, R series, the relative
+    drifts ``drift_{Q,P,H,R}`` (sup over snapshots, normalized by Q(0)),
+    ``no_blowup`` and ``charge_conserved`` (drift_Q < 1e-10).
     """
+    t_start = time.perf_counter()
     g = state.grid
     record = RunRecord(
         kind=kind,
@@ -245,29 +246,23 @@ def evolution_run(
         },
         seed=seed,
     )
-    observers = {
-        "Q": conserved.charge,
-        "P": conserved.momentum,
-        "H": conserved.hamiltonian,
-        "R": conserved.higher_charge,
-        **(observers or {}),
-    }
     try:
-        traj = evolve(state, config, observers)
+        traj = evolve(state, config)
     except BlowUpError as err:
         record.measurements["blowup_t"] = err.t
         record.verdicts["no_blowup"] = False
+        record.duration_s = time.perf_counter() - t_start
         return record, None
 
+    values = [conserved.evaluate_all(s) for s in traj.states]
     record.series = {"t": traj.times.tolist()}
-    for name, values in traj.observables.items():
-        record.series[name] = values.tolist()
-    q0 = traj.observables["Q"][0]
     for name in ("Q", "P", "H", "R"):
-        record.measurements[f"drift_{name}"] = relative_drift(traj.observables[name], q0)
+        record.series[name] = series = [getattr(v, name) for v in values]
+        record.measurements[f"drift_{name}"] = relative_drift(series, values[0].Q)
     record.verdicts["no_blowup"] = True
     record.verdicts["charge_conserved"] = record.measurements["drift_Q"] < 1e-10
     record.validate()
+    record.duration_s = time.perf_counter() - t_start
     return record, traj
 
 
@@ -291,11 +286,11 @@ def stability_experiment(
     state = perturbed_soliton(omega, g, seed, delta)
     config = EvolverConfig(dt=dt, t_end=t_end, snapshot_stride=stride)
     record, traj = evolution_run(
-        "stability", state, config, seed, {"omega": omega, "delta": delta},
-        {"distance": lambda s: orbital_distance(s, omega)[0]},
-    )
+        "stability", state, config, seed, {"omega": omega, "delta": delta})
     if traj is not None:
-        sup_dist = float(np.max(traj.observables["distance"]))
+        record.series["distance"] = [orbital_distance(s, omega)[0] for s in traj.states]
+        record.validate()
+        sup_dist = float(np.max(record.series["distance"]))
         record.measurements["sup_distance"] = sup_dist
         record.verdicts["orbit_bound"] = sup_dist <= max(
             STABILITY_FACTOR * delta, ZERO_DISTANCE_FLOOR)
@@ -354,8 +349,8 @@ def h1_bound_experiment(
         nf = snapshot_norms[-1]
         grad_sq = nf["H1_sq"] - nf["L2_sq"]
         cp = max(n["interp_ratio"] for n in snapshot_norms)
-        r_final = traj.observables["R"][-1]
-        q_final = traj.observables["Q"][-1]
+        r_final = record.series["R"][-1]
+        q_final = record.series["Q"][-1]
         record.measurements["interp_constant"] = cp
         record.measurements["coercivity_gap"] = (
             r_final + cp * (q_final + q_final**3) - 0.5 * grad_sq

@@ -208,14 +208,6 @@ class HierarchyReport:
     hamiltonian_residual: float
     higher_residual: float
 
-    def max_residual(self) -> float:
-        return max(
-            self.charge_residual,
-            self.momentum_residual,
-            self.hamiltonian_residual,
-            self.higher_residual,
-        )
-
 
 def hierarchy_relations(state: FieldState) -> HierarchyReport:
     """Check I_0 = Q, I_2 + I_-2 = -2iP, I_2 - I_-2 = -2iH and

@@ -86,6 +86,7 @@ def recommended_grid(omega: float, n: int | None = None, tail_exponent: float = 
     factors resolved (dx <= 0.12 times the singularity distance, capped at
     0.08).  ``n`` overrides the automatic point count.
     """
+    _check_omega(omega)
     beta = np.sqrt(1.0 - omega * omega)
     half_length = max(20.0, float(np.ceil(tail_exponent / beta)))
     if n is None:
@@ -160,24 +161,11 @@ def zero_mode_fields(omega: float, grid: Grid) -> dict[str, np.ndarray]:
     (u, v, conj u, conj v)):
 
     * ``gauge``       -- (iU, i conj U, -i conj U, -iU), from the phase symmetry;
-    * ``translation`` -- (U', conj U', conj U', U'), from the shift symmetry;
-
-    and the two-component pairs that join the kernel only at omega = 0 (they
-    are returned at any omega, but are kernel vectors only there):
-
-    * ``extra_plus``  -- (U', -conj U') for the symmetric-sector operator;
-    * ``extra_minus`` -- (U, conj U) for the antisymmetric-sector operator.
+    * ``translation`` -- (U', conj U', conj U', U'), from the shift symmetry.
     """
     u = eval_profile(omega, grid)
     up = differentiate(u, grid)
     gauge = np.stack([1j * u, 1j * np.conj(u), -1j * np.conj(u), -1j * u])
     translation = np.stack([up, np.conj(up), np.conj(up), up])
-    extra_plus = np.stack([up, -np.conj(up)])
-    extra_minus = np.stack([u, np.conj(u)])
-    return {
-        "gauge": gauge,
-        "translation": translation,
-        "extra_plus": extra_plus,
-        "extra_minus": extra_minus,
-    }
+    return {"gauge": gauge, "translation": translation}
 

@@ -82,9 +82,8 @@ def pinned_trajectory():
     base = eval_soliton(SolitonParams(0.5), grid)
     wu, wv = random_h1_perturbation(grid, SEED, 1e-2)
     state = FieldState(grid, base.u + wu, base.v + wv, 0.0)
-    observers = {"Q": charge, "P": momentum, "H": hamiltonian, "R": higher_charge}
-    full = evolve(state, EvolverConfig(dt=1e-3, t_end=20.0, snapshot_stride=500), observers)
-    half = evolve(state, EvolverConfig(dt=5e-4, t_end=20.0, snapshot_stride=1000), observers)
+    full = evolve(state, EvolverConfig(dt=1e-3, t_end=20.0, snapshot_stride=500))
+    half = evolve(state, EvolverConfig(dt=5e-4, t_end=20.0, snapshot_stride=1000))
     return state, full, half
 
 
@@ -107,9 +106,12 @@ def test_criterion_01_soliton_identities():
 
 def test_criterion_02_conservation(pinned_trajectory):
     _, full, half = pinned_trajectory
-    q0 = full.observables["Q"][0]
-    drifts = {k: relative_drift(full.observables[k], q0) for k in ("Q", "P", "H", "R")}
-    drifts_half = {k: relative_drift(half.observables[k], q0) for k in ("Q", "P", "H", "R")}
+    functionals = {"Q": charge, "P": momentum, "H": hamiltonian, "R": higher_charge}
+    q0 = charge(full.states[0])
+    drifts, drifts_half = (
+        {k: relative_drift([fn(s) for s in traj.states], q0) for k, fn in functionals.items()}
+        for traj in (full, half)
+    )
     checks = {f"drift Q = {drifts['Q']:.2e} < 1e-10": drifts["Q"] < 1e-10}
     for name in ("P", "H", "R"):
         checks[f"drift {name} = {drifts[name]:.2e} < 1e-6"] = drifts[name] < 1e-6

@@ -136,6 +136,7 @@ class TestEvolveCommand:
         assert record["verdicts"]["no_blowup"] is True
         assert 0.0 <= record["measurements"]["drift_Q"] < 1e-10
         assert record["config"]["grid_N"] == 512
+        assert record["duration_s"] > 0.0
         lines = (tmp_path / "conserved.csv").read_text().splitlines()
         assert lines[0] == "t,Q,P,H,R,Lambda"
         assert (tmp_path / "final_state.csv").exists()
@@ -202,6 +203,11 @@ class TestSigmaCommand:
         for line in (tmp_path / "sigma.csv").read_text().splitlines()[1:]:
             _, _, numeric, closed = line.split(",")
             assert abs(float(numeric) - float(closed)) < 1e-4
+
+    def test_frequency_outside_range_rejected(self, tmp_path, capsys):
+        # refused before the grid takes sqrt(1 - omega^2), which would warn
+        argv = ["sigma", "--omega", "1.5", "--out", str(tmp_path)]
+        assert "|omega| < 1" in _usage_error(argv, capsys)
 
 
 class TestSpectrumCommand:

@@ -1,5 +1,7 @@
 """Riccati transmission coefficient and the explicit charge hierarchy."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,7 @@ class TestHierarchy:
         for n in (0, 2, -2, 4, -4):
             assert explicit_In(state, n) == 0.0
         report = hierarchy_relations(state)
-        assert report.max_residual() == 0.0
+        assert max(astuple(report)) == 0.0
 
     def test_unsupported_index(self):
         with pytest.raises(ValueError):
@@ -154,12 +156,12 @@ class TestHierarchy:
         g = Grid(30.0, 2048)
         for seed in range(6):
             report = hierarchy_relations(random_decaying_state(g, seed=seed))
-            assert report.max_residual() < 1e-6
+            assert max(astuple(report)) < 1e-6
 
     def test_relations_on_soliton(self):
         g = Grid(30.0, 2048)
         report = hierarchy_relations(eval_soliton(SolitonParams(0.5), g))
-        assert report.max_residual() < 1e-6
+        assert max(astuple(report)) < 1e-6
 
     def test_gauge_invariance_of_residuals(self):
         g = Grid(30.0, 1024)
