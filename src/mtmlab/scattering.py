@@ -17,13 +17,26 @@ and log a(lambda) = integral of chi.  Expanding chi in powers of lambda
 generates the charge hierarchy; the explicit low-order integrals I_0, I_2,
 I_-2, I_4, I_-4 are evaluated here directly and tied back to Q, P, H, R.
 
-nu is integrated by DOP853 through scipy's ``solve_ivp`` (kept so that the
-benchmark tracer can wrap it and count right-hand-side evaluations); u and v
-between nodes come from one factorized Fourier sum for the pair.
+nu is the ratio phi_2 / phi_1 of the Lax x-problem phi' = A phi,
+
+    A = [[i k + (i/2)(|v|^2 - |u|^2),  -(i/sqrt 2)(lambda conj(v) + conj(u)/lambda)],
+         [-(i/sqrt 2)(lambda v + u/lambda),  -i k - (i/2)(|v|^2 - |u|^2)]],
+
+traceless and skew-Hermitian for real lambda, so every cell propagator lies
+in SU(2) and is fixed by its first column.  The first columns of all N - 1
+cell propagators are integrated together by one DOP853 ``solve_ivp`` over
+the cell coordinate s in [0, dx] (kept so that the benchmark tracer can wrap
+it and count right-hand-side evaluations), each stage sampling u and v at
+every x_j + s by one Fourier shift of their trigonometric interpolant.  A
+left-to-right product from phi(x_0) = (1, 0) gives phi, hence nu, at the
+nodes.  A cell that a Lipschitz screen cannot certify free of
+|nu| >= NU_BLOWUP is solved again by the Riccati equation with a blow-up
+event, which reports where nu blows up.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 
@@ -67,6 +80,7 @@ class ScatteringSample:
     nu: np.ndarray
     chi: np.ndarray
     log_a: complex
+    nfev: int  # right-hand-side evaluations of the solves behind the sample
 
     @property
     def k(self) -> float:
@@ -74,33 +88,129 @@ class ScatteringSample:
         return 0.25 * (self.lam**-2 - self.lam**2)
 
 
-def _pair_interpolant(u: np.ndarray, v: np.ndarray, grid: Grid):
-    """x -> [u(x), v(x)] through the grid's trigonometric interpolant, the
-    Nyquist mode at j = -N/2 as in ``Grid.wavenumbers``.  Writing the
-    frequency j = a B + b - N/2 with B = ceil(sqrt N) splits each term's
-    exponential into a coarse factor in a and a fine factor in b, so one call
-    costs one (A + B)-point exp and two small matvecs instead of an N-point
-    exp per field.  The coefficients are zero-padded to A B."""
-    n = grid.n
-    fine = math.isqrt(n - 1) + 1
-    coarse = -(-n // fine)
-    coeff = np.zeros((2, coarse * fine), dtype=complex)
-    coeff[:, :n] = np.fft.fftshift(np.fft.fft(np.stack([u, v])), axes=-1) / n
-    coeff = coeff.reshape(2, coarse, fine)
-    rates = (1j * np.pi / grid.half_length) * np.concatenate(
-        [np.arange(fine), np.arange(coarse) * fine - n // 2]
-    )
-    shift = grid.half_length
+def _field_sampler(u: np.ndarray, v: np.ndarray, grid: Grid):
+    """s -> [u, v] at x_j + s for every node j, shape (2, N): one Fourier
+    shift of the pair's trigonometric interpolant (the Nyquist mode at
+    j = -N/2, as in ``Grid.wavenumbers``)."""
+    coeff = np.fft.fft(np.stack([u, v]))
+    k = grid.wavenumbers
 
-    def at(x: float) -> list:
-        e = np.exp(rates * (x + shift))
-        return ((coeff @ e[:fine]) @ e[fine:]).tolist()
+    def at(s: float) -> np.ndarray:
+        return np.fft.ifft(coeff * np.exp(1j * k * s))
 
     return at
 
 
+def _cell_propagators(sample, lam: float, grid: Grid) -> tuple[np.ndarray, np.ndarray, int]:
+    """First columns (alpha, gamma) of the N - 1 cell propagators of
+    phi' = A phi, each over [x_j, x_j + dx] from (1, 0), all cells in one
+    DOP853 solve; returns them with the solve's right-hand-side count.  A is
+    traceless and skew-Hermitian for real lambda, so each propagator is
+    [[alpha, -conj(gamma)], [gamma, conj(alpha)]] in SU(2)."""
+    n = grid.n - 1
+    k = 0.25 * (lam**-2 - lam**2)
+    c = 1j / math.sqrt(2.0)
+
+    def rhs(s, y):
+        u, v = sample(s)[:, :n]
+        diag = 1j * (k + 0.5 * (v.real**2 + v.imag**2 - u.real**2 - u.imag**2))
+        low = -c * (lam * v + u / lam)
+        alpha, gamma = y[:n], y[n:]
+        return np.concatenate(
+            [diag * alpha - np.conj(low) * gamma, low * alpha - diag * gamma]
+        )
+
+    y0 = np.zeros(2 * n, dtype=complex)
+    y0[:n] = 1.0
+    sol = solve_ivp(
+        rhs, (0.0, grid.dx), y0, method="DOP853", rtol=RICCATI_RTOL, atol=RICCATI_ATOL
+    )
+    # the dropped solver sits in a reference cycle (its counting wrapper of
+    # rhs closes over it) with its (16, 2N - 2) stage array; collecting the
+    # young generations frees that now rather than at a full collection
+    gc.collect(1)
+    if not sol.success:
+        raise RuntimeError(f"cell propagator integration failed: {sol.message}")
+    return sol.y[:n, -1], sol.y[n:, -1], sol.nfev
+
+
+def _sweep(alpha: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi at every node: the cell propagators applied left to right to
+    phi(x_0) = (1, 0)."""
+    p1, p2 = 1.0 + 0.0j, 0.0j
+    phi1, phi2 = [p1], [p2]
+    for a, g in zip(alpha.tolist(), gamma.tolist()):
+        p1, p2 = a * p1 - g.conjugate() * p2, g * p1 + a.conjugate() * p2
+        phi1.append(p1)
+        phi2.append(p2)
+    return np.array(phi1), np.array(phi2)
+
+
+def _pole_candidates(state: FieldState, lam: float, phi1: np.ndarray) -> np.ndarray:
+    """Cells the Lipschitz screen cannot certify free of |nu| >= NU_BLOWUP.
+
+    |phi| = 1 and the diagonal of A is imaginary, so |phi_1| moves at most
+    at |A_12| = |lam v + u/lam| / sqrt 2, which the l1 norm of its Fourier
+    coefficients bounds by L.  On cell j, |phi_1| then stays above
+    (|phi_1j| + |phi_1,j+1| - L dx) / 2, and |nu| < NU_BLOWUP wherever
+    |phi_1| > 1/NU_BLOWUP.
+    """
+    g = state.grid
+    lip = np.sum(np.abs(np.fft.fft(lam * state.v + state.u / lam))) / (g.n * math.sqrt(2.0))
+    mod = np.abs(phi1)
+    floor = 0.5 * (mod[:-1] + mod[1:] - lip * g.dx)
+    return np.flatnonzero(floor <= 1.0 / NU_BLOWUP)
+
+
+def _refine_cell(sample, lam: float, grid: Grid, j: int, nu0: complex) -> int:
+    """Riccati solve across cell j from nu(x_j) = nu0 with the |nu| =
+    NU_BLOWUP terminal event; raises ``PoleEncounterError`` at the event and
+    otherwise returns the right-hand-side count."""
+    x0 = float(grid.x[j])
+    if abs(nu0) >= NU_BLOWUP:
+        raise PoleEncounterError(lam, x0)
+    k = 0.25 * (lam**-2 - lam**2)
+    c = 1j / math.sqrt(2.0)
+
+    def rhs(s, y):
+        u, v = sample(s)[:, j]
+        nu = y[0]
+        co = lam * v.conjugate() + u.conjugate() / lam
+        return [
+            -1j * (2.0 * k + abs(v) ** 2 - abs(u) ** 2) * nu
+            + c * co * nu * nu
+            - c * (lam * v + u / lam)
+        ]
+
+    def blowup(s, y):
+        return NU_BLOWUP - abs(y[0])
+
+    blowup.terminal = True
+
+    sol = solve_ivp(
+        rhs,
+        (0.0, grid.dx),
+        [complex(nu0)],
+        method="DOP853",
+        rtol=RICCATI_RTOL,
+        atol=RICCATI_ATOL,
+        events=blowup,
+    )
+    if sol.status == 1:
+        raise PoleEncounterError(lam, x0 + float(sol.t_events[0][0]))
+    if not sol.success:
+        raise RuntimeError(f"Riccati integration failed: {sol.message}")
+    return sol.nfev
+
+
 def riccati_solve(state: FieldState, lam: float) -> ScatteringSample:
-    """Integrate the Riccati equation left to right and form log a(lambda).
+    """Solve the Lax x-problem left to right and form log a(lambda).
+
+    All N - 1 cell propagators come from one vectorized DOP853 solve; their
+    left-to-right product gives phi at the nodes and nu = phi_2 / phi_1.
+    Cells that the Lipschitz screen cannot certify pole-free are solved
+    again, in x order, by the Riccati equation with the |nu| = NU_BLOWUP
+    event, and the first event raises ``PoleEncounterError``.
 
     The state must decay at the grid edges; the periodic state is read as
     truncated-line data.  ``lam`` must be real with 0.05 <= |lam| <= 20
@@ -110,44 +220,17 @@ def riccati_solve(state: FieldState, lam: float) -> ScatteringSample:
     if not (LAMBDA_WINDOW[0] <= abs(lam) <= LAMBDA_WINDOW[1]):
         raise ValueError(f"lambda outside conditioning window {LAMBDA_WINDOW}")
     g = state.grid
-    uv_of = _pair_interpolant(state.u, state.v, g)
-    k = 0.25 * (lam**-2 - lam**2)
+    sample = _field_sampler(state.u, state.v, g)
+    alpha, gamma, nfev = _cell_propagators(sample, lam, g)
+    phi1, phi2 = _sweep(alpha, gamma)
+    for j in _pole_candidates(state, lam, phi1):
+        nfev += _refine_cell(sample, lam, g, j, phi2[j] / phi1[j])
+    nu = phi2 / phi1
     c = 1j / math.sqrt(2.0)
-
-    def rhs(x, y):
-        nu = complex(y[0])
-        u, v = uv_of(x)
-        co = lam * v.conjugate() + u.conjugate() / lam
-        return [
-            -1j * (2.0 * k + abs(v) ** 2 - abs(u) ** 2) * nu
-            + c * co * nu * nu
-            - c * (lam * v + u / lam)
-        ]
-
-    def blowup(x, y):
-        return NU_BLOWUP - abs(y[0])
-
-    blowup.terminal = True
-
-    sol = solve_ivp(
-        rhs,
-        (g.x[0], g.x[-1]),
-        [0.0 + 0.0j],
-        method="DOP853",
-        t_eval=g.x,
-        rtol=RICCATI_RTOL,
-        atol=RICCATI_ATOL,
-        events=blowup,
-    )
-    if sol.status == 1:
-        raise PoleEncounterError(lam, float(sol.t_events[0][0]))
-    if not sol.success:
-        raise RuntimeError(f"Riccati integration failed: {sol.message}")
-    nu = sol.y[0]
     co = lam * np.conj(state.v) + np.conj(state.u) / lam
     chi = 0.5j * (np.abs(state.v) ** 2 - np.abs(state.u) ** 2) - c * co * nu
     log_a = quadrature(chi, g)
-    return ScatteringSample(lam=lam, nu=nu, chi=chi, log_a=log_a)
+    return ScatteringSample(lam=lam, nu=nu, chi=chi, log_a=log_a, nfev=nfev)
 
 
 _SUPPORTED_N = (0, 2, -2, 4, -4)

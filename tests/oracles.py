@@ -84,23 +84,30 @@ def strang_oracle(grid: Grid, u: np.ndarray, v: np.ndarray, dt: float, n: int):
 
 class FourierInterpolant:
     """Trigonometric interpolation of periodic grid samples, one direct
-    N-term sum per call (exact for the grid's Fourier representation)."""
+    N-term sum per call (exact for the grid's Fourier representation).
+
+    Mode m turns m (x + L) / 2L times between -L and x; the turns are
+    reduced to [-1/2, 1/2] in long double, so the phase error stays at
+    roundoff instead of growing with m (x + L)."""
 
     def __init__(self, samples: np.ndarray, grid: Grid):
         self._coeff = np.fft.fft(np.asarray(samples, dtype=complex)) / grid.n
-        self._k = grid.wavenumbers
-        self._L = grid.half_length
+        self._modes = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(np.longdouble)
+        self._L = np.longdouble(grid.half_length)
 
     def __call__(self, x: float) -> complex:
-        return complex(np.sum(self._coeff * np.exp(1j * self._k * (x + self._L))))
+        turns = self._modes * ((np.longdouble(x) + self._L) / (2 * self._L))
+        turns -= np.rint(turns)
+        return complex(np.sum(self._coeff * np.exp(2j * np.pi * turns.astype(float))))
 
 
 def riccati_oracle(
     state: FieldState, lam: float, rtol: float = 1e-10, atol: float = 1e-12
 ) -> ScatteringSample:
-    """``riccati_solve`` by RK45 with each field interpolated by its own
-    direct Fourier sum: the same Riccati equation, the same t_eval, blow-up
-    event and log a quadrature, integrated by the pre-factorization path."""
+    """``riccati_solve`` as one scalar Riccati sweep: RK45 on nu from the left
+    edge with each field interpolated by its own direct Fourier sum, nu read
+    at the nodes through t_eval, the |nu| = NU_BLOWUP event, and the same
+    chi and log a quadrature."""
     lam = float(lam)
     g = state.grid
     u_of = FourierInterpolant(state.u, g)
@@ -141,7 +148,9 @@ def riccati_oracle(
     nu = sol.y[0]
     co = lam * np.conj(state.v) + np.conj(state.u) / lam
     chi = 0.5j * (np.abs(state.v) ** 2 - np.abs(state.u) ** 2) - c * co * nu
-    return ScatteringSample(lam=lam, nu=nu, chi=chi, log_a=quadrature(chi, g))
+    return ScatteringSample(
+        lam=lam, nu=nu, chi=chi, log_a=quadrature(chi, g), nfev=sol.nfev
+    )
 
 
 def calibrate_hierarchy_constants(states) -> tuple[complex, complex, float]:

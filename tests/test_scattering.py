@@ -15,7 +15,6 @@ from mtmlab.scattering import (
     HIERARCHY_Q_COEFF,
     HIERARCHY_R_COEFF,
     PoleEncounterError,
-    _pair_interpolant,
     explicit_In,
     hierarchy_relations,
     riccati_solve,
@@ -35,24 +34,22 @@ def perturbed_trajectory(soliton_grid):
     return evolve(state, EvolverConfig(dt=1e-3, t_end=1.0, snapshot_stride=1000)).states
 
 
-class TestPairInterpolant:
+class TestFieldSampler:
     @pytest.mark.parametrize("n", [8, 640, 1024])
-    def test_nodes_and_direct_sum(self, n):
+    def test_matches_direct_sum(self, n):
         g = Grid(40.0, n)
         nyquist = (-1.0) ** np.arange(n)
         u = np.exp(-g.x**2) * (1.0 + 0.3j) + 0.5 * nyquist
         v = 1.0 / np.cosh(g.x) + 0.2j * np.exp(-((g.x - 3.0) ** 2)) - 0.25j * nyquist
-        at = _pair_interpolant(u, v, g)
-        scale = max(np.max(np.abs(u)), np.max(np.abs(v)))
-        nodes = np.array([at(x) for x in g.x])
-        # the node phases k (x + L) reach pi N, so their roundoff grows with N
-        assert np.max(np.abs(nodes - np.stack([u, v], axis=1))) <= 1e-15 * n * scale
+        at = scattering._field_sampler(u, v, g)
+        assert np.max(np.abs(at(0.0) - np.stack([u, v]))) <= 1e-15 * n * np.max(np.abs(u))
         u_of, v_of = FourierInterpolant(u, g), FourierInterpolant(v, g)
-        xs = np.random.default_rng(n).uniform(-g.half_length, g.half_length, 200)
-        for x in xs:
-            pu, pv = at(x)
-            assert abs(pu - u_of(x)) <= 1e-13 * np.max(np.abs(u))
-            assert abs(pv - v_of(x)) <= 1e-13 * np.max(np.abs(v))
+        rng = np.random.default_rng(n)
+        for s in rng.uniform(0.0, g.dx, 5):
+            pu, pv = at(s)
+            for j in rng.choice(n, size=min(n, 40), replace=False):
+                assert abs(pu[j] - u_of(g.x[j] + s)) <= 1e-13 * np.max(np.abs(u))
+                assert abs(pv[j] - v_of(g.x[j] + s)) <= 1e-13 * np.max(np.abs(v))
 
 
 class TestRiccati:
@@ -90,13 +87,15 @@ class TestRiccati:
         vals = [riccati_solve(s, 0.7).log_a for s in traj.states]
         assert max(abs(v - vals[0]) for v in vals) < 1e-5
 
-    def test_tolerance_independence(self, soliton_grid, monkeypatch):
+    @pytest.mark.parametrize("lam", [0.7, 0.05, 20.0])
+    def test_tolerance_independence(self, soliton_grid, monkeypatch, lam):
         state = eval_soliton(SolitonParams(0.5), soliton_grid)
-        a1 = riccati_solve(state, 0.7).log_a
+        s1 = riccati_solve(state, lam)
         monkeypatch.setattr(scattering, "RICCATI_RTOL", 1e-12)
         monkeypatch.setattr(scattering, "RICCATI_ATOL", 1e-14)
-        a2 = riccati_solve(state, 0.7).log_a
-        assert abs(a1 - a2) < 1e-8
+        s2 = riccati_solve(state, lam)
+        assert abs(s1.log_a - s2.log_a) < 1e-8
+        assert np.max(np.abs(s1.nu - s2.nu)) <= 1e-9
 
     def test_pole_encounter(self):
         g = Grid(30.0, 1024)
@@ -108,6 +107,38 @@ class TestRiccati:
         with pytest.raises(PoleEncounterError) as ref:
             riccati_oracle(state, 1.0)
         assert abs(err.value.position - ref.value.position) <= 1e-7
+        # the Lipschitz screen sends the cell holding the pole to the Riccati solve
+        sample = scattering._field_sampler(state.u, state.v, g)
+        alpha, gamma, _ = scattering._cell_propagators(sample, 1.0, g)
+        phi1, _ = scattering._sweep(alpha, gamma)
+        pole_cell = int(np.searchsorted(g.x, ref.value.position)) - 1
+        assert pole_cell in scattering._pole_candidates(state, 1.0, phi1)
+
+    # the window edges turn k dx = 7.8 rad per cell, where the propagators
+    # are unitary to the solve's tolerance rather than to roundoff
+    @pytest.mark.parametrize(
+        "lam, defect",
+        [(0.5, 1e-12), (0.8, 1e-12), (1.25, 1e-12), (2.0, 1e-12),
+         (0.05, scattering.RICCATI_RTOL), (20.0, scattering.RICCATI_RTOL)],
+    )
+    def test_cell_propagators_unitary_and_screen_clear(self, perturbed_trajectory, lam, defect):
+        g = perturbed_trajectory[0].grid
+        for state in perturbed_trajectory:
+            sample = scattering._field_sampler(state.u, state.v, g)
+            alpha, gamma, _ = scattering._cell_propagators(sample, lam, g)
+            assert alpha.shape == gamma.shape == (g.n - 1,)
+            assert np.max(np.abs(np.abs(alpha) ** 2 + np.abs(gamma) ** 2 - 1.0)) <= defect
+            phi1, _ = scattering._sweep(alpha, gamma)
+            assert scattering._pole_candidates(state, lam, phi1).size == 0
+
+    def test_nfev_does_not_depend_on_lambda(self, perturbed_trajectory):
+        counts = {
+            riccati_solve(state, lam).nfev
+            for lam in (0.5, 0.8, 1.25, 2.0)
+            for state in perturbed_trajectory
+        }
+        assert len(counts) == 1
+        assert counts.pop() > 0
 
     def test_matches_rk45_oracle(self, perturbed_trajectory):
         for lam in (0.5, 0.8, 1.25, 2.0):
