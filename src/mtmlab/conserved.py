@@ -43,8 +43,7 @@ def charge(state: FieldState) -> float:
 def momentum(state: FieldState) -> float:
     """P = (i/2) integral of (u conj(u)_x - u_x conj(u) + v conj(v)_x - v_x conj(v))."""
     u, v = state.u, state.v
-    ux = differentiate(u, state.grid)
-    vx = differentiate(v, state.grid)
+    ux, vx = differentiate((u, v), state.grid)
     dens = 0.5j * (
         u * np.conj(ux) - ux * np.conj(u) + v * np.conj(vx) - vx * np.conj(v)
     )
@@ -54,8 +53,7 @@ def momentum(state: FieldState) -> float:
 def hamiltonian(state: FieldState) -> float:
     """Energy functional with Dirac transport, mass-coupling and quartic terms."""
     u, v = state.u, state.v
-    ux = differentiate(u, state.grid)
-    vx = differentiate(v, state.grid)
+    ux, vx = differentiate((u, v), state.grid)
     dens = 0.5j * (
         u * np.conj(ux) - ux * np.conj(u) - v * np.conj(vx) + vx * np.conj(v)
     )
@@ -67,8 +65,10 @@ def higher_density(state: FieldState) -> np.ndarray:
     """Pointwise density rho of the higher-order charge R (complex-valued
     array whose imaginary part vanishes up to roundoff)."""
     u, v = state.u, state.v
-    ux = differentiate(u, state.grid)
-    vx = differentiate(v, state.grid)
+    return _higher_density(u, v, *differentiate((u, v), state.grid))
+
+
+def _higher_density(u, v, ux, vx) -> np.ndarray:
     au = np.abs(u) ** 2
     av = np.abs(v) ** 2
     return (
@@ -94,11 +94,10 @@ def lyapunov(state: FieldState, omega: float) -> float:
 def density_flux(state: FieldState) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise (rho, j) of the balance law d_t rho + d_x j = 0 for R."""
     u, v = state.u, state.v
-    ux = differentiate(u, state.grid)
-    vx = differentiate(v, state.grid)
+    ux, vx = differentiate((u, v), state.grid)
     au = np.abs(u) ** 2
     av = np.abs(v) ** 2
-    rho = higher_density(state)
+    rho = _higher_density(u, v, ux, vx)
     flux = (
         np.abs(ux) ** 2
         - np.abs(vx) ** 2

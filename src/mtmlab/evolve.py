@@ -51,8 +51,8 @@ class EvolverConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0.0 <= self.t_end < np.inf:
+            raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be >= 1")
         n_steps = self.t_end / self.dt

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import conserved, spectral
 from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve
-from .grid import FieldState, Grid, h1_norm_sq, norms, quadrature
+from .grid import FieldState, Grid, differentiate, l2_norm_sq, norms, quadrature
 from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid
 
 STABILITY_FACTOR = 10.0
@@ -84,38 +84,26 @@ def _jsonify(obj):
 # orbital distance
 
 
-def _h1_weights(grid: Grid) -> np.ndarray:
-    k = grid.wavenumbers
-    return 1.0 + k * k
-
-
-def _h1_cross(state: FieldState, phi_u_hat, phi_v_hat, weights) -> np.ndarray:
-    g = state.grid
-    fu = np.fft.fft(state.u)
-    fv = np.fft.fft(state.v)
-    return (g.dx / g.n) * weights * (fu * np.conj(phi_u_hat) + fv * np.conj(phi_v_hat))
-
-
 def orbital_distance(state: FieldState, omega: float) -> tuple[float, float, float]:
     """Minimal H1 distance from a state to the soliton orbit, with the
     minimizing gauge phase and shift.
 
+    Everything is done on the spectra of the state and of the profile pair,
+    each transformed once, under the inner product of ``Grid.h1_weights``.
     For a fixed shift the optimal phase is the argument of the H1 cross
     inner product (closed form); the shift is located by scan + Newton: a
     full-grid correlation scan picks the best grid shift, and a Newton
     ascent on |C|^2 refines it off the grid.  The distance is then evaluated
-    directly on the residual field so that an exact orbit point reports a
+    directly on the residual spectrum so that an exact orbit point reports a
     roundoff-level distance instead of a cancellation artifact.
     """
     g = state.grid
     phi_u = eval_profile(omega, g)
-    phi_v = np.conj(phi_u)
-    phi_u_hat = np.fft.fft(phi_u)
-    phi_v_hat = np.fft.fft(phi_v)
-    weights = _h1_weights(g)
+    f_hat = np.fft.fft(np.stack([state.u, state.v]))
+    phi_hat = np.fft.fft(np.stack([phi_u, np.conj(phi_u)]))
     k = g.wavenumbers
 
-    cross = _h1_cross(state, phi_u_hat, phi_v_hat, weights)
+    cross = (g.dx / g.n) * g.h1_weights * np.sum(f_hat * np.conj(phi_hat), axis=0)
     corr = np.fft.fft(cross)  # corr[m] = <state, phi(. + m dx)>_{H1}
     m_best = int(np.argmax(np.abs(corr)))
     beta0 = m_best * g.dx
@@ -148,13 +136,9 @@ def orbital_distance(state: FieldState, omega: float) -> tuple[float, float, flo
         beta_star = beta0
     alpha_star = float(np.angle(cross_at(beta_star)))
 
-    shift_phase = np.exp(1j * k * beta_star)
-    phi_u_b = np.fft.ifft(phi_u_hat * shift_phase)
-    phi_v_b = np.fft.ifft(phi_v_hat * shift_phase)
-    du = state.u - np.exp(1j * alpha_star) * phi_u_b
-    dv = state.v - np.exp(1j * alpha_star) * phi_v_b
-    dist = float(np.sqrt(h1_norm_sq(du, g) + h1_norm_sq(dv, g)))
-    return dist, alpha_star, beta_star
+    residual = f_hat - np.exp(1j * (alpha_star + k * beta_star)) * phi_hat
+    power = (g.dx / g.n) * np.abs(residual) ** 2
+    return float(np.sqrt(np.sum(g.h1_weights * power))), alpha_star, beta_star
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +162,12 @@ def random_h1_perturbation(grid: Grid, seed: int, size: float) -> tuple[np.ndarr
         for m in range(-PERTURBATION_MODES, PERTURBATION_MODES + 1):
             coeffs[m % grid.n] = rng.standard_normal() + 1j * rng.standard_normal()
         fields.append(np.fft.ifft(coeffs) * grid.n * window)
-    wu, wv = fields
-    total = h1_norm_sq(wu, grid) + h1_norm_sq(wv, grid)
+    # the scale keeps the rectangle-rule form of ||f||^2 + ||f'||^2 (equal to
+    # h1_norm_sq up to roundoff), so a seed keeps drawing the same bits
+    total = sum(l2_norm_sq(f, grid) + l2_norm_sq(df, grid)
+                for f, df in zip(fields, differentiate(fields, grid)))
     scale = size / np.sqrt(total)
-    return wu * scale, wv * scale
+    return fields[0] * scale, fields[1] * scale
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +196,8 @@ def relative_drift(series: Sequence[float], scale_floor: float) -> float:
 def perturbed_soliton(omega: float, grid: Grid, seed: int, delta: float) -> FieldState:
     """The resting omega soliton plus a seeded random H1 field of size delta
     (the bare soliton when delta = 0)."""
-    if delta < 0:
-        raise ValueError("perturbation size must be nonnegative")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError(f"perturbation size must be nonnegative and finite, got {delta!r}")
     state = eval_soliton(SolitonParams(omega), grid)
     if delta > 0:
         wu, wv = random_h1_perturbation(grid, seed, delta)
@@ -300,9 +286,10 @@ def stability_experiment(
 
 def gaussian_data(grid: Grid, q_target: float, seed: int) -> FieldState:
     """Gaussian initial data with the requested charge and a seeded
-    momentum kick on each component; a negative charge is refused."""
-    if q_target < 0:
-        raise ValueError(f"charge must be nonnegative, got {q_target}")
+    momentum kick on each component; a negative or non-finite charge is
+    refused."""
+    if not 0.0 <= q_target < np.inf:
+        raise ValueError(f"charge must be nonnegative and finite, got {q_target!r}")
     rng = np.random.default_rng(seed)
     ku, kv = rng.uniform(-1.0, 1.0, size=2)
     env = np.exp(-grid.x**2)

@@ -60,6 +60,13 @@ class Grid:
         k[self.n // 2] = 0.0
         return k
 
+    @cached_property
+    def h1_weights(self) -> np.ndarray:
+        """Fourier weights 1 + k^2 of the H1 inner product, with the
+        derivative's Nyquist multiplier zeroed as in :func:`differentiate`:
+        by Parseval, <f, h>_H1 = (dx / n) sum of h1_weights fft(f) conj(fft(h))."""
+        return 1.0 + self.wavenumbers_odd**2
+
 
 @dataclass
 class FieldState:
@@ -88,9 +95,10 @@ def zero_state(grid: Grid, t: float = 0.0) -> FieldState:
 
 
 def differentiate(samples: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
-    """Fourier-spectral derivative of a sampled field."""
+    """Fourier-spectral derivative of a sampled field, or of each field in a
+    stack (..., N) by one transform pair."""
     s = np.asarray(samples, dtype=complex)
-    if s.shape != (grid.n,):
+    if s.shape[-1:] != (grid.n,):
         raise ValueError("sample length does not match grid")
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -112,8 +120,13 @@ def l2_norm_sq(samples: np.ndarray, grid: Grid) -> float:
 
 
 def h1_norm_sq(samples: np.ndarray, grid: Grid) -> float:
-    """Squared H1 norm of one component: ||f||^2 + ||f'||^2."""
-    return l2_norm_sq(samples, grid) + l2_norm_sq(differentiate(samples, grid), grid)
+    """Squared H1 norm ||f||^2 + ||f'||^2, summed over a stack (..., N) of
+    fields: by Parseval, the ``Grid.h1_weights``-weighted power spectrum."""
+    s = np.asarray(samples, dtype=complex)
+    if s.shape[-1:] != (grid.n,):
+        raise ValueError("sample length does not match grid")
+    power = (grid.dx / grid.n) * np.abs(np.fft.fft(s)) ** 2
+    return float(np.sum(np.sum(grid.h1_weights * power, axis=-1)))
 
 
 def norms(state: FieldState) -> dict[str, float]:
@@ -122,29 +135,29 @@ def norms(state: FieldState) -> dict[str, float]:
     Returns ``L2_sq``, ``H1_sq`` and ``L<p>`` = integral of |u|^p + |v|^p for
     p in {4, 6}, and ``interp_ratio``: the largest ratio, over both
     components f and p in {2, 3}, of the integral of |f|^(2p) to the
-    interpolation bound ||f'||^(p-1) ||f||^(p+1).  Each component is
-    differentiated once.
+    interpolation bound ||f'||^(p-1) ||f||^(p+1).  The pair is transformed
+    once, and ``H1_sq`` is ``h1_norm_sq`` of the pair.
     """
-    parts = []
-    for f in (state.u, state.v):
-        absf = np.abs(f)
-        grad_sq = l2_norm_sq(differentiate(f, state.grid), state.grid)
-        parts.append((l2_norm_sq(f, state.grid), grad_sq, absf**4, absf**6))
-    (u_l2, u_grad, u4, u6), (v_l2, v_grad, v4, v6) = parts
+    g = state.grid
+    fields = np.stack([state.u, state.v])
+    power = (g.dx / g.n) * np.abs(np.fft.fft(fields)) ** 2
+    grad_sq = np.sum(g.wavenumbers_odd**2 * power, axis=-1)
+    l2_sq = [l2_norm_sq(f, g) for f in fields]
+    absf = np.abs(fields)
     out = {
-        "L2_sq": u_l2 + v_l2,
-        "H1_sq": (u_l2 + u_grad) + (v_l2 + v_grad),
-        "L4": float(np.real(quadrature(u4 + v4, state.grid))),
-        "L6": float(np.real(quadrature(u6 + v6, state.grid))),
+        "L2_sq": l2_sq[0] + l2_sq[1],
+        "H1_sq": float(np.sum(np.sum(g.h1_weights * power, axis=-1))),
+        "L4": float(np.real(quadrature(absf[0] ** 4 + absf[1] ** 4, g))),
+        "L6": float(np.real(quadrature(absf[0] ** 6 + absf[1] ** 6, g))),
     }
     ratio = 0.0
-    for l2_sq, grad_sq, *dens in parts:
-        l2 = np.sqrt(max(l2_sq, 1e-300))
-        dl2 = np.sqrt(max(grad_sq, 1e-300))
-        for p, d in zip((2, 3), dens):
+    for f_l2_sq, f_grad_sq, a in zip(l2_sq, grad_sq, absf):
+        l2 = np.sqrt(max(f_l2_sq, 1e-300))
+        dl2 = np.sqrt(max(f_grad_sq, 1e-300))
+        for p in (2, 3):
             bound = dl2 ** (p - 1) * l2 ** (p + 1)
             if bound > 0:
-                ratio = max(ratio, float(np.real(quadrature(d, state.grid))) / bound)
+                ratio = max(ratio, float(np.real(quadrature(a ** (2 * p), g))) / bound)
     out["interp_ratio"] = float(ratio)
     return out
 

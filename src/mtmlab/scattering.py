@@ -246,8 +246,7 @@ def explicit_In(state: FieldState, n: int) -> complex:
     av = np.abs(v) ** 2
     if n == 0:
         return quadrature(au + av, g)
-    ux = differentiate(u, g)
-    vx = differentiate(v, g)
+    ux, vx = differentiate((u, v), g)
     cross = 1j * np.conj(v) * u + 1j * np.conj(u) * v
     if n == 2:
         dens = -2.0 * ux * np.conj(u) + cross - 2j * au * av
@@ -258,22 +257,22 @@ def explicit_In(state: FieldState, n: int) -> complex:
     total = au + av
     pair = u * np.conj(v) + v * np.conj(u)
     if n == 4:
-        uxx = differentiate(ux, g)
+        uxx, uav_x = differentiate((ux, u * av), g)
         dens = (
             -4j * np.conj(u) * uxx
             - 2.0 * (ux * np.conj(v) + np.conj(u) * vx)
-            + 4.0 * np.conj(u) * differentiate(u * av, g)
+            + 4.0 * np.conj(u) * uav_x
             + 4.0 * ux * np.conj(u) * total
             + 1j * total
             - 2j * pair * total
             + 4j * au * av * total
         )
         return quadrature(dens, g)
-    vxx = differentiate(vx, g)
+    vxx, vau_x = differentiate((vx, v * au), g)
     dens = (
         4j * np.conj(v) * vxx
         - 2.0 * (ux * np.conj(v) + np.conj(u) * vx)
-        + 4.0 * np.conj(v) * differentiate(v * au, g)
+        + 4.0 * np.conj(v) * vau_x
         + 4.0 * vx * np.conj(v) * total
         - 1j * total
         + 2j * pair * total

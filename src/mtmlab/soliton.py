@@ -127,10 +127,8 @@ def residual_second_order(u: np.ndarray, v: np.ndarray, big_omega: float, grid: 
     big_omega = 1 - omega^2."""
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
-    ux = differentiate(u, grid)
-    vx = differentiate(v, grid)
-    uxx = differentiate(u, grid, order=2)
-    vxx = differentiate(v, grid, order=2)
+    ux, vx = differentiate((u, v), grid)
+    uxx, vxx = differentiate((u, v), grid, order=2)
     au = np.abs(u) ** 2
     av = np.abs(v) ** 2
     res_u = (

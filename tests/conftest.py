@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,22 @@ from mtmlab.grid import FieldState, Grid
 def soliton_grid() -> Grid:
     """Standard evolution grid: wide enough for |omega| <= 0.5 solitons."""
     return Grid(40.0, 1024)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch) -> Counter:
+    """Counts of ``np.fft.fft`` and ``np.fft.ifft`` calls made during a test
+    (the wrappers are undone after it)."""
+    calls: Counter = Counter()
+    for name in ("fft", "ifft"):
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
 
 
 def random_decaying_state(grid: Grid, seed: int, amplitude: float = 0.3) -> FieldState:

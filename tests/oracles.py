@@ -187,6 +187,14 @@ def measured_interpolation_constant(states) -> float:
     return best
 
 
+def h1_norm_sq_physical(fields, grid: Grid) -> float:
+    """Squared H1 norm ||f||^2 + ||f'||^2 summed over a stack of fields, by
+    the rectangle rule on the samples and on their spectral derivative: the
+    physical-space reference for the Parseval form of ``grid.h1_norm_sq``."""
+    return sum(l2_norm_sq(f, grid) + l2_norm_sq(differentiate(f, grid), grid)
+               for f in np.atleast_2d(fields))
+
+
 def differentiation_matrices_fft(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Dense first/second derivative matrices by FFTs of the identity's
     columns, cleaned to exact (anti)symmetry."""

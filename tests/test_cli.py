@@ -155,10 +155,24 @@ class TestEvolveCommand:
         argv = ["evolve", "--delta=-1e-2", "--grid-N", "256", "--out", str(tmp_path)]
         assert "nonnegative" in _usage_error(argv, capsys)
 
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_non_finite_delta_rejected(self, tmp_path, capsys, delta):
+        out = tmp_path / "refused"
+        argv = ["evolve", "--delta", delta, "--grid-N", "256", "--out", str(out)]
+        assert "perturbation size must be nonnegative and finite" in _usage_error(argv, capsys)
+        assert not out.exists()
+
     def test_fractional_step_count_rejected(self, tmp_path, capsys):
         argv = ["evolve", "--t-end", "0.0015", "--dt", "1e-3", "--grid-N", "256",
                 "--out", str(tmp_path)]
         assert "not a whole number of steps" in _usage_error(argv, capsys)
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_end_time_rejected(self, tmp_path, capsys, value):
+        out = tmp_path / "refused"
+        argv = ["evolve", "--t-end", value, "--grid-N", "256", "--out", str(out)]
+        assert "t_end must be nonnegative and finite" in _usage_error(argv, capsys)
+        assert not out.exists()
 
 
 class TestScatterCommand:
@@ -274,6 +288,12 @@ class TestStabilityCommand:
         argv = ["stability", "--grid-L", "inf", "--out", str(tmp_path)]
         assert "half_length must be finite" in _usage_error(argv, capsys)
 
+    def test_nan_delta_rejected(self, tmp_path, capsys):
+        out = tmp_path / "refused"
+        argv = ["stability", "--delta", "nan", "--out", str(out)]
+        assert "perturbation size must be nonnegative and finite" in _usage_error(argv, capsys)
+        assert not out.exists()
+
 
 class TestH1BoundCommand:
     def test_record_is_written(self, tmp_path):
@@ -294,6 +314,10 @@ class TestH1BoundCommand:
     def test_negative_charge_rejected(self, tmp_path, capsys):
         argv = ["h1bound", "--charge", "-0.1", "--out", str(tmp_path)]
         assert "charge must be nonnegative" in _usage_error(argv, capsys)
+
+    def test_nan_charge_rejected(self, tmp_path, capsys):
+        argv = ["h1bound", "--charge", "nan", "--out", str(tmp_path)]
+        assert "charge must be nonnegative and finite" in _usage_error(argv, capsys)
 
     def test_refused_run_leaves_no_out_directory(self, tmp_path, capsys):
         out = tmp_path / "refused"

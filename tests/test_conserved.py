@@ -132,6 +132,22 @@ class TestDensityFlux:
         assert np.max(np.abs(rho)) == 0.0
         assert np.max(np.abs(flux)) == 0.0
 
+    def test_pair_is_differentiated_once(self, soliton_half, fft_calls):
+        fft_calls.clear()
+        density_flux(soliton_half)
+        assert fft_calls == {"fft": 1, "ifft": 1}
+
+
+class TestEvaluateAll:
+    def test_one_transform_pair_per_derivative_functional(self, soliton_half, fft_calls):
+        # P, H and R each differentiate (u, v) as one stack; Q needs none
+        fft_calls.clear()
+        values = evaluate_all(soliton_half)
+        assert fft_calls == {"fft": 3, "ifft": 3}
+        assert (values.Q, values.P, values.H, values.R) == (
+            charge(soliton_half), momentum(soliton_half),
+            hamiltonian(soliton_half), higher_charge(soliton_half))
+
 
 @pytest.fixture(scope="module")
 def evolved_state(soliton_grid):

@@ -22,6 +22,9 @@ class TestConfig:
             EvolverConfig(dt=1e-3, t_end=1.0, snapshot_stride=0)
         with pytest.raises(ValueError, match="t_end"):
             EvolverConfig(dt=0.3, t_end=1.0)  # not a whole number of steps
+        for t_end in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="t_end must be nonnegative and finite"):
+                EvolverConfig(dt=1e-3, t_end=t_end)
 
 
 class TestStep:

@@ -19,8 +19,8 @@ from mtmlab.experiments import (
     random_h1_perturbation,
     stability_experiment,
 )
-from conftest import roll_state
-from oracles import measured_interpolation_constant
+from conftest import random_decaying_state, roll_state
+from oracles import h1_norm_sq_physical, measured_interpolation_constant
 
 
 class TestOrbitalDistance:
@@ -92,6 +92,38 @@ class TestOrbitalDistance:
             assert abs(alpha - 0.4) < 1e-12
             assert dist < 1e-9
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_distance_matches_physical_oracle(self, soliton_grid, seed):
+        # the distance is the rectangle-rule H1 norm of the residual at the
+        # returned phase and shift, the orbit point shifted by a Fourier phase
+        g = soliton_grid
+        sol = eval_soliton(SolitonParams(0.3, shift=0.7, phase=-1.1), g)
+        noise = random_decaying_state(g, seed, amplitude=0.05)
+        state = FieldState(g, sol.u + noise.u, sol.v + noise.v, 0.0)
+        dist, alpha, beta = orbital_distance(state, 0.3)
+        phi = eval_profile(0.3, g)
+        shift = np.exp(1j * (alpha + g.wavenumbers * beta))
+        orbit = np.fft.ifft(np.fft.fft(np.stack([phi, np.conj(phi)])) * shift)
+        ref = h1_norm_sq_physical((state.u - orbit[0], state.v - orbit[1]), g)
+        assert dist == pytest.approx(np.sqrt(ref), rel=1e-13, abs=0.0)
+
+    def test_no_inverse_transform(self, soliton_grid, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("orbital_distance called np.fft.ifft")
+
+        state = eval_soliton(SolitonParams(0.3, shift=1.0, phase=0.4), soliton_grid)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
+        dist, alpha, beta = orbital_distance(state, 0.3)
+        assert dist < 1e-10
+        assert beta == pytest.approx(1.0, abs=1e-12)
+
+    def test_three_transforms(self, soliton_grid, fft_calls):
+        # the state, the profile pair and the correlation scan
+        state = eval_soliton(SolitonParams(0.3, shift=1.0), soliton_grid)
+        fft_calls.clear()
+        orbital_distance(state, 0.3)
+        assert fft_calls == {"fft": 3}
+
     def test_pseudometric_orbit_invariance(self, soliton_grid):
         sol = eval_soliton(SolitonParams(0.3), soliton_grid)
         bump = np.exp(-(soliton_grid.x**2))
@@ -139,6 +171,11 @@ class TestStability:
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
             stability_experiment(0.3, -1.0, 1.0, seed=0)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_delta_rejected(self, delta):
+        with pytest.raises(ValueError, match="perturbation size must be nonnegative and finite"):
+            stability_experiment(0.3, delta, 1.0, seed=0)
 
 
 class TestEvolutionRun:
@@ -211,6 +248,11 @@ class TestH1Bound:
 
         state = gaussian_data(g, 0.2, seed=7)
         assert charge(state) == pytest.approx(0.2, rel=1e-10)
+
+    @pytest.mark.parametrize("q_target", [np.nan, np.inf, -0.1])
+    def test_bad_charge_refused_by_name(self, q_target):
+        with pytest.raises(ValueError, match="charge must be nonnegative and finite"):
+            gaussian_data(Grid(30.0, 512), q_target, seed=7)
 
 
 class TestOmegaSweep:

@@ -12,12 +12,15 @@ from mtmlab.grid import (
     Grid,
     differentiate,
     dump_state,
+    h1_norm_sq,
     load_state,
     norms,
     quadrature,
     zero_state,
 )
 from mtmlab.soliton import eval_soliton, SolitonParams
+from conftest import random_decaying_state
+from oracles import h1_norm_sq_physical
 
 
 class TestGridInvariants:
@@ -140,6 +143,39 @@ class TestNorms:
         vals = norms(state)
         grad_sq = np.sqrt(np.pi / 2.0)  # ||d/dx exp(-x^2)||^2 happens to equal ||.||^2
         assert vals["H1_sq"] == pytest.approx(vals["L2_sq"] + grad_sq, abs=1e-8)
+
+
+class TestH1InnerProduct:
+    def test_weights_zero_the_nyquist_derivative(self):
+        g = Grid(10.0, 64)
+        assert np.array_equal(g.h1_weights, 1.0 + g.wavenumbers_odd**2)
+        assert g.h1_weights[g.n // 2] == 1.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_parseval_norms_match_physical_oracle(self, seed):
+        g = Grid(20.0, 256)
+        state = random_decaying_state(g, seed)
+        pair = (state.u, state.v)
+        ref = h1_norm_sq_physical(pair, g)
+        assert h1_norm_sq(state.u, g) == pytest.approx(
+            h1_norm_sq_physical(state.u, g), rel=1e-13, abs=0.0)
+        assert h1_norm_sq(pair, g) == pytest.approx(ref, rel=1e-13, abs=0.0)
+        assert norms(state)["H1_sq"] == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_stack_is_per_field_bit_for_bit(self):
+        g = Grid(20.0, 256)
+        state = random_decaying_state(g, 5)
+        for order in (1, 2):
+            du, dv = differentiate((state.u, state.v), g, order)
+            assert np.array_equal(du, differentiate(state.u, g, order))
+            assert np.array_equal(dv, differentiate(state.v, g, order))
+        assert norms(state)["H1_sq"] == h1_norm_sq(state.u, g) + h1_norm_sq(state.v, g)
+
+    def test_norms_transform_the_pair_once(self, fft_calls):
+        state = random_decaying_state(Grid(20.0, 256), 2)
+        fft_calls.clear()
+        norms(state)
+        assert fft_calls == {"fft": 1}
 
 
 class TestDumpFormat:
