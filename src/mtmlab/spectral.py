@@ -42,12 +42,16 @@ sector matrices.  In the orthonormal bases e_0, e_{N/2},
 (e_j + e_{N-j})/sqrt 2 of even and (e_j - e_{N-j})/sqrt 2 of odd lattice
 functions, K = +1 on (even Re w, odd Im w) and -1 on (odd Re w, even Im w)
 (``parity_split``), so a sector operator is the (2, N, N) stack of two
-blocks, gathered from the circulant derivative columns; the 2N x 2N matrix
-is never formed.  The constraint vector s of each sector lies in its +1
-block and the kernel vector k in its -1 block; each block is reduced to
-tridiagonal form once, with s+ (or k-) reflected onto e_1, for its share of
-the isolated spectrum, its minimum off that vector and, on the kernel-free
-+1 block, sigma = 2 dx s+^T M+^{-1} s+.  The symmetry breaks only in the
+blocks, each gathered from the circulant derivative columns by one writer,
+``_parity_block``; the 2N x 2N matrix is never formed.  The constraint
+vector s of each sector lies in its +1 block and the kernel vector k in its
+-1 block; each block is reduced to tridiagonal form once, with s+ (or k-)
+reflected onto e_1, for its share of the isolated spectrum, its minimum off
+that vector and, on the kernel-free +1 block, sigma = 2 dx s+^T M+^{-1} s+.
+The analysis writes the two blocks in turn into one N x N buffer and reduces
+each in place: LAPACK's lower reduction never reads the strict upper
+triangle, so that triangle and the saved diagonal still apply M for the
+sigma residual.  The symmetry breaks only in the
 e^-22 tail at the fixed point x = -L; ``parity_defect`` records the largest
 wrong-parity component of the coefficients and of s and k, refused above
 CONSTRUCTION_TOL (a domain too short for the soliton).  The Schrodinger
@@ -136,16 +140,27 @@ class DiscreteOperator:
             raise ValueError("operator matrix must be square or a stack of two square blocks")
         if not self.continuum_edge > 0.0:
             raise ValueError("continuum edge must be positive")
-        if not self.parity_defect <= CONSTRUCTION_TOL:  # NaN included
-            raise OperatorConstructionError(f"parity defect {self.parity_defect:.3e} (a domain "
-                                            "too short for the soliton's tail, or "
-                                            "non-finite coefficients)")
+        _refuse_defect(self.parity_defect)
 
     @property
     def cutoff(self) -> float:
-        """Upper end of the isolated spectrum: the continuum edge minus the
-        leakage margin."""
-        return self.continuum_edge * (1.0 - CONTINUUM_MARGIN)
+        """Upper end of the isolated spectrum (``_cutoff``)."""
+        return _cutoff(self.continuum_edge)
+
+
+def _refuse_defect(parity_defect: float) -> None:
+    """Raise ``OperatorConstructionError`` unless the parity defect is at
+    most CONSTRUCTION_TOL."""
+    if not parity_defect <= CONSTRUCTION_TOL:  # NaN included
+        raise OperatorConstructionError(f"parity defect {parity_defect:.3e} (a domain "
+                                        "too short for the soliton's tail, or "
+                                        "non-finite coefficients)")
+
+
+def _cutoff(continuum_edge: float) -> float:
+    """Upper end of the isolated spectrum: the continuum edge minus the
+    leakage margin."""
+    return continuum_edge * (1.0 - CONTINUUM_MARGIN)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +241,10 @@ def _negative_d2_blocks(c2: np.ndarray, even_out: np.ndarray, odd_out: np.ndarra
     np.subtract(hankel[1:h, 1:h], toeplitz[1:h, 1:h], out=odd_out)
 
 
-def _parity_blocks(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float]:
-    """The K = +1 and K = -1 blocks of the realified pair operator
+def _parity_block(grid: Grid, g, pa, pd, q, parity: int, out: np.ndarray) -> None:
+    """Write the K = ``parity`` block of the realified pair operator
     [[-D2 + pa, -S + q], [S + q, -D2 + pd]], S = (g D1 + D1 g)/2, for even
-    diagonals g, pa, pd and odd q, and the coefficients' largest coordinate
-    of wrong parity (the -1 part of each pair (c, q)).  The -D2 parts are
+    diagonals g, pa, pd and odd q, into the N x N ``out``.  The -D2 parts are
     ``_negative_d2_blocks``; the even-odd part of S is
     s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2."""
     n, h = grid.n, grid.n // 2
@@ -240,25 +254,39 @@ def _parity_blocks(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float]:
 
     # +1 = [[pa - ee, q - eo], [(q - eo)^T, pd - oo]] on (even, odd) and
     # -1 = [[pa - oo, (q + eo)^T], [q + eo, pd - ee]] on (odd, even)
-    blocks = np.empty((2, n, n))
-    plus, minus = blocks
-    e, o = slice(None, h + 1), slice(h + 1, None)
-    _negative_d2_blocks(c2, plus[e, e], plus[o, o])
-    off_minus = minus[h - 1 :, : h - 1]  # eo, then q + eo
+    if parity > 0:
+        e, o = slice(None, h + 1), slice(h + 1, None)
+        diagonal = np.concatenate([pa[: h + 1], pd[odd]])
+    else:
+        e, o = slice(h - 1, None), slice(None, h - 1)
+        diagonal = np.concatenate([pa[odd], pd[: h + 1]])
+    _negative_d2_blocks(c2, out[e, e], out[o, o])
     toeplitz, hankel = _reflection_views(c1)
-    np.subtract(toeplitz[:, 1:h], hankel[:, 1:h], out=off_minus)
-    off_minus *= 0.5 * scale[:, None] * (g[: h + 1, None] + g[odd])
-    np.negative(off_minus, out=plus[e, o])
-    plus[odd, h + odd] += q[odd]
-    off_minus[odd, odd - 1] += q[odd]
-    plus[o, e] = plus[e, o].T
-    minus[: h - 1, h - 1 :] = off_minus.T
-    minus[: h - 1, : h - 1] = plus[o, o]
-    minus[h - 1 :, h - 1 :] = plus[e, e]
-    plus.flat[:: n + 1] += np.concatenate([pa[: h + 1], pd[odd]])
-    minus.flat[:: n + 1] += np.concatenate([pa[odd], pd[: h + 1]])
+    off = out[e, o]  # -eo on +1, eo on -1, then plus q
+    first, second = (hankel, toeplitz) if parity > 0 else (toeplitz, hankel)
+    np.subtract(first[:, 1:h], second[:, 1:h], out=off)
+    weight = g[: h + 1, None] + g[odd]  # s_i (g_i + g_j) / 2 in one temporary
+    weight *= 0.5 * scale[:, None]
+    off *= weight
+    off[odd, odd - 1] += q[odd]
+    out[o, e] = off.T
+    out.flat[:: n + 1] += diagonal
+
+
+def _wrong_parity(g, pa, pd, q) -> float:
+    """The largest coordinate of wrong parity of the coefficients of
+    ``_parity_block``: the -1 part of each pair (c, q)."""
     wrong = [parity_split(np.concatenate([c, q]))[1] for c in (g, pa, pd)]
-    return blocks, max(float(np.max(np.abs(w))) for w in wrong)
+    return max(float(np.max(np.abs(w))) for w in wrong)
+
+
+def _parity_stack(grid: Grid, coefficients) -> np.ndarray:
+    """The (2, N, N) stack of the K = +1 and K = -1 blocks of
+    ``_parity_block``."""
+    blocks = np.empty((2, grid.n, grid.n))
+    for parity, out in zip((1, -1), blocks):
+        _parity_block(grid, *coefficients, parity, out)
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +302,11 @@ def _sector_constraints(omega: float, grid: Grid, sign: int):
     return parity_split(embed_conjugate_pair(s)), parity_split(embed_conjugate_pair(k))
 
 
-def build_sector_operator(
-        omega: float, grid: Grid, sign: int, constraints=None) -> DiscreteOperator:
-    """The parity-block stack of the realified 2N x 2N operator of the
-    v = sign * conj(u) reduction: sign=+1 gives the sector whose kernel holds
-    the translation mode (U', conj U'), sign=-1 the gauge mode (U, -conj U).
-    The parity defect includes the dropped parts s- and k+ of the sector's
-    ``_sector_constraints``, evaluated here unless given as ``constraints``."""
+def _sector_coefficients(omega: float, grid: Grid, sign: int, constraints):
+    """The coefficients (g, pa, pd, q) of ``_parity_block`` for the
+    v = sign * conj(u) reduction, and the sector's parity defect: that of the
+    coefficients and the dropped parts s- and k+ of its ``constraints``
+    (``_sector_constraints``)."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     u = eval_profile(omega, grid)
@@ -294,10 +320,22 @@ def build_sector_operator(
         g = -2.0 * absq
         pot = -2.0 * absq**2 - 2.0 * omega * absq + big
         off = 2.0 * omega * u**2
-    blocks, defect = _parity_blocks(grid, g, pot + off.real, pot - off.real, off.imag)
-    (_, s_dropped), (k_dropped, _) = constraints or _sector_constraints(omega, grid, sign)
-    defect = max(defect, float(np.max(np.abs(s_dropped))), float(np.max(np.abs(k_dropped))))
-    return DiscreteOperator(blocks, big, parity_defect=defect)
+    coefficients = (g, pot + off.real, pot - off.real, off.imag)
+    (_, s_dropped), (k_dropped, _) = constraints
+    defect = max(_wrong_parity(*coefficients), float(np.max(np.abs(s_dropped))),
+                 float(np.max(np.abs(k_dropped))))
+    return coefficients, defect
+
+
+def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperator:
+    """The parity-block stack of the realified 2N x 2N operator of the
+    v = sign * conj(u) reduction: sign=+1 gives the sector whose kernel holds
+    the translation mode (U', conj U'), sign=-1 the gauge mode (U, -conj U).
+    The parity defect is that of ``_sector_coefficients``."""
+    coefficients, defect = _sector_coefficients(
+        omega, grid, sign, _sector_constraints(omega, grid, sign))
+    return DiscreteOperator(_parity_stack(grid, coefficients), 1.0 - omega * omega,
+                            parity_defect=defect)
 
 
 def _hessian_complex_blocks(omega: float, grid: Grid):
@@ -412,9 +450,9 @@ def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperat
         wrong = parity_split(np.concatenate([diag, np.zeros(grid.n)]))[1]
         return DiscreteOperator(blocks, 1.0, parity_defect=float(np.max(np.abs(wrong))))
     v1, v2 = problem.coupled_potentials(grid.x)
-    blocks, defect = _parity_blocks(
-        grid, np.zeros(grid.n), 1.0 + v1 + v2.real, 1.0 + v1 - v2.real, v2.imag)
-    return DiscreteOperator(blocks, 1.0, parity_defect=defect)
+    coefficients = (np.zeros(grid.n), 1.0 + v1 + v2.real, 1.0 + v1 - v2.real, v2.imag)
+    return DiscreteOperator(_parity_stack(grid, coefficients), 1.0,
+                            parity_defect=_wrong_parity(*coefficients))
 
 
 def stretched_grid(omega: float, grid_x: Grid) -> Grid:
@@ -436,7 +474,7 @@ def isolated_spectrum(op: DiscreteOperator) -> np.ndarray:
     of each block; the margin below the edge excludes discretized continuum
     states that scatter slightly below it on finite domains."""
     blocks = op.matrix.reshape(-1, *op.matrix.shape[-2:])
-    return _eigenvalues_below([_reduce_block(b)[:2] for b in blocks], op.cutoff)
+    return _eigenvalues_below([_reduce_block(b.copy())[:2] for b in blocks], op.cutoff)
 
 
 def _eigenvalues_below(tridiagonals, cutoff: float) -> np.ndarray:
@@ -448,27 +486,34 @@ def _eigenvalues_below(tridiagonals, cutoff: float) -> np.ndarray:
 
 
 def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
-    """Tridiagonal form (d, e) of a symmetric block M from one in-place
-    reduction of a copy, and with ``solve`` the ``SigmaSolve`` of v^T M^{-1} v.
+    """Tridiagonal form (d, e) of a symmetric block M from one reduction in
+    place, and with ``solve`` the ``SigmaSolve`` of v^T M^{-1} v.  The block
+    is consumed: the lower triangle of its Fortran view ``matrix.T`` ends up
+    holding the reduction, while the strict upper triangle, which no
+    lower-triangle routine touches, and the diagonal, saved and written back,
+    still hold M on return.
     A ``vector`` v is first reflected onto e_1 by the rank-two update
     H M H = M - h w^T - w h^T (H = I - beta h h^T, H v = -a e_1, a = |v|
     signed as v_0).  LAPACK's lower reduction H M H = Q T Q^T keeps e_1 fixed
     (Golub & Van Loan, sec. 8.3): T has the spectrum of M, T[1:, 1:] is M off
     v, and T y = e_1 gives v^T M^{-1} v = a^2 y_0, checked by the residual of
-    x = -a H Q y with Q applied from the stored reflectors.  Products with M
-    are BLAS ``dsymv`` calls (see the module docstring)."""
+    x = -a H Q y with Q applied from the stored reflectors and M from that
+    upper triangle.  Products with M are BLAS ``dsymv`` calls (see the module
+    docstring)."""
     n = matrix.shape[0]
-    t = np.array(matrix, order="C").T  # Fortran-ordered, as M is symmetric
+    t = matrix.T  # Fortran-ordered, as M is symmetric
+    diagonal = matrix.diagonal().copy()
     if vector is not None:
         h = np.array(vector, dtype=float)
         a = np.copysign(np.linalg.norm(h), h[0])
         h[0] += a
         beta = 2.0 / (h @ h)
-        p = dsymv(beta, matrix.T, h, lower=1)
+        p = dsymv(beta, t, h, lower=1)
         w = p - (0.5 * beta * (p @ h)) * h
         t = dsyr2(-1.0, h, w, lower=1, a=t, overwrite_a=1)
     lwork, _ = dsytrd_lwork(n, lower=1)
     c, d, e, tau, _ = dsytrd(t, lower=1, lwork=int(lwork), overwrite_a=1)
+    np.fill_diagonal(c, diagonal)
     if not solve:
         return d, e, None
     *_, y, info = dgtsv(e, d, e, np.eye(1, n)[0])
@@ -476,10 +521,17 @@ def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
         raise np.linalg.LinAlgError("singular block: v^T M^{-1} v is undefined")
     value = float(a * a * y[0])
     # Q y = H(1) ... H(n-1) y, applied as LAPACK's dormtr does for a lower
-    # reduction; lwork = 1 selects the unblocked loop, the cheaper for one column
-    y[1:] = dormqr("L", "N", c[1:, : n - 1], tau, y[1:, None], 1)[0][:, 0]
+    # reduction; lwork = 1 selects the unblocked loop, the cheaper for one column.
+    # The reflectors c[1:, :n-1] go to dormqr without a copy, as the contiguous
+    # (n, n-1) Fortran array that starts at c[1, 0]: its extra last row is
+    # c[0, 1:], zeroed meanwhile, so the padding appended to y stays 0
+    first_row = c[0, 1:].copy()
+    c[0, 1:] = 0.0
+    reflectors = c.ravel(order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
+    y[1:] = dormqr("L", "N", reflectors, tau, np.append(y[1:], 0.0)[:, None], 1)[0][:-1, 0]
+    c[0, 1:] = first_row
     x = -a * (y - (beta * (h @ y)) * h)
-    residual = dsymv(1.0, matrix.T, x, beta=-1.0, y=vector, lower=1)
+    residual = dsymv(1.0, c, x, beta=-1.0, y=vector, lower=0)
     return d, e, SigmaSolve(value, float(np.max(np.abs(residual))))
 
 
@@ -568,24 +620,31 @@ class SectorAnalysis(NamedTuple):
 @lru_cache(maxsize=2)  # the current omega's two sectors
 def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
     """The ``SectorAnalysis`` of one (omega, sector) from one evaluation of
-    its constraints, one parity-block stack and one ``_reduce_block`` per
-    block; the stack is dropped once both blocks are reduced.  The isolated
+    its constraints and coefficients and one N x N buffer: after the parity
+    defect has been checked, the K = +1 block is written into the buffer and
+    reduced in place (``_reduce_block``), then the K = -1 block; no stack of
+    both blocks is formed, and the buffer is dropped on return.  The isolated
     spectrum is the union of the blocks' T spectra, the constrained minimum
     the lowest eigenvalue of their T[1:, 1:], and sigma
     <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ (the +1 block holds no kernel; 2 dx
-    turns the realified dot into the pairing)."""
+    turns the realified dot into the pairing), its residual taken from the
+    upper triangle the reduction leaves intact."""
     constraints = _sector_constraints(omega, grid, sign)
     (s, _), (_, k) = constraints
-    op = build_sector_operator(omega, grid, sign, constraints)
-    plus, minus = op.matrix
-    *t_plus, solved = _reduce_block(plus, s, solve=abs(omega) >= OMEGA_DEGENERATE)
-    tridiagonals = (t_plus, _reduce_block(minus, k)[:2])
+    coefficients, defect = _sector_coefficients(omega, grid, sign, constraints)
+    _refuse_defect(defect)
+    block = np.empty((grid.n, grid.n))
+    _parity_block(grid, *coefficients, 1, block)
+    *t_plus, solved = _reduce_block(block, s, solve=abs(omega) >= OMEGA_DEGENERATE)
+    _parity_block(grid, *coefficients, -1, block)
+    tridiagonals = (t_plus, _reduce_block(block, k)[:2])
     lowest = min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
                  for d, e in tridiagonals)
     if solved is not None:
         solved = solved._replace(value=2.0 * grid.dx * solved.value)
-    return SectorAnalysis(_eigenvalues_below(tridiagonals, op.cutoff), lowest, solved,
-                          op.parity_defect, op.cutoff)
+    cutoff = _cutoff(1.0 - omega * omega)
+    return SectorAnalysis(_eigenvalues_below(tridiagonals, cutoff), lowest, solved, defect,
+                          cutoff)
 
 
 def sigma_index(omega: float, grid: Grid, sign: int) -> float:

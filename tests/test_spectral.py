@@ -55,6 +55,7 @@ from oracles import (
     scalar_full_matrix,
     scalar_parity_bases,
     schrodinger_matrix,
+    sector_analysis_stacked,
     sector_matrix,
     sigma_deflated,
     sigma_index_eigh,
@@ -116,6 +117,15 @@ class TestSectorOperators:
 
 
 class TestIsolatedSpectrum:
+    def test_operator_left_intact(self):
+        # the reduction consumes its block, so each block is reduced in a copy
+        g = spectral_grid(0.5, ORACLE_N)
+        for op in (build_sector_operator(0.5, g, -1),
+                   build_schrodinger(SchrodingerProblem("sum_sector", 0.5), stretched_grid(0.5, g))):
+            before = op.matrix.copy()
+            isolated_spectrum(op)
+            assert np.array_equal(op.matrix, before)
+
     def test_minus_sector_at_positive_omega(self):
         g = spectral_grid(0.5)
         vals = isolated_spectrum(build_sector_operator(0.5, g, -1))
@@ -629,6 +639,40 @@ class TestParityBlocks:
             if full:  # the deflated oracle needs a resolved kernel
                 assert abs(analysis.sigma.value - sigma_deflated(omega, g, sign)) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "omega, n",
+        [(w, ORACLE_N) for w in CRITERION_OMEGAS] + [(w, None) for w in FULL_GRID_OMEGAS],
+    )
+    def test_in_place_analysis_matches_stacked_route(self, omega, n):
+        # same blocks, same reductions: only the sigma residual's products
+        # sum in another order
+        g = spectral_grid(omega, n)
+        for sign in (1, -1):
+            analysis = sector_analysis.__wrapped__(omega, g, sign)
+            ref = sector_analysis_stacked(omega, g, sign)
+            assert np.array_equal(analysis.isolated, ref.isolated)
+            assert analysis.constrained_min == ref.constrained_min
+            assert (analysis.parity_defect, analysis.cutoff) == (ref.parity_defect, ref.cutoff)
+            assert (analysis.sigma is None) == (ref.sigma is None) == (omega == 0.0)
+            if analysis.sigma is not None:
+                assert analysis.sigma.value == ref.sigma.value
+                assert abs(analysis.sigma.residual - ref.sigma.residual) <= 1e-13
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_analysis_peak_is_one_block(self, sign):
+        # one N x N buffer, plus the assembly's quarter-block temporary of
+        # weights; the stack route peaked near 4 blocks, and a copy of the
+        # stored reflectors for dormqr would add one more
+        g = spectral_grid(-0.7)
+        assert g.n >= 512
+        tracemalloc.start()
+        try:
+            sector_analysis.__wrapped__(-0.7, g, sign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * g.n * g.n * 8
+
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sector_path_makes_no_dense_eigensolve(self, sign, monkeypatch):
         def refuse(*args, **kwargs):
@@ -645,21 +689,22 @@ class TestParityBlocks:
     def test_in_place_assembly_matches_block_oracle(self, omega, monkeypatch):
         built = []
 
-        def recording(grid, *coefficients):
-            blocks, defect = assemble(grid, *coefficients)
-            built.append((blocks, defect, parity_blocks_assembled(grid, *coefficients)))
-            return blocks, defect
+        def recording(grid, g, pa, pd, q, parity, out):
+            write(grid, g, pa, pd, q, parity, out)
+            built.append((grid, (g, pa, pd, q), parity, out.copy()))
 
-        assemble = spectral._parity_blocks
-        monkeypatch.setattr(spectral, "_parity_blocks", recording)
+        write = spectral._parity_block
+        monkeypatch.setattr(spectral, "_parity_block", recording)
         g = spectral_grid(omega)
         for sign in (1, -1):
             build_sector_operator(omega, g, sign)
+            sector_analysis.__wrapped__(omega, g, sign)
         build_schrodinger(SchrodingerProblem("coupled_system", omega), stretched_grid(omega, g))
-        assert len(built) == 3
-        for blocks, defect, (ref_blocks, ref_defect) in built:
-            assert np.array_equal(blocks, ref_blocks)
-            assert defect == ref_defect
+        assert [parity for *_, parity, _ in built] == [1, -1] * 5
+        for grid, coefficients, parity, block in built:
+            ref_blocks, ref_defect = parity_blocks_assembled(grid, *coefficients)
+            assert np.array_equal(block, ref_blocks[0 if parity > 0 else 1])
+            assert spectral._wrong_parity(*coefficients) == ref_defect
 
     def test_sector_path_makes_no_numpy_matmul(self, monkeypatch):
         # the sector path's products go through scipy's BLAS, the runtime of
@@ -674,8 +719,8 @@ class TestParityBlocks:
         g = spectral_grid(0.5, ORACLE_N)
         (s, _), _ = spectral._sector_constraints(0.5, g, 1)
         block = build_sector_operator(0.5, g, 1).matrix[0]
-        d, e, solved = spectral._reduce_block(block.view(NoMatmul), s, solve=True)
-        ref_d, ref_e, ref_solved = spectral._reduce_block(block, s, solve=True)
+        d, e, solved = spectral._reduce_block(block.copy().view(NoMatmul), s, solve=True)
+        ref_d, ref_e, ref_solved = spectral._reduce_block(block.copy(), s, solve=True)
         assert np.array_equal(d, ref_d) and np.array_equal(e, ref_e)
         assert solved == ref_solved and solved.residual < 1e-10
 
@@ -686,9 +731,16 @@ class TestParityBlocks:
             hessian.matrix.view(NoMatmul), hessian.continuum_edge))
         assert _constrained_min_eig_hessian(0.5, small) == expected
 
-    def test_short_domain_refused(self):
+    def test_short_domain_refused(self, monkeypatch):
         with pytest.raises(OperatorConstructionError, match="parity defect"):
             build_sector_operator(0.5, Grid(3.0, 128), +1)
+
+        def refuse(*args):
+            raise AssertionError("a block was written before the parity check")
+
+        monkeypatch.setattr(spectral, "_parity_block", refuse)
+        with pytest.raises(OperatorConstructionError, match="parity defect"):
+            sector_analysis.__wrapped__(0.5, Grid(3.0, 128), +1)
 
 
 class TestReduction:
@@ -711,7 +763,7 @@ class TestReduction:
             v = -1.7 * np.eye(n)[0]
         else:
             v[0] = -abs(v[0]) if first == "negative" else 0.0
-        d, e, solved = spectral._reduce_block(m, v, solve=True)
+        d, e, solved = spectral._reduce_block(m.copy(), v, solve=True)
         full = np.linalg.eigvalsh(m)
         cutoff = 0.5 * (full[n // 2] + full[n // 2 + 1])
         below = spectral._eigenvalues_below([(d, e)], cutoff)
@@ -725,12 +777,23 @@ class TestReduction:
         assert abs(solved.value - quadratic) <= 1e-12 * (v @ v)
         assert solved.residual <= 1e-12 * 4.0 * np.linalg.norm(v)
 
+    def test_reduction_keeps_one_triangle(self):
+        # the reduction overwrites the upper triangle of the C-ordered block
+        # (the lower one of its Fortran view); the strict lower triangle and
+        # the diagonal still hold M
+        rng = np.random.default_rng(5)
+        m = self.random_symmetric(rng, 64)
+        block = m.copy()
+        spectral._reduce_block(block, rng.standard_normal(64), solve=True)
+        assert np.array_equal(np.tril(block), np.tril(m))
+        assert not np.array_equal(block, m)
+
     @pytest.mark.parametrize("n", [2, 3])  # one and two stored reflectors
     def test_small_blocks_solve(self, n):
         rng = np.random.default_rng(n)
         m = self.random_symmetric(rng, n)
         v = rng.standard_normal(n)
-        _, e, solved = spectral._reduce_block(m, v, solve=True)
+        _, e, solved = spectral._reduce_block(m.copy(), v, solve=True)
         assert len(e) == n - 1
         quadratic = v @ np.linalg.solve(m, v)
         assert abs(solved.value - quadratic) <= 1e-12 * (v @ v)
