@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 import scipy.fft as sfft
@@ -49,13 +50,17 @@ class EvolverConfig:
     snapshot_stride: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if not 0.0 <= self.t_end < np.inf:
             raise ValueError(f"t_end must be nonnegative and finite, got {self.t_end!r}")
+        if not isinstance(self.snapshot_stride, Integral):
+            raise ValueError(f"snapshot stride must be an integer, got {self.snapshot_stride!r}")
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be >= 1")
         n_steps = self.t_end / self.dt
+        if self.t_end > 0.0 and round(n_steps) == 0:
+            raise ValueError(f"t_end={self.t_end!r} takes no step of dt={self.dt!r}")
         if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
             raise ValueError(
                 f"t_end={self.t_end!r} is not a whole number of steps dt={self.dt!r}; "

@@ -84,6 +84,8 @@ class FieldState:
             raise ValueError("field arrays must have exactly grid.n samples")
         if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
             raise ValueError("field samples must be finite")
+        if not np.isfinite(self.t):
+            raise ValueError(f"field time t must be finite, got {self.t!r}")
 
     def copy(self) -> "FieldState":
         return FieldState(self.grid, self.u.copy(), self.v.copy(), self.t)

@@ -78,17 +78,24 @@ def singularity_distance(omega: float) -> float:
     return float(np.arccos(-omega) / (2.0 * beta))
 
 
+def tail_half_length(omega: float, tail_exponent: float) -> float:
+    """Half-length (at least 20) that makes the tail exp(-beta L) smaller
+    than exp(-tail_exponent)."""
+    _check_omega(omega)
+    beta = np.sqrt(1.0 - omega * omega)
+    return max(20.0, float(np.ceil(tail_exponent / beta)))
+
+
 def recommended_grid(omega: float, n: int | None = None, tail_exponent: float = 30.0) -> Grid:
     """Periodic grid sized for the soliton at this frequency.
 
     The half-length makes the tail exp(-beta L) smaller than
     exp(-tail_exponent); the spacing keeps triple products of profile
     factors resolved (dx <= 0.12 times the singularity distance, capped at
-    0.08).  ``n`` overrides the automatic point count.
+    0.08), and N is a multiple of 128.  ``n`` overrides the automatic point
+    count.
     """
-    _check_omega(omega)
-    beta = np.sqrt(1.0 - omega * omega)
-    half_length = max(20.0, float(np.ceil(tail_exponent / beta)))
+    half_length = tail_half_length(omega, tail_exponent)
     if n is None:
         dx_target = min(0.08, 0.12 * singularity_distance(omega))
         n = 128 * int(np.ceil(2.0 * half_length / dx_target / 128.0))

@@ -91,7 +91,8 @@ from .soliton import (
     OMEGA_DEGENERATE,
     eval_profile,
     profile_derivative,
-    recommended_grid,
+    singularity_distance,
+    tail_half_length,
 )
 
 # Fraction of the edge excluded as discretized continuum when counting
@@ -601,9 +602,19 @@ def sigma_closed_form(omega: float, sign: int) -> float:
 
 
 def spectral_grid(omega: float, n: int | None = None) -> Grid:
-    """Grid sized for eigenvalue work at this frequency: tails below 1e-9
-    and alias-free profile products."""
-    return recommended_grid(omega, n=n, tail_exponent=22.0)
+    """Grid sized for eigenvalue work at this frequency.
+
+    The half-length puts the tail exp(-beta L) below exp(-22) ~ 2.8e-10.
+    The spacing follows the profile's analyticity strip alone: the profile
+    is analytic within the singularity distance d of the real axis, so its
+    Fourier coefficients decay like exp(-d |k|), and dx <= 0.12 d keeps
+    products of profile factors resolved, with no flat cap.  N is the next
+    multiple of 64; ``n`` overrides it.
+    """
+    half_length = tail_half_length(omega, 22.0)
+    if n is None:
+        n = 64 * int(np.ceil(2.0 * half_length / (0.12 * singularity_distance(omega)) / 64.0))
+    return Grid(half_length, n)
 
 
 class SectorAnalysis(NamedTuple):

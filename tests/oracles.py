@@ -18,6 +18,7 @@ from mtmlab.soliton import (
     eval_profile,
     profile,
     profile_derivative,
+    recommended_grid,
 )
 
 
@@ -264,6 +265,12 @@ def realified_similarity(n: int) -> np.ndarray:
             small[comp, 2 * sector] = alpha + gamma
             small[2 + comp, 2 * sector + 1] = alpha - gamma
     return np.kron(small, np.eye(n))
+
+
+def spectral_grid_capped(omega: float) -> Grid:
+    """The spectral grid of the earlier rule: ``recommended_grid`` with tail
+    exponent 22, so dx <= min(0.08, 0.12 d) and N a multiple of 128."""
+    return recommended_grid(omega, tail_exponent=22.0)
 
 
 def sector_vectors(omega: float, grid: Grid, sign: int) -> tuple[np.ndarray, np.ndarray]:

@@ -167,6 +167,12 @@ class TestEvolveCommand:
                 "--out", str(tmp_path)]
         assert "not a whole number of steps" in _usage_error(argv, capsys)
 
+    def test_infinite_step_rejected(self, tmp_path, capsys):
+        out = tmp_path / "refused"
+        argv = ["evolve", "--grid-N", "64", "--t-end", "1", "--dt", "inf", "--out", str(out)]
+        assert "dt must be positive and finite" in _usage_error(argv, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_end_time_rejected(self, tmp_path, capsys, value):
         out = tmp_path / "refused"

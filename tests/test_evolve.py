@@ -26,6 +26,24 @@ class TestConfig:
             with pytest.raises(ValueError, match="t_end must be nonnegative and finite"):
                 EvolverConfig(dt=1e-3, t_end=t_end)
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, -np.inf])
+    def test_non_finite_step_refused(self, dt):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            EvolverConfig(dt=dt, t_end=1.0)
+
+    @pytest.mark.parametrize("dt", [1e300, 3.0])
+    def test_step_longer_than_the_run_refused(self, dt):
+        # t_end / dt rounds to 0 steps, which would end the run at t = 0
+        with pytest.raises(ValueError, match="takes no step"):
+            EvolverConfig(dt=dt, t_end=1.0)
+        assert EvolverConfig(dt=dt, t_end=0.0).t_end == 0.0  # a zero-length run stays valid
+
+    @pytest.mark.parametrize("stride", [1.5, 2.0, "2"])
+    def test_non_integer_stride_refused(self, stride):
+        with pytest.raises(ValueError, match="snapshot stride must be an integer"):
+            EvolverConfig(dt=1e-3, t_end=1.0, snapshot_stride=stride)
+        assert EvolverConfig(dt=1e-3, t_end=1.0, snapshot_stride=np.int64(2)).snapshot_stride == 2
+
 
 class TestStep:
     def test_zero_field_fixed_point(self):

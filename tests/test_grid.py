@@ -52,6 +52,11 @@ class TestGridInvariants:
         with pytest.raises(ValueError):
             FieldState(g, bad, np.zeros(64))
 
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_field_state_time_finite(self, t):
+        with pytest.raises(ValueError, match="field time t must be finite"):
+            FieldState(Grid(10.0, 64), np.zeros(64), np.zeros(64), t)
+
 
 class TestDifferentiate:
     def test_resolved_mode_is_exact(self):
@@ -210,6 +215,14 @@ class TestDumpFormat:
         meta = " ".join(tok for tok in meta.split() if not tok.startswith(f"{key}="))
         path.write_text(meta + "\n" + rest)
         with pytest.raises(ValueError, match=f"lacks {key}"):
+            load_state(path)
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_time_rejected(self, tmp_path, t):
+        path = tmp_path / "state.csv"
+        dump_state(zero_state(Grid(12.0, 128)), path)
+        path.write_text(path.read_text().replace("t=0.0", f"t={t}", 1))
+        with pytest.raises(ValueError, match="field time t must be finite"):
             load_state(path)
 
     def test_empty_body_rejected(self, tmp_path):

@@ -114,6 +114,34 @@ class TestRiccati:
         pole_cell = int(np.searchsorted(g.x, ref.value.position)) - 1
         assert pole_cell in scattering._pole_candidates(state, 1.0, phi1)
 
+    def test_flagged_cells_without_pole(self, monkeypatch):
+        # next to the pole at lam = 1, |phi_1| dips low enough that the screen
+        # flags cells, and the Riccati re-solve crosses them without an event
+        g = Grid(30.0, 1024)
+        strong = 2.0 / np.cosh(g.x)
+        state = FieldState(g, strong, strong.copy())
+        lam = 0.98
+        sample = scattering._field_sampler(state.u, state.v, g)
+        alpha, gamma, screen_nfev = scattering._cell_propagators(sample, lam, g)
+        phi1, _ = scattering._sweep(alpha, gamma)
+        flagged = scattering._pole_candidates(state, lam, phi1)
+        assert flagged.size > 0
+        refined = []
+        refine = scattering._refine_cell
+
+        def recording(sample, lam, grid, j, nu0):
+            refined.append(j)
+            return refine(sample, lam, grid, j, nu0)
+
+        monkeypatch.setattr(scattering, "_refine_cell", recording)
+        fast = riccati_solve(state, lam)
+        assert refined == flagged.tolist()
+        assert fast.nfev > screen_nfev
+        # the default oracle tolerances leave ~1e-8 here, where |nu| reaches 24
+        ref = riccati_oracle(state, lam, rtol=1e-12, atol=1e-14)
+        assert abs(fast.log_a - ref.log_a) <= 1e-9
+        assert np.max(np.abs(fast.nu - ref.nu)) <= 1e-8
+
     # the window edges turn k dx = 7.8 rad per cell, where the propagators
     # are unitary to the solve's tolerance rather than to roundoff
     @pytest.mark.parametrize(

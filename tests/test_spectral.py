@@ -15,6 +15,7 @@ from mtmlab.soliton import (
     eval_profile,
     eval_soliton,
     profile_derivative,
+    singularity_distance,
     zero_mode_fields,
 )
 from mtmlab import spectral
@@ -60,10 +61,12 @@ from oracles import (
     sigma_deflated,
     sigma_index_eigh,
     sigma_profile_path,
+    spectral_grid_capped,
 )
 
 # smallest projected curvature eigenvalue at omega = 0, frozen on the
-# automatic spectral grid (L = 22, N = 640)
+# spectral grid of the capped rule (L = 22, N = 640); the strip rule's
+# N = 512 grid gives it to 5.5e-14
 CONSTRAINED_MARGIN_ZERO = 0.7350832488511114
 # grid size of the dense-oracle comparisons
 ORACLE_N = 256
@@ -577,6 +580,39 @@ class TestSectorRoute:
         assert record.verdicts["slope"] and record.verdicts["no_errors"]
         for tag in ("plus", "minus"):
             assert abs(row[f"sigma_{tag}"] - row[f"sigma_{tag}_closed"]) < 1e-4
+
+
+# the 11 default omega of `mtmlab sweep`: N of the capped rule and of the strip rule
+SWEEP_GRID_N = {
+    0.0: (640, 512), 0.1: (640, 512), -0.1: (640, 576), 0.3: (640, 448), -0.3: (640, 640),
+    0.5: (768, 384), -0.5: (768, 768), 0.7: (896, 320), -0.7: (1024, 960),
+    0.9: (1280, 320), -0.9: (1664, 1664),
+}
+
+
+class TestSpectralGrid:
+    @pytest.mark.parametrize("omega", SWEEP_GRID_N)
+    def test_strip_rule_sizes(self, omega):
+        capped, grid = spectral_grid_capped(omega), spectral_grid(omega)
+        assert (capped.n, grid.n) == SWEEP_GRID_N[omega]
+        assert grid.half_length == capped.half_length
+        # the smallest multiple of 64 with dx <= 0.12 d
+        assert grid.n % 64 == 0
+        assert grid.dx <= 0.12 * singularity_distance(omega) < 2.0 * grid.half_length / (grid.n - 64)
+        assert spectral_grid(omega, 200) == Grid(grid.half_length, 200)
+
+    @pytest.mark.parametrize("omega", SWEEP_GRID_N)
+    def test_sweep_matches_capped_grid(self, omega):
+        record = omega_sweep([omega])
+        reference = omega_sweep([omega], grid_n=spectral_grid_capped(omega).n)
+        assert record.verdicts == reference.verdicts
+        (row,), (ref,) = record.tables["sweep"], reference.tables["sweep"]
+        assert "error" not in row and row.keys() == ref.keys()
+        for key, value in ref.items():
+            if isinstance(value, float):
+                assert abs(row[key] - value) <= 1e-10, key
+            else:  # counts, verdicts and *_ok flags
+                assert row[key] == value, key
 
 
 # every omega of the spectral criteria (7-10)
