@@ -59,6 +59,8 @@ class EvolverConfig:
         if self.snapshot_stride < 1:
             raise ValueError("snapshot stride must be >= 1")
         n_steps = self.t_end / self.dt
+        if not np.isfinite(n_steps):
+            raise ValueError(f"t_end={self.t_end!r} takes too many steps of dt={self.dt!r}")
         if self.t_end > 0.0 and round(n_steps) == 0:
             raise ValueError(f"t_end={self.t_end!r} takes no step of dt={self.dt!r}")
         if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):

@@ -86,20 +86,17 @@ def tail_half_length(omega: float, tail_exponent: float) -> float:
     return max(20.0, float(np.ceil(tail_exponent / beta)))
 
 
-def recommended_grid(omega: float, n: int | None = None, tail_exponent: float = 30.0) -> Grid:
+def recommended_grid(omega: float) -> Grid:
     """Periodic grid sized for the soliton at this frequency.
 
-    The half-length makes the tail exp(-beta L) smaller than
-    exp(-tail_exponent); the spacing keeps triple products of profile
-    factors resolved (dx <= 0.12 times the singularity distance, capped at
-    0.08), and N is a multiple of 128.  ``n`` overrides the automatic point
-    count.
+    The half-length makes the tail exp(-beta L) smaller than exp(-30); the
+    spacing keeps triple products of profile factors resolved (dx <= 0.12
+    times the singularity distance, capped at 0.08), and N is a multiple of
+    128.
     """
-    half_length = tail_half_length(omega, tail_exponent)
-    if n is None:
-        dx_target = min(0.08, 0.12 * singularity_distance(omega))
-        n = 128 * int(np.ceil(2.0 * half_length / dx_target / 128.0))
-    return Grid(half_length, n)
+    half_length = tail_half_length(omega, 30.0)
+    dx_target = min(0.08, 0.12 * singularity_distance(omega))
+    return Grid(half_length, 128 * int(np.ceil(2.0 * half_length / dx_target / 128.0)))
 
 
 def eval_profile(omega: float, grid: Grid) -> np.ndarray:

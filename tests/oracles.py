@@ -18,7 +18,8 @@ from mtmlab.soliton import (
     eval_profile,
     profile,
     profile_derivative,
-    recommended_grid,
+    singularity_distance,
+    tail_half_length,
 )
 
 
@@ -268,9 +269,11 @@ def realified_similarity(n: int) -> np.ndarray:
 
 
 def spectral_grid_capped(omega: float) -> Grid:
-    """The spectral grid of the earlier rule: ``recommended_grid`` with tail
-    exponent 22, so dx <= min(0.08, 0.12 d) and N a multiple of 128."""
-    return recommended_grid(omega, tail_exponent=22.0)
+    """The spectral grid of the earlier rule: the exponent-22 tail, dx <=
+    min(0.08, 0.12 d) and N a multiple of 128."""
+    half_length = tail_half_length(omega, 22.0)
+    dx_target = min(0.08, 0.12 * singularity_distance(omega))
+    return Grid(half_length, 128 * int(np.ceil(2.0 * half_length / dx_target / 128.0)))
 
 
 def sector_vectors(omega: float, grid: Grid, sign: int) -> tuple[np.ndarray, np.ndarray]:

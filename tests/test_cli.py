@@ -173,6 +173,12 @@ class TestEvolveCommand:
         assert "dt must be positive and finite" in _usage_error(argv, capsys)
         assert not out.exists()
 
+    def test_subnormal_step_rejected(self, tmp_path, capsys):
+        out = tmp_path / "refused"
+        argv = ["evolve", "--grid-N", "64", "--t-end", "1", "--dt", "1e-320", "--out", str(out)]
+        assert "takes too many steps" in _usage_error(argv, capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_end_time_rejected(self, tmp_path, capsys, value):
         out = tmp_path / "refused"

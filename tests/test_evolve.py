@@ -38,6 +38,11 @@ class TestConfig:
             EvolverConfig(dt=dt, t_end=1.0)
         assert EvolverConfig(dt=dt, t_end=0.0).t_end == 0.0  # a zero-length run stays valid
 
+    def test_uncountable_step_count_refused(self):
+        # a subnormal dt makes t_end / dt overflow to inf
+        with pytest.raises(ValueError, match="takes too many steps"):
+            EvolverConfig(dt=1e-320, t_end=1.0)
+
     @pytest.mark.parametrize("stride", [1.5, 2.0, "2"])
     def test_non_integer_stride_refused(self, stride):
         with pytest.raises(ValueError, match="snapshot stride must be an integer"):

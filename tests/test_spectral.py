@@ -588,6 +588,9 @@ SWEEP_GRID_N = {
     0.5: (768, 384), -0.5: (768, 768), 0.7: (896, 320), -0.7: (1024, 960),
     0.9: (1280, 320), -0.9: (1664, 1664),
 }
+# the sweep omega whose grid the strip rule changes, and 0.95 (N 1792 -> 320)
+# above the sweep's range
+CHANGED_GRID_OMEGAS = [w for w, (capped, strip) in SWEEP_GRID_N.items() if capped != strip] + [0.95]
 
 
 class TestSpectralGrid:
@@ -601,10 +604,12 @@ class TestSpectralGrid:
         assert grid.dx <= 0.12 * singularity_distance(omega) < 2.0 * grid.half_length / (grid.n - 64)
         assert spectral_grid(omega, 200) == Grid(grid.half_length, 200)
 
-    @pytest.mark.parametrize("omega", SWEEP_GRID_N)
+    @pytest.mark.parametrize("omega", CHANGED_GRID_OMEGAS)
     def test_sweep_matches_capped_grid(self, omega):
+        capped_n = spectral_grid_capped(omega).n
+        assert spectral_grid(omega).n < capped_n
         record = omega_sweep([omega])
-        reference = omega_sweep([omega], grid_n=spectral_grid_capped(omega).n)
+        reference = omega_sweep([omega], grid_n=capped_n)
         assert record.verdicts == reference.verdicts
         (row,), (ref,) = record.tables["sweep"], reference.tables["sweep"]
         assert "error" not in row and row.keys() == ref.keys()
