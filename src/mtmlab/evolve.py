@@ -120,6 +120,8 @@ def _strang(grid: Grid, w: np.ndarray, dt: float, n: int, stride: int, t0: float
 
 def step(state: FieldState, dt: float) -> FieldState:
     """One Strang step N(dt/2) L(dt) N(dt/2); ``dt`` may be negative."""
+    if not np.isfinite(dt):
+        raise ValueError(f"dt must be finite, got {dt!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check reports a blow-up
         ((t, w),) = _strang(state.grid, np.stack([state.u, state.v]), dt, 1, 1, state.t)
     return FieldState(state.grid, w[0], w[1], t)

@@ -26,15 +26,18 @@ record, computed once and holding no matrix; the 4N x 4N Hessian is kept as a
 small-N reference.
 
 Everything is realified in one layout: a complex pair (w, conj w) maps to the
-real vector (Re w, Im w) (``embed_conjugate_pair``, ``realify_conjugate_pair``)
-and every operator becomes a real symmetric matrix, so positivity statements
-are literal matrix positivity and eigenvalues match the complex pair problem
-one-to-one.  The Hessian acts on w = (u, v), so its coordinates are
-(Re u, Re v, Im u, Im v).  Vectors of the form (w, -conj w) are embedded
-through multiplication by i, which rotates them into (iw, conj(iw)).  The
-realified similarity identity Q^T H Q = diag(plus, minus) behind the split is
-a test oracle (``tests/oracles.py``); ``omega_sweep`` re-checks the split on
-a small grid through ``constrained_split_defect``.
+real vector (Re w, Im w) (``embed_conjugate_pair``) and every operator
+becomes a real symmetric matrix, so positivity statements are literal matrix
+positivity and eigenvalues match the complex pair problem one-to-one.  The
+Hessian acts on w = (u, v), so its coordinates are (Re u, Re v, Im u, Im v).
+Vectors of the form (w, -conj w) are embedded through multiplication by i,
+which rotates them into (iw, conj(iw)).  The realified similarity identity
+Q^T H Q = diag(plus, minus) behind the split is a test oracle
+(``tests/oracles.py``); ``omega_sweep`` re-checks the split on a small grid
+through ``constrained_split_defect``.  That check writes the Hessian block by
+block into one 4N x 4N array (``build_hessian``), removes the four
+constraint directions with their Householder reflectors, applied in place
+from both sides, and takes one subset eigenvalue of what is left.
 
 The lattice reflection R: j -> -j mod N (x -> -x, fixing j = 0 and N/2) and
 U(-x) = conj U(x) make K = diag(R, -R) on (Re w, Im w) commute with both
@@ -61,12 +64,12 @@ and the odd lattice functions; every -D2 part is one gather,
 ``differentiation_matrices`` serve only the small-N Hessian self-check.
 
 Every dense matrix product on the sector path (the reflection's M h, the
-sigma residual's M x, Q y and the Hessian self-check's projection) goes
-through scipy's BLAS/LAPACK, the runtime of ``dsytrd``.  numpy links its own
-OpenBLAS, whose worker threads keep spinning for a while after a numpy matrix
-product; on a host with few cores they would compete with the next reduction
-for the same cores.  Only 1-D inner products, which OpenBLAS runs on one
-thread at these sizes, stay in numpy.
+sigma residual's M x, Q y and the Hessian self-check's Householder
+projection) goes through scipy's BLAS/LAPACK, the runtime of ``dsytrd``.
+numpy links its own OpenBLAS, whose worker threads keep spinning for a while
+after a numpy matrix product; on a host with few cores they would compete
+with the next reduction for the same cores.  Only 1-D inner products, which
+OpenBLAS runs on one thread at these sizes, stay in numpy.
 
 First-order derivative terms are assembled in the symmetric product form
 i (g D + D g)/2, which absorbs the non-Hermitian multiplication pieces of
@@ -82,9 +85,10 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal, null_space
-from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2
-from scipy.linalg.lapack import dgtsv, dormqr, dsytrd, dsytrd_lwork
+from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal
+from scipy.linalg import null_space  # noqa: F401 - unused; the traced benchmark wraps it
+from scipy.linalg.blas import dsymv, dsyr2
+from scipy.linalg.lapack import dgeqrf, dgtsv, dormqr, dsytrd, dsytrd_lwork
 
 from .grid import Grid, quadrature
 from .soliton import (
@@ -108,6 +112,9 @@ CONSTRUCTION_TOL = 1e-6
 # h/2) puts the Richardson-extrapolated eigenvalues within ~1e-8 of the limit.
 STURM_HALF_WIDTH = 16.0
 STURM_STEP = 0.004
+# rows of the weight temporary of ``_parity_block``, so that it stays far
+# below the N x N block it scales
+WEIGHT_STRIP = 64
 
 SCALAR_KINDS = (
     "sum_sector",         # stretched plus-combination problem of the minus sector
@@ -185,20 +192,6 @@ def differentiation_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return tuple(map(circulant, _derivative_columns(grid)))
 
 
-def _symmetric_first_order(g: np.ndarray, d1: np.ndarray) -> np.ndarray:
-    """i (g D + D g)/2 for a real coefficient g: Hermitian by construction."""
-    return 0.5j * (g[:, None] * d1 + d1 * g[None, :])
-
-
-def realify_conjugate_pair(linear: np.ndarray, conj_part: np.ndarray) -> np.ndarray:
-    """Real matrix for w -> linear @ w + conj_part @ conj(w) acting on the
-    stacked coordinates (Re w, Im w).  Symmetric whenever ``linear`` is
-    Hermitian and ``conj_part`` is complex symmetric."""
-    ar, ai = linear.real, linear.imag
-    br, bi = conj_part.real, conj_part.imag
-    return np.block([[ar + br, -ai + bi], [ai + bi, ar - br]])
-
-
 def embed_conjugate_pair(w: np.ndarray) -> np.ndarray:
     """Realify the first component of a structured pair: (w, conj w) maps to
     (Re w, Im w).  A pair (w, -conj w) is embedded as ``1j * w``."""
@@ -266,9 +259,11 @@ def _parity_block(grid: Grid, g, pa, pd, q, parity: int, out: np.ndarray) -> Non
     off = out[e, o]  # -eo on +1, eo on -1, then plus q
     first, second = (hankel, toeplitz) if parity > 0 else (toeplitz, hankel)
     np.subtract(first[:, 1:h], second[:, 1:h], out=off)
-    weight = g[: h + 1, None] + g[odd]  # s_i (g_i + g_j) / 2 in one temporary
-    weight *= 0.5 * scale[:, None]
-    off *= weight
+    for top in range(0, h + 1, WEIGHT_STRIP):  # s_i (g_i + g_j) / 2, a strip of rows at a time
+        rows = slice(top, min(top + WEIGHT_STRIP, h + 1))
+        weight = g[rows, None] + g[odd]
+        weight *= 0.5 * scale[rows, None]
+        off[rows] *= weight
     off[odd, odd - 1] += q[odd]
     out[o, e] = off.T
     out.flat[:: n + 1] += diagonal
@@ -339,36 +334,52 @@ def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperat
                             parity_defect=defect)
 
 
-def _hessian_complex_blocks(omega: float, grid: Grid):
-    """The four displayed entries of the full curvature operator, assembled
-    with the Hermitian first-order product form.  The profile derivative in
-    the coefficients is the exact closed form, which makes the similarity
-    identity against the sector operators pointwise-exact."""
+def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
+    """Realified 4N x 4N curvature operator on (Re u, Re v, Im u, Im v).
+
+    Its displayed entries are l1 = -D2 + i S(g1) + diag p1, the diagonal l2
+    and l3 = i S(g3) + diag p3, with the Hermitian first-order form
+    S(g) = (g D1 + D1 g)/2, which is zero on the diagonal.  The pair operator
+    [[l1, 2 l2], [2 conj l2, conj l1]], with conjugate part
+    [[l2, l3], [conj l3, conj l2]], realifies to N x N blocks that are -D2,
+    +-S(g1), +-S(g3) or 0 off their diagonals and sums of p1, p3 and
+    Re, Im l2 on them; each block is written in place into the one 4N x 4N
+    array.  The profile derivative in the coefficients is the exact closed
+    form, which makes the similarity identity against the sector operators
+    pointwise-exact."""
+    n = grid.n
     d1, d2 = differentiation_matrices(grid)
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     absq = np.abs(u) ** 2
     im_uup = np.imag(np.conj(u) * up)
     re_u2 = np.real(u * u)
-    big = 1.0 - omega * omega
-    l1 = (
-        -d2
-        + _symmetric_first_order(-4.0 * absq, d1)
-        + np.diag(4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + big)
-    )
-    l2_diag = -2j * u * up + 4.0 * u**2 * absq - 2.0 * absq
-    l3 = _symmetric_first_order(-2.0 * absq, d1) + np.diag(
-        2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
-    )
-    return l1, np.diag(l2_diag), l3
-
-
-def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
-    """Realified 4N x 4N curvature operator on (Re u, Re v, Im u, Im v)."""
-    l1, l2, l3 = _hessian_complex_blocks(omega, grid)
-    linear = np.block([[l1, 2.0 * l2], [2.0 * np.conj(l2), np.conj(l1)]])
-    conj_part = np.block([[l2, l3], [np.conj(l3), np.conj(l2)]])
-    return DiscreteOperator(realify_conjugate_pair(linear, conj_part), 1.0 - omega * omega)
+    p1 = 4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + (1.0 - omega * omega)
+    p3 = 2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
+    l2 = -2j * u * up + 4.0 * u**2 * absq - 2.0 * absq
+    matrix = np.zeros((4 * n, 4 * n))
+    blocks = matrix.reshape(4, n, 4, n).swapaxes(1, 2)  # blocks[r, c]: an N x N view
+    np.negative(d2, out=blocks[0, 0])
+    blocks[1, 1] = blocks[2, 2] = blocks[3, 3] = blocks[0, 0]
+    for g, plus, minus in ((-4.0 * absq, [(1, 3), (2, 0)], [(0, 2), (3, 1)]),
+                           (-2.0 * absq, [(0, 3), (2, 1)], [(1, 2), (3, 0)])):
+        s = blocks[plus[0]]
+        np.multiply(g[:, None], d1, out=s)
+        s += d1 * g
+        s *= 0.5
+        blocks[plus[1]] = s
+        for rc in minus:
+            np.negative(s, out=blocks[rc])
+    i = np.arange(n)
+    l1_diagonal = blocks[0, 0, i, i] + p1
+    re, im = l2.real, l2.imag
+    a, b = l1_diagonal + re, l1_diagonal - re
+    c, d = 2.0 * re + p3, 2.0 * re - p3
+    blocks[:, :, i, i] = [[a, c, im, -2.0 * im],
+                          [c, a, 2.0 * im, -im],
+                          [im, 2.0 * im, b, d],
+                          [-2.0 * im, -im, d, b]]
+    return DiscreteOperator(matrix, 1.0 - omega * omega)
 
 
 # ---------------------------------------------------------------------------
@@ -688,12 +699,18 @@ def constrained_min_eig(omega: float, grid: Grid) -> float:
 
 
 def _constrained_min_eig_hessian(omega: float, grid: Grid) -> float:
-    """Reference for ``constrained_min_eig`` through the full 4N x 4N Hessian
-    and a null-space basis of the four constraint rows; for small grids."""
-    op = build_hessian(omega, grid)
-    basis = null_space(_constraint_rows(omega, grid))
-    projected = dgemm(1.0, basis, dsymm(1.0, op.matrix.T, basis, lower=1), trans_a=1)
-    vals = eigh(projected, eigvals_only=True, subset_by_index=[0, 0])
+    """Reference for ``constrained_min_eig`` through the full 4N x 4N Hessian;
+    for small grids.  The four constraint rows C are factored as C^T = Q R
+    (``dgeqrf``), and the four Householder reflectors of Q, applied in place
+    from both sides to the Hessian's Fortran view (``dormqr``), give Q^T H Q:
+    its trailing (4N - 4)-square block is H on the null space of C (Golub &
+    Van Loan, sec. 5.1)."""
+    projected = build_hessian(omega, grid).matrix.T  # Fortran-ordered, as H is symmetric
+    reflectors, tau, *_ = dgeqrf(_constraint_rows(omega, grid).T)
+    for side, trans in (("L", "T"), ("R", "N")):
+        projected, *_ = dormqr(side, trans, reflectors, tau, projected, len(projected),
+                               overwrite_c=1)
+    vals = eigh(projected[4:, 4:], eigvals_only=True, subset_by_index=[0, 0], overwrite_a=True)
     return float(vals[0])
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import block_diag, eigh, eigvalsh_tridiagonal, solve
-from scipy.linalg.blas import dsymv, dsyr2
+from scipy.linalg import block_diag, eigh, eigvalsh_tridiagonal, null_space, solve
+from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2
 from scipy.linalg.lapack import dgtsv, dormqr, dsytrd, dsytrd_lwork
 
 from mtmlab import spectral
@@ -287,6 +287,56 @@ def sector_vectors(omega: float, grid: Grid, sign: int) -> tuple[np.ndarray, np.
             spectral.embed_conjugate_pair(1j * u))
 
 
+def symmetric_first_order(g: np.ndarray, d1: np.ndarray) -> np.ndarray:
+    """i (g D + D g)/2 for a real coefficient g: Hermitian by construction."""
+    return 0.5j * (g[:, None] * d1 + d1 * g[None, :])
+
+
+def realify_conjugate_pair(linear: np.ndarray, conj_part: np.ndarray) -> np.ndarray:
+    """Real matrix for w -> linear @ w + conj_part @ conj(w) acting on the
+    stacked coordinates (Re w, Im w).  Symmetric whenever ``linear`` is
+    Hermitian and ``conj_part`` is complex symmetric."""
+    ar, ai = linear.real, linear.imag
+    br, bi = conj_part.real, conj_part.imag
+    return np.block([[ar + br, -ai + bi], [ai + bi, ar - br]])
+
+
+def build_hessian_blocked(omega: float, grid: Grid) -> np.ndarray:
+    """``spectral.build_hessian``'s matrix assembled from the four displayed
+    complex N x N entries l1, l2, l3 with ``np.block`` and
+    ``realify_conjugate_pair``, not written block by block in place."""
+    d1, d2 = spectral.differentiation_matrices(grid)
+    u = eval_profile(omega, grid)
+    up = profile_derivative(omega, grid.x)
+    absq = np.abs(u) ** 2
+    im_uup = np.imag(np.conj(u) * up)
+    re_u2 = np.real(u * u)
+    big = 1.0 - omega * omega
+    l1 = (
+        -d2
+        + symmetric_first_order(-4.0 * absq, d1)
+        + np.diag(4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + big)
+    )
+    l2 = np.diag(-2j * u * up + 4.0 * u**2 * absq - 2.0 * absq)
+    l3 = symmetric_first_order(-2.0 * absq, d1) + np.diag(
+        2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
+    )
+    linear = np.block([[l1, 2.0 * l2], [2.0 * np.conj(l2), np.conj(l1)]])
+    conj_part = np.block([[l2, l3], [np.conj(l3), np.conj(l2)]])
+    return realify_conjugate_pair(linear, conj_part)
+
+
+def constrained_min_eig_nullspace(omega: float, grid: Grid) -> float:
+    """``spectral._constrained_min_eig_hessian`` through an orthonormal
+    null-space basis B of the four constraint rows (``null_space``, an SVD)
+    and the product B^T H B (``dsymm``, ``dgemm``) instead of Householder
+    reflectors applied in place."""
+    hessian = spectral.build_hessian(omega, grid).matrix
+    basis = null_space(spectral._constraint_rows(omega, grid))
+    projected = dgemm(1.0, basis, dsymm(1.0, hessian.T, basis, lower=1), trans_a=1)
+    return float(eigh(projected, eigvals_only=True, subset_by_index=[0, 0])[0])
+
+
 def sector_matrix(omega: float, grid: Grid, sign: int) -> np.ndarray:
     """The realified 2N x 2N sector matrix assembled from its complex
     (linear, conjugate) N x N blocks, without the parity split."""
@@ -302,8 +352,8 @@ def sector_matrix(omega: float, grid: Grid, sign: int) -> np.ndarray:
         g = -2.0 * absq
         pot = -2.0 * absq**2 - 2.0 * omega * absq + big
         off = 2.0 * omega * u**2
-    linear = -d2 + spectral._symmetric_first_order(g, d1) + np.diag(pot)
-    m = spectral.realify_conjugate_pair(linear, np.diag(off))
+    linear = -d2 + symmetric_first_order(g, d1) + np.diag(pot)
+    m = realify_conjugate_pair(linear, np.diag(off))
     return 0.5 * (m + m.T)
 
 

@@ -57,6 +57,12 @@ class TestStep:
         assert np.max(np.abs(out.v)) == 0.0
         assert out.t == pytest.approx(1e-2)
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan, -np.inf])
+    def test_non_finite_step_refused(self, dt):
+        # refused by name, as EvolverConfig refuses it, not reported as a blow-up
+        with pytest.raises(ValueError, match="dt must be finite"):
+            step(zero_state(Grid(10.0, 64)), dt)
+
     def test_linear_dispersion_relation(self):
         # a single Fourier mode prepared on an eigenvector of the linear
         # symbol rotates at frequency sqrt(1 + k^2)

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import eigh, eigvalsh_tridiagonal, null_space
 
 from mtmlab.conserved import lyapunov
-from mtmlab.experiments import omega_sweep, random_h1_perturbation
+from mtmlab.experiments import SPLIT_CHECK_N, omega_sweep, random_h1_perturbation
 from mtmlab.grid import FieldState, Grid, quadrature
 from mtmlab.soliton import (
     SolitonParams,
@@ -42,7 +42,9 @@ from mtmlab.spectral import (
 from oracles import (
     SECTOR_SIMILARITY,
     block_diagonalize_check,
+    build_hessian_blocked,
     constrained_min_2n,
+    constrained_min_eig_nullspace,
     coupled_kernel_mode,
     difference_sector_kernel_mode,
     differentiation_matrices_fft,
@@ -53,6 +55,7 @@ from oracles import (
     parity_blocks_assembled,
     prufer_zero_count,
     realified_similarity,
+    realify_conjugate_pair,
     scalar_full_matrix,
     scalar_parity_bases,
     schrodinger_matrix,
@@ -626,6 +629,55 @@ CRITERION_OMEGAS = (0.0, 0.1, -0.1, 0.2, -0.2, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 
 FULL_GRID_OMEGAS = (0.5, -0.7)
 
 
+class TestHessianRoutes:
+    """The in-place Hessian assembly and the Householder projection of the
+    split self-check against their block and null-space oracles."""
+
+    @pytest.mark.parametrize(
+        "omega, n",
+        [(w, ORACLE_N) for w in CRITERION_OMEGAS] + [(w, None) for w in (0.0, 0.4, 0.5)],
+    )
+    def test_in_place_build_matches_block_oracle(self, omega, n):
+        g = spectral_grid(omega, n)
+        assert np.array_equal(build_hessian(omega, g).matrix, build_hessian_blocked(omega, g))
+
+    def test_build_peak_is_the_matrix(self):
+        # the 4N x 4N result and the two N x N circulants, plus one N x N
+        # temporary; the np.block route peaked at 3.5 matrices
+        g = spectral_grid(0.5)
+        spectral.differentiation_matrices.cache_clear()
+        tracemalloc.start()
+        try:
+            build_hessian(0.5, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * (4 * g.n) ** 2 * 8
+
+    @pytest.mark.parametrize("omega", SWEEP_GRID_N)
+    def test_householder_projection_matches_null_space_oracle(self, omega, monkeypatch):
+        g = spectral_grid(omega, SPLIT_CHECK_N)
+        expected = constrained_min_eig_nullspace(omega, g)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("null-space basis on the Householder route")
+
+        monkeypatch.setattr(spectral, "null_space", refuse)
+        assert abs(_constrained_min_eig_hessian(omega, g) - expected) <= 1e-12
+
+    def test_split_check_peak(self):
+        # the Hessian projected in place, and the copy of its trailing block
+        # that the eigensolver takes; the null-space route peaked at 5.1 matrices
+        g = spectral_grid(-0.7, SPLIT_CHECK_N)
+        tracemalloc.start()
+        try:
+            spectral.constrained_split_defect(-0.7, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * (4 * g.n) ** 2 * 8
+
+
 class TestParityBlocks:
     """The directly assembled K = +1 / -1 blocks against the 2N x 2N oracle
     matrix and the projections onto the eigenspaces of K = diag(R, -R)."""
@@ -661,7 +713,7 @@ class TestParityBlocks:
         op = build_schrodinger(SchrodingerProblem("coupled_system", 0.3), zg)
         v1, v2 = SchrodingerProblem("coupled_system", 0.3).coupled_potentials(zg.x)
         _, d2 = spectral.differentiation_matrices(zg)
-        m = spectral.realify_conjugate_pair((-d2 + np.diag(1.0 + v1)).astype(complex), np.diag(v2))
+        m = realify_conjugate_pair((-d2 + np.diag(1.0 + v1)).astype(complex), np.diag(v2))
         assert op.matrix.shape == (2, zg.n, zg.n)
         assert np.max(np.abs(full_matrix(op) - m)) <= 1e-12
 
@@ -701,9 +753,11 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_analysis_peak_is_one_block(self, sign):
-        # one N x N buffer, plus the assembly's quarter-block temporary of
-        # weights; the stack route peaked near 4 blocks, and a copy of the
-        # stored reflectors for dormqr would add one more
+        # one N x N buffer, plus O(N) vectors, LAPACK's workspace and the
+        # assembly's 64-row strip of weights (about 0.11 N x N at N = 960);
+        # the stack route peaked near 4 blocks, a quarter-block temporary of
+        # weights would add 0.25, and a copy of the stored reflectors for
+        # dormqr one more
         g = spectral_grid(-0.7)
         assert g.n >= 512
         tracemalloc.start()
@@ -712,7 +766,7 @@ class TestParityBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * g.n * g.n * 8
+        assert peak <= 1.2 * g.n * g.n * 8
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sector_path_makes_no_dense_eigensolve(self, sign, monkeypatch):
