@@ -259,7 +259,9 @@ def main(argv=None) -> int:
     handler, _, keys, _ = _COMMANDS[args.command]
     try:
         return handler(_settings(args, keys), args)
-    except ValueError as err:  # input the library refuses: a usage error
+    # input the library refuses, or a lambda at which the Riccati ratio
+    # blows up: a usage error
+    except (ValueError, scattering.PoleEncounterError) as err:
         parser.error(str(err))
 
 

@@ -3,12 +3,12 @@
 Charge Q, momentum P, Hamiltonian H, the higher-order charge R that the
 integrable structure supplies, and the Lyapunov combination
 Lambda = R + (1 - omega^2) Q whose critical point is the soliton.  Also the
-pointwise density/flux pair (rho, j) of the local balance law for R and a
+pointwise density/flux pair (rho, F) of the local balance law for R and a
 finite-difference check of that law on evolved snapshots.
 
-All integrands are Hermitian combinations, so each integral must come out
-real; the imaginary residue is checked below ``IMAG_TOL`` and then dropped,
-which catches sign mistakes in the combinations cheaply.
+The transport terms are built from one real current per component,
+j(f) = Im(conj(f) f_x), and the mass coupling from Re(u conj(v)), so every
+density is a real array by construction.
 """
 
 from __future__ import annotations
@@ -21,49 +21,45 @@ import numpy as np
 
 from .grid import FieldState, differentiate, quadrature
 
-IMAG_TOL = 1e-10
+
+def _current(f: np.ndarray, fx: np.ndarray) -> np.ndarray:
+    """j(f) = Im(conj(f) f_x), the transport density of one component."""
+    return f.real * fx.imag - f.imag * fx.real
 
 
-def _real_integral(samples: np.ndarray, state: FieldState, name: str) -> float:
-    val = quadrature(samples, state.grid)
-    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
-        raise RuntimeError(
-            f"{name} integral has imaginary residue {val.imag:.3e}; "
-            "Hermitian combination is miscoded"
-        )
-    return float(val.real)
+def _coupling(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Re(u conj(v)), the mass coupling."""
+    return u.real * v.real + u.imag * v.imag
 
 
 def charge(state: FieldState) -> float:
     """Q = integral of |u|^2 + |v|^2."""
     dens = np.abs(state.u) ** 2 + np.abs(state.v) ** 2
-    return _real_integral(dens, state, "charge")
+    return quadrature(dens, state.grid).real
 
 
 def momentum(state: FieldState) -> float:
-    """P = (i/2) integral of (u conj(u)_x - u_x conj(u) + v conj(v)_x - v_x conj(v))."""
+    """P = (i/2) integral of (u conj(u)_x - u_x conj(u) + v conj(v)_x - v_x conj(v))
+    = integral of j(u) + j(v)."""
     u, v = state.u, state.v
     ux, vx = differentiate((u, v), state.grid)
-    dens = 0.5j * (
-        u * np.conj(ux) - ux * np.conj(u) + v * np.conj(vx) - vx * np.conj(v)
-    )
-    return _real_integral(dens, state, "momentum")
+    return quadrature(_current(u, ux) + _current(v, vx), state.grid).real
 
 
 def hamiltonian(state: FieldState) -> float:
-    """Energy functional with Dirac transport, mass-coupling and quartic terms."""
+    """Energy functional with Dirac transport, mass-coupling and quartic terms:
+    H = integral of j(u) - j(v) - 2 Re(u conj(v)) + 2 |u|^2 |v|^2."""
     u, v = state.u, state.v
     ux, vx = differentiate((u, v), state.grid)
-    dens = 0.5j * (
-        u * np.conj(ux) - ux * np.conj(u) - v * np.conj(vx) + vx * np.conj(v)
+    dens = (
+        _current(u, ux) - _current(v, vx) - 2.0 * _coupling(u, v)
+        + 2.0 * np.abs(u) ** 2 * np.abs(v) ** 2
     )
-    dens = dens - v * np.conj(u) - u * np.conj(v) + 2.0 * np.abs(u) ** 2 * np.abs(v) ** 2
-    return _real_integral(dens, state, "hamiltonian")
+    return quadrature(dens, state.grid).real
 
 
 def higher_density(state: FieldState) -> np.ndarray:
-    """Pointwise density rho of the higher-order charge R (complex-valued
-    array whose imaginary part vanishes up to roundoff)."""
+    """Pointwise density rho of the higher-order charge R."""
     u, v = state.u, state.v
     return _higher_density(u, v, *differentiate((u, v), state.grid))
 
@@ -74,16 +70,16 @@ def _higher_density(u, v, ux, vx) -> np.ndarray:
     return (
         np.abs(ux) ** 2
         + np.abs(vx) ** 2
-        - 0.5j * (ux * np.conj(u) - np.conj(ux) * u) * (au + 2.0 * av)
-        + 0.5j * (vx * np.conj(v) - np.conj(vx) * v) * (2.0 * au + av)
-        - (u * np.conj(v) + np.conj(u) * v) * (au + av)
+        + _current(u, ux) * (au + 2.0 * av)
+        - _current(v, vx) * (2.0 * au + av)
+        - 2.0 * _coupling(u, v) * (au + av)
         + 2.0 * au * av * (au + av)
     )
 
 
 def higher_charge(state: FieldState) -> float:
     """R = integral of the higher-order density."""
-    return _real_integral(higher_density(state), state, "higher charge")
+    return quadrature(higher_density(state), state.grid).real
 
 
 def lyapunov(state: FieldState, omega: float) -> float:
@@ -92,27 +88,23 @@ def lyapunov(state: FieldState, omega: float) -> float:
 
 
 def density_flux(state: FieldState) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise (rho, j) of the balance law d_t rho + d_x j = 0 for R."""
+    """Pointwise (rho, F) of the balance law d_t rho + d_x F = 0 for R."""
     u, v = state.u, state.v
     ux, vx = differentiate((u, v), state.grid)
     au = np.abs(u) ** 2
     av = np.abs(v) ** 2
-    rho = _higher_density(u, v, ux, vx)
     flux = (
         np.abs(ux) ** 2
         - np.abs(vx) ** 2
-        - 0.5j * (ux * np.conj(u) - np.conj(ux) * u) * (au + 2.0 * av)
-        - 0.5j * (vx * np.conj(v) - np.conj(vx) * v) * (2.0 * au + av)
-        - 0.5 * (u * np.conj(v) + np.conj(u) * v) * (au - av)
+        + _current(u, ux) * (au + 2.0 * av)
+        + _current(v, vx) * (2.0 * au + av)
+        - _coupling(u, v) * (au - av)
     )
-    bound = max(1.0, float(np.max(np.abs(rho))), float(np.max(np.abs(flux))))
-    if max(np.max(np.abs(rho.imag)), np.max(np.abs(flux.imag))) > IMAG_TOL * bound:
-        raise RuntimeError("density/flux imaginary residue; combination miscoded")
-    return rho.real, flux.real
+    return _higher_density(u, v, ux, vx), flux
 
 
 def balance_residual(states: Sequence[FieldState]) -> float:
-    """Max-norm of centered d_t rho + spectral d_x j on three snapshots.
+    """Max-norm of centered d_t rho + spectral d_x F on three snapshots.
 
     ``states`` must be three states on one grid at uniformly spaced times.
     """

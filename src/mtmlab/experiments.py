@@ -365,12 +365,14 @@ def omega_sweep(
       per-sector route agrees with the full-Hessian route within
       SPLIT_DEFECT_TOL.
 
-    Per-omega failures are isolated and recorded; the sweep continues.  An
-    unknown check name is refused with a ``ValueError`` before any work.
+    Failures during the analysis are isolated per omega and recorded; the
+    sweep continues.  An unknown check name, and an omega or ``grid_n``
+    that ``spectral_grid`` rejects, raise a ``ValueError`` before any work.
     """
     unknown = [name for name in checks if name not in SWEEP_CHECKS]
     if unknown:
         raise ValueError(f"unknown sweep checks {unknown}; choose from {list(SWEEP_CHECKS)}")
+    grids = [spectral.spectral_grid(omega, grid_n) for omega in omegas]
     t_start = time.perf_counter()
     record = RunRecord(
         kind="omega_sweep",
@@ -378,10 +380,9 @@ def omega_sweep(
         seed=None,
     )
     rows = []
-    for omega in omegas:
+    for omega, g in zip(omegas, grids):
         row: dict = {"omega": float(omega)}
         try:
-            g = spectral.spectral_grid(omega, grid_n)
             probe = spectral.splitting_probe(omega, g)
             row.update(probe)
             if "minus_sector" in checks:

@@ -61,7 +61,10 @@ HIERARCHY_Q_COEFF = 2j
 
 
 class PoleEncounterError(RuntimeError):
-    """The Riccati ratio blew up, signalling a zero of a(lambda)."""
+    """The Riccati ratio nu = phi_2 / phi_1 blew up: phi_1 vanishes somewhere
+    in the domain.  That happens at a zero of a(lambda), but also wherever
+    phi_1 has a zero inside the domain while |a(lambda)| = 1, as at
+    lambda = 1 on the solitons, where phi_1 vanishes at x = 0."""
 
     def __init__(self, lam: float, position: float):
         super().__init__(
@@ -237,46 +240,35 @@ _SUPPORTED_N = (0, 2, -2, 4, -4)
 
 
 def explicit_In(state: FieldState, n: int) -> complex:
-    """Evaluate the displayed low-order hierarchy integral I_n by quadrature."""
+    """Evaluate the displayed low-order hierarchy integral I_n by quadrature.
+
+    Each order has one density, written for (u, v); I_-n (n = 2, 4) is the
+    I_n density of the swapped pair (v, u) with every explicit i negated.
+    """
     if n not in _SUPPORTED_N:
         raise ValueError(f"unsupported hierarchy index {n}; choose from {_SUPPORTED_N}")
-    u, v = state.u, state.v
+    f, h, i = (state.u, state.v, 1j) if n >= 0 else (state.v, state.u, -1j)
     g = state.grid
-    au = np.abs(u) ** 2
-    av = np.abs(v) ** 2
+    af = np.abs(f) ** 2
+    ah = np.abs(h) ** 2
     if n == 0:
-        return quadrature(au + av, g)
-    ux, vx = differentiate((u, v), g)
-    cross = 1j * np.conj(v) * u + 1j * np.conj(u) * v
-    if n == 2:
-        dens = -2.0 * ux * np.conj(u) + cross - 2j * au * av
+        return quadrature(af + ah, g)
+    fx, hx = differentiate((f, h), g)
+    cross = i * np.conj(h) * f + i * np.conj(f) * h
+    if abs(n) == 2:
+        dens = -2.0 * fx * np.conj(f) + cross - 2 * i * af * ah
         return quadrature(dens, g)
-    if n == -2:
-        dens = -2.0 * vx * np.conj(v) - cross + 2j * au * av
-        return quadrature(dens, g)
-    total = au + av
-    pair = u * np.conj(v) + v * np.conj(u)
-    if n == 4:
-        uxx, uav_x = differentiate((ux, u * av), g)
-        dens = (
-            -4j * np.conj(u) * uxx
-            - 2.0 * (ux * np.conj(v) + np.conj(u) * vx)
-            + 4.0 * np.conj(u) * uav_x
-            + 4.0 * ux * np.conj(u) * total
-            + 1j * total
-            - 2j * pair * total
-            + 4j * au * av * total
-        )
-        return quadrature(dens, g)
-    vxx, vau_x = differentiate((vx, v * au), g)
+    total = af + ah
+    pair = f * np.conj(h) + h * np.conj(f)
+    fxx, fah_x = differentiate((fx, f * ah), g)
     dens = (
-        4j * np.conj(v) * vxx
-        - 2.0 * (ux * np.conj(v) + np.conj(u) * vx)
-        + 4.0 * np.conj(v) * vau_x
-        + 4.0 * vx * np.conj(v) * total
-        - 1j * total
-        + 2j * pair * total
-        - 4j * au * av * total
+        -4 * i * np.conj(f) * fxx
+        - 2.0 * (fx * np.conj(h) + np.conj(f) * hx)
+        + 4.0 * np.conj(f) * fah_x
+        + 4.0 * fx * np.conj(f) * total
+        + i * total
+        - 2 * i * pair * total
+        + 4 * i * af * ah * total
     )
     return quadrature(dens, g)
 

@@ -173,6 +173,82 @@ def calibrate_hierarchy_constants(states) -> tuple[complex, complex, float]:
     return complex(coef[0]), complex(coef[1]), resid
 
 
+def hermitian_densities(state: FieldState) -> dict[str, np.ndarray]:
+    """Densities of Q and, as complex Hermitian combinations, of P, H, the
+    higher density rho and the balance flux F, as first written: each is
+    real up to roundoff, the reference for the real-current densities of
+    ``mtmlab.conserved``."""
+    u, v = state.u, state.v
+    ux, vx = differentiate((u, v), state.grid)
+    au = np.abs(u) ** 2
+    av = np.abs(v) ** 2
+    p = 0.5j * (u * np.conj(ux) - ux * np.conj(u) + v * np.conj(vx) - vx * np.conj(v))
+    h = 0.5j * (u * np.conj(ux) - ux * np.conj(u) - v * np.conj(vx) + vx * np.conj(v))
+    h = h - v * np.conj(u) - u * np.conj(v) + 2.0 * au * av
+    rho = (
+        np.abs(ux) ** 2
+        + np.abs(vx) ** 2
+        - 0.5j * (ux * np.conj(u) - np.conj(ux) * u) * (au + 2.0 * av)
+        + 0.5j * (vx * np.conj(v) - np.conj(vx) * v) * (2.0 * au + av)
+        - (u * np.conj(v) + np.conj(u) * v) * (au + av)
+        + 2.0 * au * av * (au + av)
+    )
+    flux = (
+        np.abs(ux) ** 2
+        - np.abs(vx) ** 2
+        - 0.5j * (ux * np.conj(u) - np.conj(ux) * u) * (au + 2.0 * av)
+        - 0.5j * (vx * np.conj(v) - np.conj(vx) * v) * (2.0 * au + av)
+        - 0.5 * (u * np.conj(v) + np.conj(u) * v) * (au - av)
+    )
+    return {"Q": au + av, "P": p, "H": h, "rho": rho, "flux": flux}
+
+
+def explicit_In_displayed(state: FieldState, n: int) -> complex:
+    """The low-order hierarchy integrals I_n with I_-2 and I_-4 written out
+    as displayed, not derived from I_2 and I_4."""
+    u, v = state.u, state.v
+    g = state.grid
+    au = np.abs(u) ** 2
+    av = np.abs(v) ** 2
+    if n == 0:
+        return quadrature(au + av, g)
+    ux, vx = differentiate((u, v), g)
+    cross = 1j * np.conj(v) * u + 1j * np.conj(u) * v
+    if n == 2:
+        dens = -2.0 * ux * np.conj(u) + cross - 2j * au * av
+        return quadrature(dens, g)
+    if n == -2:
+        dens = -2.0 * vx * np.conj(v) - cross + 2j * au * av
+        return quadrature(dens, g)
+    total = au + av
+    pair = u * np.conj(v) + v * np.conj(u)
+    if n == 4:
+        uxx, uav_x = differentiate((ux, u * av), g)
+        dens = (
+            -4j * np.conj(u) * uxx
+            - 2.0 * (ux * np.conj(v) + np.conj(u) * vx)
+            + 4.0 * np.conj(u) * uav_x
+            + 4.0 * ux * np.conj(u) * total
+            + 1j * total
+            - 2j * pair * total
+            + 4j * au * av * total
+        )
+        return quadrature(dens, g)
+    if n != -4:
+        raise ValueError(f"no displayed formula for I_{n}")
+    vxx, vau_x = differentiate((vx, v * au), g)
+    dens = (
+        4j * np.conj(v) * vxx
+        - 2.0 * (ux * np.conj(v) + np.conj(u) * vx)
+        + 4.0 * np.conj(v) * vau_x
+        + 4.0 * vx * np.conj(v) * total
+        - 1j * total
+        + 2j * pair * total
+        - 4j * au * av * total
+    )
+    return quadrature(dens, g)
+
+
 def measured_interpolation_constant(states) -> float:
     """Largest observed ratio of the L4/L6 integrals to the interpolation
     bound ||f'||^(p-1) ||f||^(p+1) across snapshots and components; each

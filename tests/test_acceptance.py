@@ -45,6 +45,7 @@ from mtmlab.spectral import (
     constrained_min_eig,
     embed_conjugate_pair,
     isolated_spectrum,
+    sector_analysis,
     sigma_closed_form,
     sigma_index,
     spectral_grid,
@@ -231,9 +232,9 @@ OMEGA_SWEEP = (0.1, -0.1, 0.3, -0.3, 0.5, -0.5, 0.7, -0.7, 0.9, -0.9)
 
 
 def _isolated(omega, sign):
+    # the isolated spectrum as `mtmlab sweep` and `mtmlab spectrum` compute it
     g = spectral_grid(omega)
-    op = build_sector_operator(omega, g, sign)
-    vals = isolated_spectrum(op)
+    vals = sector_analysis(omega, g, sign).isolated
     kernel_idx = int(np.argmin(np.abs(vals))) if len(vals) else -1
     others = np.delete(vals, kernel_idx) if len(vals) else vals
     return g, vals, (vals[kernel_idx] if len(vals) else np.nan), others

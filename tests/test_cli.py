@@ -208,6 +208,13 @@ class TestScatterCommand:
         argv = ["scatter", "--lambdas", "30", "--grid-N", "256", "--out", str(tmp_path)]
         assert "conditioning window" in _usage_error(argv, capsys)
 
+    def test_riccati_blowup_rejected(self, tmp_path, capsys):
+        # phi_1 vanishes at the node x = 0 for lambda = 1 although |a(1)| = 1
+        out = tmp_path / "refused"
+        argv = ["scatter", "--lambdas", "1.0", "--out", str(out)]
+        assert "Riccati ratio exceeded" in _usage_error(argv, capsys)
+        assert not out.exists()
+
 
 class TestSigmaCommand:
     def test_table_and_exit(self, tmp_path):
@@ -275,6 +282,12 @@ class TestSweepCommand:
     def test_misspelt_check_rejected(self, tmp_path, capsys):
         argv = ["sweep", "--omegas", "0.3", "--checks", "minus_secotr", "--out", str(tmp_path)]
         assert "minus_secotr" in _usage_error(argv, capsys)
+
+    def test_frequency_outside_range_rejected(self, tmp_path, capsys):
+        out = tmp_path / "refused"
+        argv = ["sweep", "--omegas", "1.5", "--out", str(out)]
+        assert "|omega| < 1" in _usage_error(argv, capsys)
+        assert not out.exists()
 
 
 class TestStabilityCommand:

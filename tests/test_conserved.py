@@ -21,6 +21,7 @@ from mtmlab.conserved import (
 from mtmlab.evolve import EvolverConfig, evolve, step
 from mtmlab.grid import FieldState, Grid, quadrature, zero_state
 from mtmlab.soliton import SolitonParams, eval_soliton, residual_second_order
+from oracles import hermitian_densities
 
 # high-resolution quadrature oracle values (N = 4096, L = 40)
 SOLITON_H_HALF = -1.7320508075688779  # omega = 0.5; equals -2 sqrt(1 - omega^2)
@@ -147,6 +148,47 @@ class TestEvaluateAll:
         assert (values.Q, values.P, values.H, values.R) == (
             charge(soliton_half), momentum(soliton_half),
             hamiltonian(soliton_half), higher_charge(soliton_half))
+
+
+def _oracle_states():
+    g = Grid(40.0, 1024)
+    solitons = [eval_soliton(SolitonParams(omega), g) for omega in (0.0, 0.5, -0.7)]
+    return solitons + [random_decaying_state(g, seed=seed) for seed in range(6)]
+
+
+class TestHermitianOracle:
+    """The real-current densities against the complex Hermitian ones they
+    replace.  Integrals compare relative to max(1, |value|), the scale of
+    roundoff in a sum of O(1) terms (H of a random state is ~1e-3 from
+    terms ~1e-1)."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return [(state, hermitian_densities(state)) for state in _oracle_states()]
+
+    def test_oracle_imaginary_residue_vanishes(self, cases):
+        # each Hermitian combination is real up to roundoff
+        for state, dens in cases:
+            for key in ("P", "H", "rho"):
+                val = quadrature(dens[key], state.grid)
+                assert abs(val.imag) <= 1e-10 * max(1.0, abs(val.real))
+            bound = max(1.0, *(float(np.max(np.abs(dens[k]))) for k in ("rho", "flux")))
+            for key in ("rho", "flux"):
+                assert np.max(np.abs(dens[key].imag)) <= 1e-10 * bound
+
+    def test_functionals_match_oracle(self, cases):
+        for state, dens in cases:
+            assert charge(state) == quadrature(dens["Q"], state.grid).real
+            for fn, key in ((momentum, "P"), (hamiltonian, "H"), (higher_charge, "rho")):
+                ref = quadrature(dens[key], state.grid).real
+                assert abs(fn(state) - ref) <= 1e-15 * max(1.0, abs(ref))
+
+    def test_density_and_flux_match_oracle(self, cases):
+        for state, dens in cases:
+            rho, flux = density_flux(state)
+            assert rho.dtype == flux.dtype == np.float64
+            assert np.max(np.abs(rho - dens["rho"].real)) <= 1e-14
+            assert np.max(np.abs(flux - dens["flux"].real)) <= 1e-14
 
 
 @pytest.fixture(scope="module")

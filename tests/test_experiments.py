@@ -283,6 +283,15 @@ class TestOmegaSweep:
         with pytest.raises(ValueError, match="minus_secotr"):
             omega_sweep([0.3], checks=("minus_sector", "minus_secotr"))
 
+    def test_refused_frequency_stops_the_sweep_before_any_analysis(self, monkeypatch):
+        from mtmlab import spectral
+
+        analysed = []
+        monkeypatch.setattr(spectral, "splitting_probe", lambda omega, g: analysed.append(omega))
+        with pytest.raises(ValueError, match="omega"):
+            omega_sweep([0.3, 1.5])
+        assert analysed == []
+
 
 class TestRunRecord:
     def test_json_round_trip(self, tmp_path):

@@ -21,7 +21,12 @@ from mtmlab.scattering import (
     write_scan_csv,
 )
 from mtmlab.soliton import SolitonParams, eval_soliton
-from oracles import FourierInterpolant, calibrate_hierarchy_constants, riccati_oracle
+from oracles import (
+    FourierInterpolant,
+    calibrate_hierarchy_constants,
+    explicit_In_displayed,
+    riccati_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +202,15 @@ class TestHierarchy:
     def test_unsupported_index(self):
         with pytest.raises(ValueError):
             explicit_In(zero_state(Grid(20.0, 256)), 3)
+
+    def test_matches_displayed_formulas(self):
+        # I_-2 and I_-4 come from the I_2 and I_4 densities by reflection
+        g = Grid(30.0, 1024)
+        for seed in range(12):
+            state = random_decaying_state(g, seed=seed)
+            for n in scattering._SUPPORTED_N:
+                ref = explicit_In_displayed(state, n)
+                assert abs(explicit_In(state, n) - ref) <= 1e-15 * abs(ref)
 
     def test_charge_equivalence_on_soliton(self):
         g = Grid(30.0, 1024)
