@@ -184,7 +184,11 @@ def load_state(path: str | Path) -> FieldState:
         meta = f.readline()
         if not meta.startswith("#"):
             raise ValueError("missing metadata comment line")
-        fields = dict(tok.split("=", 1) for tok in meta[1:].split())
+        tokens = meta[1:].split()
+        malformed = [tok for tok in tokens if "=" not in tok]
+        if malformed:
+            raise ValueError(f"metadata token {malformed[0]!r} is not key=value: {meta.strip()!r}")
+        fields = dict(tok.split("=", 1) for tok in tokens)
         missing = [key for key in ("t", "L", "N") if key not in fields]
         if missing:
             raise ValueError(f"metadata line lacks {', '.join(missing)}: {meta.strip()!r}")

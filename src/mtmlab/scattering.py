@@ -31,7 +31,8 @@ every x_j + s by one Fourier shift of their trigonometric interpolant.  A
 left-to-right product from phi(x_0) = (1, 0) gives phi, hence nu, at the
 nodes.  A cell that a Lipschitz screen cannot certify free of
 |nu| >= NU_BLOWUP is solved again by the Riccati equation with a blow-up
-event, which reports where nu blows up.
+event, which reports where nu blows up.  A is written once, in ``_lax``, and
+the propagators, the Riccati equation, chi and the screen read it there.
 """
 
 from __future__ import annotations
@@ -104,6 +105,15 @@ def _field_sampler(u: np.ndarray, v: np.ndarray, grid: Grid):
     return at
 
 
+def _lax(u, v, lam: float):
+    """(diag, low) = (A_11, A_21) of the module docstring's Lax matrix A at
+    the samples (u, v); A_22 = -diag and A_12 = -conj(low)."""
+    k = 0.25 * (lam**-2 - lam**2)
+    diag = 1j * (k + 0.5 * (v.real**2 + v.imag**2 - u.real**2 - u.imag**2))
+    low = (-1j / math.sqrt(2.0)) * (lam * v + u / lam)
+    return diag, low
+
+
 def _cell_propagators(sample, lam: float, grid: Grid) -> tuple[np.ndarray, np.ndarray, int]:
     """First columns (alpha, gamma) of the N - 1 cell propagators of
     phi' = A phi, each over [x_j, x_j + dx] from (1, 0), all cells in one
@@ -111,13 +121,9 @@ def _cell_propagators(sample, lam: float, grid: Grid) -> tuple[np.ndarray, np.nd
     traceless and skew-Hermitian for real lambda, so each propagator is
     [[alpha, -conj(gamma)], [gamma, conj(alpha)]] in SU(2)."""
     n = grid.n - 1
-    k = 0.25 * (lam**-2 - lam**2)
-    c = 1j / math.sqrt(2.0)
 
     def rhs(s, y):
-        u, v = sample(s)[:, :n]
-        diag = 1j * (k + 0.5 * (v.real**2 + v.imag**2 - u.real**2 - u.imag**2))
-        low = -c * (lam * v + u / lam)
+        diag, low = _lax(*sample(s)[:, :n], lam)
         alpha, gamma = y[:n], y[n:]
         return np.concatenate(
             [diag * alpha - np.conj(low) * gamma, low * alpha - diag * gamma]
@@ -153,13 +159,13 @@ def _pole_candidates(state: FieldState, lam: float, phi1: np.ndarray) -> np.ndar
     """Cells the Lipschitz screen cannot certify free of |nu| >= NU_BLOWUP.
 
     |phi| = 1 and the diagonal of A is imaginary, so |phi_1| moves at most
-    at |A_12| = |lam v + u/lam| / sqrt 2, which the l1 norm of its Fourier
-    coefficients bounds by L.  On cell j, |phi_1| then stays above
+    at |A_12| = |A_21|, which the l1 norm of the Fourier coefficients of A_21
+    bounds by L.  On cell j, |phi_1| then stays above
     (|phi_1j| + |phi_1,j+1| - L dx) / 2, and |nu| < NU_BLOWUP wherever
     |phi_1| > 1/NU_BLOWUP.
     """
     g = state.grid
-    lip = np.sum(np.abs(np.fft.fft(lam * state.v + state.u / lam))) / (g.n * math.sqrt(2.0))
+    lip = np.sum(np.abs(np.fft.fft(_lax(state.u, state.v, lam)[1]))) / g.n
     mod = np.abs(phi1)
     floor = 0.5 * (mod[:-1] + mod[1:] - lip * g.dx)
     return np.flatnonzero(floor <= 1.0 / NU_BLOWUP)
@@ -172,18 +178,10 @@ def _refine_cell(sample, lam: float, grid: Grid, j: int, nu0: complex) -> int:
     x0 = float(grid.x[j])
     if abs(nu0) >= NU_BLOWUP:
         raise PoleEncounterError(lam, x0)
-    k = 0.25 * (lam**-2 - lam**2)
-    c = 1j / math.sqrt(2.0)
 
     def rhs(s, y):
-        u, v = sample(s)[:, j]
-        nu = y[0]
-        co = lam * v.conjugate() + u.conjugate() / lam
-        return [
-            -1j * (2.0 * k + abs(v) ** 2 - abs(u) ** 2) * nu
-            + c * co * nu * nu
-            - c * (lam * v + u / lam)
-        ]
+        diag, low = _lax(*sample(s)[:, j], lam)
+        return [low - 2.0 * diag * y[0] + low.conjugate() * y[0] * y[0]]
 
     def blowup(s, y):
         return NU_BLOWUP - abs(y[0])
@@ -229,9 +227,8 @@ def riccati_solve(state: FieldState, lam: float) -> ScatteringSample:
     for j in _pole_candidates(state, lam, phi1):
         nfev += _refine_cell(sample, lam, g, j, phi2[j] / phi1[j])
     nu = phi2 / phi1
-    c = 1j / math.sqrt(2.0)
-    co = lam * np.conj(state.v) + np.conj(state.u) / lam
-    chi = 0.5j * (np.abs(state.v) ** 2 - np.abs(state.u) ** 2) - c * co * nu
+    _, low = _lax(state.u, state.v, lam)
+    chi = 0.5j * (np.abs(state.v) ** 2 - np.abs(state.u) ** 2) - np.conj(low) * nu
     log_a = quadrature(chi, g)
     return ScatteringSample(lam=lam, nu=nu, chi=chi, log_a=log_a, nfev=nfev)
 

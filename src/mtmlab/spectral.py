@@ -48,18 +48,19 @@ functions, K = +1 on (even Re w, odd Im w) and -1 on (odd Re w, even Im w)
 blocks, each gathered from the circulant derivative columns by one writer,
 ``_parity_block``; the 2N x 2N matrix is never formed.  The constraint
 vector s of each sector lies in its +1 block and the kernel vector k in its
--1 block; each block is reduced to tridiagonal form once, with s+ (or k-)
-reflected onto e_1, for its share of the isolated spectrum, its minimum off
-that vector and, on the kernel-free +1 block, sigma = 2 dx s+^T M+^{-1} s+.
-The analysis writes the two blocks in turn into one N x N buffer and reduces
-each in place: LAPACK's lower reduction never reads the strict upper
-triangle, so that triangle and the saved diagonal still apply M for the
-sigma residual.  The symmetry breaks only in the
-e^-22 tail at the fixed point x = -L; ``parity_defect`` records the largest
-wrong-parity component of the coefficients and of s and k, refused above
-CONSTRUCTION_TOL (a domain too short for the soliton).  The Schrodinger
-problems are stacked alike, a scalar one (V even) as its blocks on the even
-and the odd lattice functions; every -D2 part is one gather,
+-1 block, and one evaluation of U and U' (``_sector_setup``) gives a
+sector's coefficients, s+, k- and parity defect.  Each block is reduced to
+tridiagonal form once, with s+ (or k-) reflected onto e_1, for its share of
+the isolated spectrum, its minimum off that vector and, on the kernel-free
++1 block, sigma = 2 dx s+^T M+^{-1} s+.  The analysis writes the two blocks
+in turn into one N x N buffer and reduces each in place: LAPACK's lower
+reduction never reads the strict upper triangle, so that triangle and the
+saved diagonal still apply M for the sigma residual.  The symmetry breaks
+only in the e^-22 tail at the fixed point x = -L; ``parity_defect`` records
+the largest wrong-parity component of the coefficients and of s and k,
+refused above CONSTRUCTION_TOL (a domain too short for the soliton).  The
+Schrodinger problems are stacked alike, a scalar one (V even) as its blocks
+on the even and the odd lattice functions; every -D2 part is one gather,
 ``_negative_d2_blocks``, and the dense circulants of
 ``differentiation_matrices`` serve only the small-N Hessian self-check.
 
@@ -289,23 +290,17 @@ def _parity_stack(grid: Grid, coefficients) -> np.ndarray:
 # sector operators and the full Hessian
 
 
-def _sector_constraints(omega: float, grid: Grid, sign: int):
-    """``parity_split`` of the sector's constraint vector s and kernel
-    vector k: (U, U') for plus, (iU', iU) for minus."""
-    u = eval_profile(omega, grid)
-    up = profile_derivative(omega, grid.x)
-    s, k = (u, up) if sign > 0 else (1j * up, 1j * u)
-    return parity_split(embed_conjugate_pair(s)), parity_split(embed_conjugate_pair(k))
-
-
-def _sector_coefficients(omega: float, grid: Grid, sign: int, constraints):
-    """The coefficients (g, pa, pd, q) of ``_parity_block`` for the
-    v = sign * conj(u) reduction, and the sector's parity defect: that of the
-    coefficients and the dropped parts s- and k+ of its ``constraints``
-    (``_sector_constraints``)."""
+def _sector_setup(omega: float, grid: Grid, sign: int):
+    """One evaluation of U and U' for the v = sign * conj(u) reduction: the
+    coefficients (g, pa, pd, q) of ``_parity_block``, the K = +1 part s+ of
+    the constraint vector s, the K = -1 part k- of the kernel vector k
+    ((s, k) = (U, U') for plus, (iU', iU) for minus), and the sector's parity
+    defect: that of the coefficients and of the dropped parts s- and k+."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     u = eval_profile(omega, grid)
+    up = profile_derivative(omega, grid.x)
+    s, k = (u, up) if sign > 0 else (1j * up, 1j * u)
     absq = np.abs(u) ** 2
     big = 1.0 - omega * omega
     if sign > 0:
@@ -317,19 +312,19 @@ def _sector_coefficients(omega: float, grid: Grid, sign: int, constraints):
         pot = -2.0 * absq**2 - 2.0 * omega * absq + big
         off = 2.0 * omega * u**2
     coefficients = (g, pot + off.real, pot - off.real, off.imag)
-    (_, s_dropped), (k_dropped, _) = constraints
-    defect = max(_wrong_parity(*coefficients), float(np.max(np.abs(s_dropped))),
-                 float(np.max(np.abs(k_dropped))))
-    return coefficients, defect
+    s_plus, s_minus = parity_split(embed_conjugate_pair(s))
+    k_plus, k_minus = parity_split(embed_conjugate_pair(k))
+    defect = max(_wrong_parity(*coefficients), float(np.max(np.abs(s_minus))),
+                 float(np.max(np.abs(k_plus))))
+    return coefficients, s_plus, k_minus, defect
 
 
 def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperator:
     """The parity-block stack of the realified 2N x 2N operator of the
     v = sign * conj(u) reduction: sign=+1 gives the sector whose kernel holds
     the translation mode (U', conj U'), sign=-1 the gauge mode (U, -conj U).
-    The parity defect is that of ``_sector_coefficients``."""
-    coefficients, defect = _sector_coefficients(
-        omega, grid, sign, _sector_constraints(omega, grid, sign))
+    The parity defect is that of ``_sector_setup``."""
+    coefficients, _, _, defect = _sector_setup(omega, grid, sign)
     return DiscreteOperator(_parity_stack(grid, coefficients), 1.0 - omega * omega,
                             parity_defect=defect)
 
@@ -604,6 +599,8 @@ def sturm_eigenvalues(problem: SchrodingerProblem) -> list[float]:
 
 def sigma_closed_form(omega: float, sign: int) -> float:
     """Constraint slopes of the two sectors in closed form."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
     if abs(omega) < OMEGA_DEGENERATE:
         raise ValueError("sigma diverges at omega = 0")
     beta = float(np.sqrt(1.0 - omega * omega))
@@ -641,19 +638,17 @@ class SectorAnalysis(NamedTuple):
 
 @lru_cache(maxsize=2)  # the current omega's two sectors
 def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
-    """The ``SectorAnalysis`` of one (omega, sector) from one evaluation of
-    its constraints and coefficients and one N x N buffer: after the parity
-    defect has been checked, the K = +1 block is written into the buffer and
-    reduced in place (``_reduce_block``), then the K = -1 block; no stack of
-    both blocks is formed, and the buffer is dropped on return.  The isolated
-    spectrum is the union of the blocks' T spectra, the constrained minimum
-    the lowest eigenvalue of their T[1:, 1:], and sigma
+    """The ``SectorAnalysis`` of one (omega, sector) from one ``_sector_setup``
+    and one N x N buffer: after the parity defect has been checked, the
+    K = +1 block is written into the buffer and reduced in place
+    (``_reduce_block``), then the K = -1 block; no stack of both blocks is
+    formed, and the buffer is dropped on return.  The isolated spectrum is
+    the union of the blocks' T spectra, the constrained minimum the lowest
+    eigenvalue of their T[1:, 1:], and sigma
     <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ (the +1 block holds no kernel; 2 dx
     turns the realified dot into the pairing), its residual taken from the
     upper triangle the reduction leaves intact."""
-    constraints = _sector_constraints(omega, grid, sign)
-    (s, _), (_, k) = constraints
-    coefficients, defect = _sector_coefficients(omega, grid, sign, constraints)
+    coefficients, s, k, defect = _sector_setup(omega, grid, sign)
     _refuse_defect(defect)
     block = np.empty((grid.n, grid.n))
     _parity_block(grid, *coefficients, 1, block)

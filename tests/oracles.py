@@ -603,7 +603,7 @@ def sector_analysis_stacked(omega: float, grid: Grid, sign: int):
     """``spectral.sector_analysis`` through the (2, N, N) stack of
     ``build_sector_operator``, each block reduced by
     ``reduce_block_copying``."""
-    (s, _), (_, k) = spectral._sector_constraints(omega, grid, sign)
+    _, s, k, _ = spectral._sector_setup(omega, grid, sign)
     op = spectral.build_sector_operator(omega, grid, sign)
     plus, minus = op.matrix
     *t_plus, solved = reduce_block_copying(plus, s, solve=abs(omega) >= OMEGA_DEGENERATE)

@@ -292,6 +292,34 @@ class TestOmegaSweep:
             omega_sweep([0.3, 1.5])
         assert analysed == []
 
+    def test_failure_is_isolated_per_frequency(self, monkeypatch, tmp_path):
+        from mtmlab import spectral
+        from mtmlab.cli import main
+
+        probe = spectral.splitting_probe
+
+        def failing(omega, g):
+            if omega == -0.7:
+                raise spectral.OperatorConstructionError("parity defect (injected)")
+            return probe(omega, g)
+
+        complete = omega_sweep([0.3]).tables["sweep"][0]
+        monkeypatch.setattr(spectral, "splitting_probe", failing)
+        record = omega_sweep([-0.7, 0.3])
+        failed, passed = record.tables["sweep"]
+        assert set(failed) == {"omega", "error"}
+        assert failed["omega"] == -0.7 and "injected" in failed["error"]
+        assert passed == complete
+        assert record.verdicts["no_errors"] is False
+        assert record.passed is False
+
+        # "=" keeps argparse from reading the leading "-0.7" as a flag
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--omegas=-0.7,0.3", "--out", str(out)]) == 1
+        written = json.loads((out / "record.json").read_text())
+        assert written["verdicts"]["no_errors"] is False
+        assert written["tables"]["sweep"][0]["omega"] == -0.7
+
 
 class TestRunRecord:
     def test_json_round_trip(self, tmp_path):

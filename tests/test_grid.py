@@ -217,6 +217,15 @@ class TestDumpFormat:
         with pytest.raises(ValueError, match=f"lacks {key}"):
             load_state(path)
 
+    def test_malformed_metadata_token_named(self, tmp_path):
+        path = tmp_path / "state.csv"
+        dump_state(zero_state(Grid(12.0, 128)), path)
+        rest = path.read_text().split("\n", 1)[1]
+        path.write_text("# written by hand\n" + rest)
+        with pytest.raises(ValueError, match="metadata token 'written' is not key=value: "
+                                             "'# written by hand'"):
+            load_state(path)
+
     @pytest.mark.parametrize("t", ["nan", "inf"])
     def test_non_finite_time_rejected(self, tmp_path, t):
         path = tmp_path / "state.csv"

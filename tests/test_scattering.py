@@ -57,6 +57,67 @@ class TestFieldSampler:
                 assert abs(pv[j] - v_of(g.x[j] + s)) <= 1e-13 * np.max(np.abs(v))
 
 
+def _displayed_lax(u, v, lam):
+    """A at every node as a (N, 2, 2) array, entry by entry from the module
+    docstring's display."""
+    k = 0.25 * (lam**-2 - lam**2)
+    a = np.empty(u.shape + (2, 2), dtype=complex)
+    a[:, 0, 0] = 1j * k + 0.5j * (np.abs(v) ** 2 - np.abs(u) ** 2)
+    a[:, 0, 1] = -(1j / np.sqrt(2.0)) * (lam * np.conj(v) + np.conj(u) / lam)
+    a[:, 1, 0] = -(1j / np.sqrt(2.0)) * (lam * v + u / lam)
+    a[:, 1, 1] = -1j * k - 0.5j * (np.abs(v) ** 2 - np.abs(u) ** 2)
+    return a
+
+
+class TestLaxMatrix:
+    @pytest.mark.parametrize("lam", [0.05, 0.8, 20.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entries_match_displayed_matrix(self, monkeypatch, seed, lam):
+        g = Grid(30.0, 512)
+        state = random_decaying_state(g, seed=seed)
+        u, v = state.u, state.v
+        a = _displayed_lax(u, v, lam)
+        scale = np.max(np.abs(a))
+        diag, low = scattering._lax(u, v, lam)
+        assert np.max(np.abs(diag - a[:, 0, 0])) <= 1e-15 * scale
+        assert np.max(np.abs(low - a[:, 1, 0])) <= 1e-15 * scale
+        # traceless and skew-Hermitian, the upper entry -conj(low)
+        assert np.max(np.abs(a[:, 0, 0] + a[:, 1, 1])) <= 1e-15 * scale
+        assert np.max(np.abs(a + np.conj(np.swapaxes(a, 1, 2)))) <= 1e-15 * scale
+        assert np.max(np.abs(a[:, 0, 1] + np.conj(low))) <= 1e-15 * scale
+
+        # the Riccati right-hand side of _refine_cell, caught at solve_ivp
+        class Caught(Exception):
+            pass
+
+        def catch(fun, *args, **kwargs):
+            raise Caught(fun)
+
+        monkeypatch.setattr(scattering, "solve_ivp", catch)
+        fields = np.stack([u, v])
+        rng = np.random.default_rng(seed)
+        for j in rng.choice(g.n, size=16, replace=False):
+            with pytest.raises(Caught) as caught:
+                scattering._refine_cell(lambda s: fields, lam, g, j, 0.0)
+            rhs = caught.value.args[0]
+            nu = complex(*rng.standard_normal(2))
+            (a11, a12), (a21, a22) = a[j]
+            expected = a21 + (a22 - a11) * nu - a12 * nu * nu
+            assert abs(rhs(0.0, [nu])[0] - expected) <= 1e-14 * scale * (1.0 + abs(nu)) ** 2
+
+        # the screen's Lipschitz constant sum |fft(low)| / N is the former
+        # sum |fft(lam v + u/lam)| / (N sqrt 2)
+        lip = np.sum(np.abs(np.fft.fft(low))) / g.n
+        former = np.sum(np.abs(np.fft.fft(lam * v + u / lam))) / (g.n * np.sqrt(2.0))
+        assert abs(lip - former) <= 1e-15 * former
+        # and _pole_candidates reads it: with |phi_1| = m on every node, a
+        # cell is flagged iff m - lip dx / 2 <= 1 / NU_BLOWUP
+        edge = 0.5 * lip * g.dx + 1.0 / scattering.NU_BLOWUP
+        for m, count in ((edge * (1.0 - 1e-12), g.n - 1), (edge * (1.0 + 1e-12), 0)):
+            flagged = scattering._pole_candidates(state, lam, np.full(g.n, m))
+            assert flagged.size == count
+
+
 class TestRiccati:
     def test_zero_field(self):
         sample = riccati_solve(zero_state(Grid(20.0, 256)), 0.7)

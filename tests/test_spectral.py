@@ -433,6 +433,11 @@ class TestSigma:
             assert np.sign(sigma_closed_form(omega, +1)) == -np.sign(omega)
             assert np.sign(sigma_closed_form(omega, -1)) == np.sign(omega)
 
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_closed_form_refuses_other_signs(self, sign):
+        with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+            sigma_closed_form(0.5, sign)
+
     def test_degenerate_frequency(self):
         g = spectral_grid(0.3)
         with pytest.raises(ValueError):
@@ -812,7 +817,7 @@ class TestParityBlocks:
                 return getattr(ufunc, method)(*inputs, **kwargs)
 
         g = spectral_grid(0.5, ORACLE_N)
-        (s, _), _ = spectral._sector_constraints(0.5, g, 1)
+        _, s, _, _ = spectral._sector_setup(0.5, g, 1)
         block = build_sector_operator(0.5, g, 1).matrix[0]
         d, e, solved = spectral._reduce_block(block.copy().view(NoMatmul), s, solve=True)
         ref_d, ref_e, ref_solved = spectral._reduce_block(block.copy(), s, solve=True)
