@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -47,6 +48,23 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"mtmlab: error: {message}\n")
+
+
+# comma lists of numbers; argparse reads a value such as "-0.7,0.3" as a flag
+# (it passes a lone negative number only), so such a value is glued to its flag
+_NUMBER_LISTS = ("--omegas", "--lambdas")
+
+
+def _glue_number_lists(argv: list[str]) -> list[str]:
+    """``argv`` with each value that starts with "-" and a digit or "." and
+    follows --omegas or --lambdas glued to it, as in "--omegas=-0.7,0.3"."""
+    glued = []
+    for token in argv:
+        if glued and glued[-1] in _NUMBER_LISTS and re.match(r"-\.?\d", token):
+            glued[-1] += "=" + token
+        else:
+            glued.append(token)
+    return glued
 
 
 def _flag(key: str) -> str:
@@ -255,7 +273,7 @@ def main(argv=None) -> int:
         for key, (kind, default) in flags.items():
             p.add_argument(_flag(key), dest=key, type=kind, default=default)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_number_lists(sys.argv[1:] if argv is None else argv))
     handler, _, keys, _ = _COMMANDS[args.command]
     try:
         return handler(_settings(args, keys), args)

@@ -8,7 +8,7 @@ from scipy.linalg import block_diag, eigh, eigvalsh_tridiagonal, null_space, sol
 from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2
 from scipy.linalg.lapack import dgtsv, dormqr, dsytrd, dsytrd_lwork
 
-from mtmlab import spectral
+from mtmlab import scattering, spectral
 from mtmlab.conserved import charge, higher_charge
 from mtmlab.grid import FieldState, Grid, differentiate, l2_norm_sq, quadrature
 from mtmlab.scattering import NU_BLOWUP, PoleEncounterError, ScatteringSample, explicit_In
@@ -155,6 +155,55 @@ def riccati_oracle(
     return ScatteringSample(
         lam=lam, nu=nu, chi=chi, log_a=quadrature(chi, g), nfev=sol.nfev
     )
+
+
+def sweep_sequential(alpha: np.ndarray, gamma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``scattering._sweep`` as one left-to-right loop: each cell propagator
+    [[a, -conj(g)], [g, conj(a)]] applied in turn to phi(x_0) = (1, 0)."""
+    p1, p2 = 1.0 + 0.0j, 0.0j
+    phi1, phi2 = [p1], [p2]
+    for a, g in zip(alpha.tolist(), gamma.tolist()):
+        p1, p2 = a * p1 - g.conjugate() * p2, g * p1 + a.conjugate() * p2
+        phi1.append(p1)
+        phi2.append(p2)
+    return np.array(phi1), np.array(phi2)
+
+
+def riccati_adaptive_start(state: FieldState, lam: float) -> ScatteringSample:
+    """``riccati_solve`` with the cell propagators from a DOP853 solve that
+    picks its own first step, and phi from ``sweep_sequential``.  Only for
+    states whose cells the Lipschitz screen clears: a flagged cell raises."""
+    lam = float(lam)
+    g = state.grid
+    n = g.n - 1
+    sample = scattering._field_sampler(state.u, state.v, g)
+
+    def rhs(s, y):
+        diag, low = scattering._lax(*sample(s)[:, :n], lam)
+        alpha, gamma = y[:n], y[n:]
+        return np.concatenate(
+            [diag * alpha - np.conj(low) * gamma, low * alpha - diag * gamma]
+        )
+
+    y0 = np.zeros(2 * n, dtype=complex)
+    y0[:n] = 1.0
+    sol = solve_ivp(
+        rhs,
+        (0.0, g.dx),
+        y0,
+        method="DOP853",
+        rtol=scattering.RICCATI_RTOL,
+        atol=scattering.RICCATI_ATOL,
+    )
+    if not sol.success:
+        raise RuntimeError(f"cell propagator integration failed: {sol.message}")
+    phi1, phi2 = sweep_sequential(sol.y[:n, -1], sol.y[n:, -1])
+    _, low = scattering._lax(state.u, state.v, lam)
+    if scattering._pole_candidates(low, g, phi1).size:
+        raise RuntimeError("the Lipschitz screen flags cells; the oracle does not re-solve them")
+    nu = phi2 / phi1
+    chi = 0.5j * (np.abs(state.v) ** 2 - np.abs(state.u) ** 2) - np.conj(low) * nu
+    return ScatteringSample(lam=lam, nu=nu, chi=chi, log_a=quadrature(chi, g), nfev=sol.nfev)
 
 
 def calibrate_hierarchy_constants(states) -> tuple[complex, complex, float]:

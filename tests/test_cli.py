@@ -204,6 +204,15 @@ class TestScatterCommand:
         assert lines[0] == "lambda,re_log_a,im_log_a,t"
         assert lines[1].startswith("0.7,")
 
+    def test_list_led_by_negative_value(self, tmp_path):
+        tables = []
+        for name, argv in (("spaced", ["--lambdas", "-0.5,0.8"]), ("glued", ["--lambdas=-0.5,0.8"])):
+            out = tmp_path / name
+            assert main(["scatter", *argv, "--grid-N", "256", "--out", str(out)]) == 0
+            tables.append((out / "scatter.csv").read_text())
+        assert tables[0] == tables[1]
+        assert [line.split(",")[0] for line in tables[0].splitlines()[1:]] == ["-0.5", "0.8"]
+
     def test_lambda_outside_window_rejected(self, tmp_path, capsys):
         argv = ["scatter", "--lambdas", "30", "--grid-N", "256", "--out", str(tmp_path)]
         assert "conditioning window" in _usage_error(argv, capsys)
@@ -282,6 +291,18 @@ class TestSweepCommand:
     def test_misspelt_check_rejected(self, tmp_path, capsys):
         argv = ["sweep", "--omegas", "0.3", "--checks", "minus_secotr", "--out", str(tmp_path)]
         assert "minus_secotr" in _usage_error(argv, capsys)
+
+    def test_list_led_by_negative_value(self, tmp_path):
+        # argparse alone reads "-0.7,0.3" as a flag and exits 2
+        records = []
+        for name, argv in (("spaced", ["--omegas", "-0.7,0.3"]), ("glued", ["--omegas=-0.7,0.3"])):
+            out = tmp_path / name
+            assert main(["sweep", *argv, "--checks", "minus_sector", "--out", str(out)]) == 0
+            record = json.loads((out / "record.json").read_text())
+            del record["duration_s"]
+            records.append(record)
+        assert records[0] == records[1]
+        assert [row["omega"] for row in records[0]["tables"]["sweep"]] == [-0.7, 0.3]
 
     def test_frequency_outside_range_rejected(self, tmp_path, capsys):
         out = tmp_path / "refused"

@@ -313,9 +313,8 @@ class TestOmegaSweep:
         assert record.verdicts["no_errors"] is False
         assert record.passed is False
 
-        # "=" keeps argparse from reading the leading "-0.7" as a flag
         out = tmp_path / "sweep"
-        assert main(["sweep", "--omegas=-0.7,0.3", "--out", str(out)]) == 1
+        assert main(["sweep", "--omegas", "-0.7,0.3", "--out", str(out)]) == 1
         written = json.loads((out / "record.json").read_text())
         assert written["verdicts"]["no_errors"] is False
         assert written["tables"]["sweep"][0]["omega"] == -0.7
