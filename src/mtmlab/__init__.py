@@ -15,6 +15,7 @@ from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve, step
 from .grid import (
     FieldState,
     Grid,
+    NonUniformGridError,
     differentiate,
     dump_state,
     h1_norm_sq,
@@ -43,6 +44,7 @@ from .soliton import (
 )
 from .spectral import (
     DiscreteOperator,
+    MappedGrid,
     SchrodingerProblem,
     SectorAnalysis,
     build_hessian,

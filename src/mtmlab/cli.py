@@ -258,6 +258,15 @@ _COMMANDS = {
 }
 
 
+def _grid_n_help(command: str) -> str:
+    """--grid-N sizes the xi-lattice of ``spectral_grid``'s sinh map for the
+    spectral commands, a uniform grid for the others."""
+    if command in ("spectrum", "sigma", "sweep"):
+        return (f"points of the xi-lattice of the sinh-mapped spectral grid "
+                f"(default {spectral.SPECTRAL_N}); omega sets its x-extent")
+    return "points of the uniform grid (default 1024)"
+
+
 def main(argv=None) -> int:
     parser = _Parser(
         prog="mtmlab",
@@ -268,7 +277,8 @@ def main(argv=None) -> int:
         # no abbreviations: sweep's --omegas would otherwise take --omega
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for key in keys:
-            p.add_argument(_flag(key), dest=key, type=_SETTINGS[key][0], default=None)
+            p.add_argument(_flag(key), dest=key, type=_SETTINGS[key][0], default=None,
+                           help=_grid_n_help(name) if key == "grid_N" else None)
         p.add_argument("--config", type=str, default=None)
         for key, (kind, default) in flags.items():
             p.add_argument(_flag(key), dest=key, type=kind, default=default)

@@ -22,7 +22,7 @@ import numpy as np
 from . import conserved, spectral
 from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve
 from .grid import FieldState, Grid, differentiate, l2_norm_sq, norms, quadrature
-from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid
+from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid, tail_half_length
 
 STABILITY_FACTOR = 10.0
 ZERO_DISTANCE_FLOOR = 1e-8
@@ -361,8 +361,9 @@ def omega_sweep(
     * ``slope``: constraint slopes match their closed forms within
       ``SLOPE_TOL`` (asserted for |omega| >= 0.1).
     * ``constrained``: projected curvature minimum (per-sector route) is
-      strictly positive, and on a small grid (N <= SPLIT_CHECK_N) the
-      per-sector route agrees with the full-Hessian route within
+      strictly positive, and on the uniform grid of the same half-length
+      with N = SPLIT_CHECK_N (the identity map, which the 4N x 4N Hessian
+      needs) the per-sector route agrees with the full-Hessian route within
       SPLIT_DEFECT_TOL.
 
     Failures during the analysis are isolated per omega and recorded; the
@@ -409,7 +410,7 @@ def omega_sweep(
                     row[f"sigma_{tag}_ok"] = bool(abs(num - closed) < SLOPE_TOL)
             if "constrained" in checks:
                 lam_min = spectral.constrained_min_eig(omega, g)
-                check_grid = spectral.spectral_grid(omega, min(g.n, SPLIT_CHECK_N))
+                check_grid = Grid(tail_half_length(omega, 22.0), SPLIT_CHECK_N)
                 defect = spectral.constrained_split_defect(omega, check_grid)
                 row["constrained_min"] = lam_min
                 row["constrained_split_defect"] = defect

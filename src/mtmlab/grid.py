@@ -68,6 +68,19 @@ class Grid:
         return 1.0 + self.wavenumbers_odd**2
 
 
+class NonUniformGridError(TypeError):
+    """Raised when the uniform-grid calculus of this module (one spacing dx)
+    is handed a grid without one, such as ``spectral.MappedGrid``."""
+
+
+def require_uniform(grid, caller: str) -> None:
+    """Raise ``NonUniformGridError`` unless ``grid`` is a uniform
+    :class:`Grid`."""
+    if not isinstance(grid, Grid):
+        raise NonUniformGridError(f"{caller} needs a uniform Grid, got {type(grid).__name__}; "
+                                  "a mapped lattice has no single spacing dx")
+
+
 @dataclass
 class FieldState:
     """Two complex sample arrays (u, v) on a grid at time t."""
@@ -99,6 +112,7 @@ def zero_state(grid: Grid, t: float = 0.0) -> FieldState:
 def differentiate(samples: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray:
     """Fourier-spectral derivative of a sampled field, or of each field in a
     stack (..., N) by one transform pair."""
+    require_uniform(grid, "differentiate")
     s = np.asarray(samples, dtype=complex)
     if s.shape[-1:] != (grid.n,):
         raise ValueError("sample length does not match grid")
@@ -111,6 +125,7 @@ def differentiate(samples: np.ndarray, grid: Grid, order: int = 1) -> np.ndarray
 
 def quadrature(samples: np.ndarray, grid: Grid) -> complex:
     """Rectangle rule over the grid (= trapezoid rule on a periodic lattice)."""
+    require_uniform(grid, "quadrature")
     s = np.asarray(samples)
     if s.shape != (grid.n,):
         raise ValueError("sample length does not match grid")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FieldState, Grid, differentiate
+from .grid import FieldState, Grid, differentiate, require_uniform
 
 #: below this |omega| the Omega <-> omega change of variables degenerates
 OMEGA_DEGENERATE = 1e-3
@@ -164,7 +164,10 @@ def zero_mode_fields(omega: float, grid: Grid) -> dict[str, np.ndarray]:
 
     * ``gauge``       -- (iU, i conj U, -i conj U, -iU), from the phase symmetry;
     * ``translation`` -- (U', conj U', conj U', U'), from the shift symmetry.
+
+    ``grid`` must be uniform (``NonUniformGridError`` otherwise).
     """
+    require_uniform(grid, "zero_mode_fields")
     u = eval_profile(omega, grid)
     up = differentiate(u, grid)
     gauge = np.stack([1j * u, 1j * np.conj(u), -1j * np.conj(u), -1j * u])

@@ -39,6 +39,21 @@ block into one 4N x 4N array (``build_hessian``), removes the four
 constraint directions with their Householder reflectors, applied in place
 from both sides, and takes one subset eigenvalue of what is left.
 
+The sector analyses run on a sinh-mapped lattice (``MappedGrid``,
+``spectral_grid``): x = s sinh(xi) on a uniform periodic xi-lattice of
+spacing h, fine at the core and coarse in the tails, with Jacobian
+J = dx/dxi = s cosh(xi).  The blocks act on phi = J^(1/2) w, so that the
+weighted pairing h sum J conj(v) w is the Euclidean one and the blocks stay
+real symmetric.  -d^2/dx^2 becomes R (-(A D2 + D2 A)/2 + diag(D2 a)/2) R
+with a = 1/J, A = diag(a), R = J^(-1/2) and D2 the lattice's spectral
+second derivative; the first-order term S(g) becomes S(g/J); the
+potentials are unchanged; the constraint and kernel vectors become
+J^(1/2) s and J^(1/2) k; sigma pairs as 2h (J^(1/2) s)^T M^{-1} (J^(1/2) s);
+quadratures carry the weights h J.  A uniform ``Grid`` is the identity map
+(J = 1, h = dx): the same writer then gives exactly -D2 and the blocks of
+the uniform route, which the Hessian self-check needs.  The map is odd, so
+the lattice reflection still sends x to -x, and what follows holds on both.
+
 The lattice reflection R: j -> -j mod N (x -> -x, fixing j = 0 and N/2) and
 U(-x) = conj U(x) make K = diag(R, -R) on (Re w, Im w) commute with both
 sector matrices.  In the orthonormal bases e_0, e_{N/2},
@@ -52,7 +67,7 @@ vector s of each sector lies in its +1 block and the kernel vector k in its
 sector's coefficients, s+, k- and parity defect.  Each block is reduced to
 tridiagonal form once, with s+ (or k-) reflected onto e_1, for its share of
 the isolated spectrum, its minimum off that vector and, on the kernel-free
-+1 block, sigma = 2 dx s+^T M+^{-1} s+.  The analysis writes the two blocks
++1 block, sigma = 2 h s+^T M+^{-1} s+.  The analysis writes the two blocks
 in turn into one N x N buffer and reduces each in place: LAPACK's lower
 reduction never reads the strict upper triangle, so that triangle and the
 saved diagonal still apply M for the sigma residual.  The symmetry breaks
@@ -60,9 +75,10 @@ only in the e^-22 tail at the fixed point x = -L; ``parity_defect`` records
 the largest wrong-parity component of the coefficients and of s and k,
 refused above CONSTRUCTION_TOL (a domain too short for the soliton).  The
 Schrodinger problems are stacked alike, a scalar one (V even) as its blocks
-on the even and the odd lattice functions; every -D2 part is one gather,
-``_negative_d2_blocks``, and the dense circulants of
-``differentiation_matrices`` serve only the small-N Hessian self-check.
+on the even and the odd lattice functions; every kinetic part is one gather,
+``_negative_d2_blocks``, weighted on a mapped lattice (``_kinetic_blocks``),
+and the dense circulants of ``differentiation_matrices`` serve only the
+small-N Hessian self-check, on a uniform grid.
 
 Every dense matrix product on the sector path (the reflection's M h, the
 sigma residual's M x, Q y and the Hessian self-check's Householder
@@ -81,7 +97,7 @@ d|U|^2/dx = 2 Im U^2) and keeps the assembled matrices exactly symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,12 +107,11 @@ from scipy.linalg import null_space  # noqa: F401 - unused; the traced benchmark
 from scipy.linalg.blas import dsymv, dsyr2
 from scipy.linalg.lapack import dgeqrf, dgtsv, dormqr, dsytrd, dsytrd_lwork
 
-from .grid import Grid, quadrature
+from .grid import Grid, differentiate, require_uniform
 from .soliton import (
     OMEGA_DEGENERATE,
     eval_profile,
     profile_derivative,
-    singularity_distance,
     tail_half_length,
 )
 
@@ -113,9 +128,13 @@ CONSTRUCTION_TOL = 1e-6
 # h/2) puts the Richardson-extrapolated eigenvalues within ~1e-8 of the limit.
 STURM_HALF_WIDTH = 16.0
 STURM_STEP = 0.004
-# rows of the weight temporary of ``_parity_block``, so that it stays far
-# below the N x N block it scales
+# rows of the weight temporaries of ``_parity_block`` and ``_kinetic_blocks``,
+# so that they stay far below the N x N block they scale
 WEIGHT_STRIP = 64
+# the sinh map of ``spectral_grid``: its scale, the infimum 1/2 of
+# ``singularity_distance`` over omega, and its lattice size
+MAP_SCALE = 0.5
+SPECTRAL_N = 128
 
 SCALAR_KINDS = (
     "sum_sector",         # stretched plus-combination problem of the minus sector
@@ -173,7 +192,52 @@ def _cutoff(continuum_edge: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# differentiation, realification and the parity split
+# mapped lattices, differentiation, realification and the parity split
+
+
+@dataclass(frozen=True)
+class MappedGrid:
+    """Collocation points x = scale * sinh(xi) on the uniform periodic
+    xi-lattice ``lattice`` (Boyd, *Chebyshev and Fourier Spectral Methods*,
+    2nd ed., 2001, ch. 17): fine at the core and coarse in the tails, with
+    Jacobian J = dx/dxi = scale * cosh(xi).  The map is odd, so the lattice
+    reflection j -> -j mod N still sends x to -x.  The points span
+    [-half_length, half_length) with half_length = scale * sinh(Xi) for the
+    lattice's half-length Xi.  There is no single spacing dx, so the uniform
+    calculus of ``mtmlab.grid`` refuses this grid."""
+
+    lattice: Grid
+    scale: float
+
+    def __post_init__(self) -> None:
+        require_uniform(self.lattice, "MappedGrid's lattice")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"map scale must be finite and positive, got {self.scale!r}")
+
+    @property
+    def n(self) -> int:
+        return self.lattice.n
+
+    @property
+    def half_length(self) -> float:
+        return self.scale * float(np.sinh(self.lattice.half_length))
+
+    @cached_property
+    def x(self) -> np.ndarray:
+        return self.scale * np.sinh(self.lattice.x)
+
+    @cached_property
+    def jacobian(self) -> np.ndarray:
+        """J = dx/dxi at the points; h J are the quadrature weights."""
+        return self.scale * np.cosh(self.lattice.x)
+
+
+def _map_of(grid: Grid | MappedGrid) -> tuple[Grid, np.ndarray | None]:
+    """The uniform lattice under ``grid`` and the Jacobian J of its map; a
+    uniform Grid is the identity map (J = 1), for which J is None."""
+    if isinstance(grid, MappedGrid):
+        return grid.lattice, grid.jacobian
+    return grid, None
 
 
 def _derivative_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +252,9 @@ def _derivative_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=4)  # dense pairs are large; keep only adjacent reuse
 def differentiation_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Dense spectral first/second derivative matrices on a periodic grid,
-    exactly (anti)symmetric: the circulants of ``_derivative_columns``."""
+    """Dense spectral first/second derivative matrices on a uniform periodic
+    grid, exactly (anti)symmetric: the circulants of ``_derivative_columns``."""
+    require_uniform(grid, "differentiation_matrices")
     return tuple(map(circulant, _derivative_columns(grid)))
 
 
@@ -236,14 +301,53 @@ def _negative_d2_blocks(c2: np.ndarray, even_out: np.ndarray, odd_out: np.ndarra
     np.subtract(hankel[1:h, 1:h], toeplitz[1:h, 1:h], out=odd_out)
 
 
-def _parity_block(grid: Grid, g, pa, pd, q, parity: int, out: np.ndarray) -> None:
+def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarray,
+                    odd_out: np.ndarray):
+    """Write -d^2/dx^2 on the even and on the odd lattice functions into
+    ``even_out`` and ``odd_out`` (as ``_negative_d2_blocks``, ``c2`` the
+    lattice's second-derivative column) and return the diagonal it still
+    needs: 0 on a uniform grid, where the blocks are -D2.  On a mapped grid
+    the operator acts on phi = J^(1/2) w and is
+    R (-(A D2 + D2 A)/2 + diag(D2 a)/2) R, a = 1/J, A = diag(a), R = J^(-1/2),
+    the symmetric form of -R d/dxi a d/dxi R: -D2 weighted entry by entry by
+    R_i R_j (a_i + a_j)/2, a strip of rows at a time, and the returned
+    diagonal a (D2 a)/2.  The weights are even, so they act on the parity
+    blocks through their values at the lattice points 0..N/2 (even) and
+    1..N/2-1 (odd).  With D2 a, not the closed form of a'', the discrete
+    form still annihilates constants in xi, as -d/dxi a d/dxi does; a has a
+    kink where the lattice wraps, which D2 a aliases into a Nyquist
+    sawtooth that smooth vectors do not see."""
+    _negative_d2_blocks(c2, even_out, odd_out)
+    lattice, jacobian = _map_of(grid)
+    if jacobian is None:
+        return 0.0
+    a = 1.0 / jacobian
+    r = np.sqrt(a)
+    h = lattice.n // 2
+    for out, points in ((even_out, slice(None, h + 1)), (odd_out, slice(1, h))):
+        ap, rp = a[points], r[points]
+        for top in range(0, len(out), WEIGHT_STRIP):
+            rows = slice(top, top + WEIGHT_STRIP)
+            weight = ap[rows, None] + ap
+            weight *= rp[rows, None] * rp
+            weight *= 0.5
+            out[rows] *= weight
+    return 0.5 * a * differentiate(a, lattice, order=2).real
+
+
+def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.ndarray) -> None:
     """Write the K = ``parity`` block of the realified pair operator
     [[-D2 + pa, -S + q], [S + q, -D2 + pd]], S = (g D1 + D1 g)/2, for even
     diagonals g, pa, pd and odd q, into the N x N ``out``.  The -D2 parts are
-    ``_negative_d2_blocks``; the even-odd part of S is
-    s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2."""
+    ``_kinetic_blocks``; the even-odd part of S is
+    s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2.  On a mapped grid the block acts
+    on phi = J^(1/2) w: the kinetic parts are mapped, the first-order term is
+    S(g/J) and the potentials are unchanged."""
     n, h = grid.n, grid.n // 2
-    c1, c2 = _derivative_columns(grid)
+    lattice, jacobian = _map_of(grid)
+    c1, c2 = _derivative_columns(lattice)
+    if jacobian is not None:
+        g = g / jacobian
     odd = np.arange(1, h)
     scale = np.where(np.arange(h + 1) % h == 0, np.sqrt(0.5), 1.0)
 
@@ -251,11 +355,11 @@ def _parity_block(grid: Grid, g, pa, pd, q, parity: int, out: np.ndarray) -> Non
     # -1 = [[pa - oo, (q + eo)^T], [q + eo, pd - ee]] on (odd, even)
     if parity > 0:
         e, o = slice(None, h + 1), slice(h + 1, None)
-        diagonal = np.concatenate([pa[: h + 1], pd[odd]])
     else:
         e, o = slice(h - 1, None), slice(None, h - 1)
-        diagonal = np.concatenate([pa[odd], pd[: h + 1]])
-    _negative_d2_blocks(c2, out[e, e], out[o, o])
+    kinetic = _kinetic_blocks(grid, c2, out[e, e], out[o, o])
+    pa, pd = pa + kinetic, pd + kinetic
+    diagonal = np.concatenate([pa[: h + 1], pd[odd]] if parity > 0 else [pa[odd], pd[: h + 1]])
     toeplitz, hankel = _reflection_views(c1)
     off = out[e, o]  # -eo on +1, eo on -1, then plus q
     first, second = (hankel, toeplitz) if parity > 0 else (toeplitz, hankel)
@@ -277,7 +381,7 @@ def _wrong_parity(g, pa, pd, q) -> float:
     return max(float(np.max(np.abs(w))) for w in wrong)
 
 
-def _parity_stack(grid: Grid, coefficients) -> np.ndarray:
+def _parity_stack(grid: Grid | MappedGrid, coefficients) -> np.ndarray:
     """The (2, N, N) stack of the K = +1 and K = -1 blocks of
     ``_parity_block``."""
     blocks = np.empty((2, grid.n, grid.n))
@@ -290,17 +394,22 @@ def _parity_stack(grid: Grid, coefficients) -> np.ndarray:
 # sector operators and the full Hessian
 
 
-def _sector_setup(omega: float, grid: Grid, sign: int):
+def _sector_setup(omega: float, grid: Grid | MappedGrid, sign: int):
     """One evaluation of U and U' for the v = sign * conj(u) reduction: the
     coefficients (g, pa, pd, q) of ``_parity_block``, the K = +1 part s+ of
     the constraint vector s, the K = -1 part k- of the kernel vector k
-    ((s, k) = (U, U') for plus, (iU', iU) for minus), and the sector's parity
+    ((s, k) = (U, U') for plus, (iU', iU) for minus; J^(1/2) s and J^(1/2) k
+    on a mapped grid, whose blocks act on J^(1/2) w), and the sector's parity
     defect: that of the coefficients and of the dropped parts s- and k+."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     s, k = (u, up) if sign > 0 else (1j * up, 1j * u)
+    jacobian = _map_of(grid)[1]
+    if jacobian is not None:
+        root = np.sqrt(jacobian)
+        s, k = root * s, root * k
     absq = np.abs(u) ** 2
     big = 1.0 - omega * omega
     if sign > 0:
@@ -319,7 +428,7 @@ def _sector_setup(omega: float, grid: Grid, sign: int):
     return coefficients, s_plus, k_minus, defect
 
 
-def build_sector_operator(omega: float, grid: Grid, sign: int) -> DiscreteOperator:
+def build_sector_operator(omega: float, grid: Grid | MappedGrid, sign: int) -> DiscreteOperator:
     """The parity-block stack of the realified 2N x 2N operator of the
     v = sign * conj(u) reduction: sign=+1 gives the sector whose kernel holds
     the translation mode (U', conj U'), sign=-1 the gauge mode (U, -conj U).
@@ -341,7 +450,8 @@ def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
     Re, Im l2 on them; each block is written in place into the one 4N x 4N
     array.  The profile derivative in the coefficients is the exact closed
     form, which makes the similarity identity against the sector operators
-    pointwise-exact."""
+    pointwise-exact.  The grid must be uniform."""
+    require_uniform(grid, "build_hessian")
     n = grid.n
     d1, d2 = differentiation_matrices(grid)
     u = eval_profile(omega, grid)
@@ -437,24 +547,26 @@ class SchrodingerProblem:
         return v1, v2
 
 
-def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperator:
+def build_schrodinger(problem: SchrodingerProblem, grid: Grid | MappedGrid) -> DiscreteOperator:
     """Dense symmetric discretization of a stretched-variable problem on a
     periodic z-grid, split by the reflection z -> -z.  A scalar kind (V even)
     gives its blocks on the even and the odd lattice functions, the odd one
     padded to the even one's size N/2+1 with two decoupled entries at the
     continuum edge 1, above ``cutoff``; the coupled kind (V1 even,
     V2(-z) = conj V2(z)) the K = +1 and K = -1 blocks of the realified
-    2N x 2N matrix.  The parity defect is the wrong-parity part of the
+    2N x 2N matrix.  The kinetic parts are ``_kinetic_blocks``, mapped on a
+    mapped grid.  The parity defect is the wrong-parity part of the
     potentials."""
     if problem.scalar:
         h = grid.n // 2
         diag = 1.0 + problem.potential(grid.x)
+        wrong = parity_split(np.concatenate([diag, np.zeros(grid.n)]))[1]
         blocks = np.zeros((2, h + 1, h + 1))
         even, odd = blocks
-        _negative_d2_blocks(_derivative_columns(grid)[1], even, odd[: h - 1, : h - 1])
+        diag = diag + _kinetic_blocks(grid, _derivative_columns(_map_of(grid)[0])[1], even,
+                                      odd[: h - 1, : h - 1])
         even.flat[:: h + 2] += diag[: h + 1]
         odd.flat[:: h + 2] += np.concatenate([diag[1:h], [1.0, 1.0]])
-        wrong = parity_split(np.concatenate([diag, np.zeros(grid.n)]))[1]
         return DiscreteOperator(blocks, 1.0, parity_defect=float(np.max(np.abs(wrong))))
     v1, v2 = problem.coupled_potentials(grid.x)
     coefficients = (np.zeros(grid.n), 1.0 + v1 + v2.real, 1.0 + v1 - v2.real, v2.imag)
@@ -462,9 +574,14 @@ def build_schrodinger(problem: SchrodingerProblem, grid: Grid) -> DiscreteOperat
                             parity_defect=_wrong_parity(*coefficients))
 
 
-def stretched_grid(omega: float, grid_x: Grid) -> Grid:
-    """The z-grid matching a given x-grid under z = sqrt(1 - omega^2) x."""
-    return Grid(np.sqrt(1.0 - omega * omega) * grid_x.half_length, grid_x.n)
+def stretched_grid(omega: float, grid_x: Grid | MappedGrid) -> Grid | MappedGrid:
+    """The z-grid matching a given x-grid under z = sqrt(1 - omega^2) x: the
+    same lattice, with the half-length, or the map's scale, times
+    sqrt(1 - omega^2)."""
+    beta = float(np.sqrt(1.0 - omega * omega))
+    if isinstance(grid_x, MappedGrid):
+        return MappedGrid(grid_x.lattice, beta * grid_x.scale)
+    return Grid(beta * grid_x.half_length, grid_x.n)
 
 
 # ---------------------------------------------------------------------------
@@ -609,20 +726,22 @@ def sigma_closed_form(omega: float, sign: int) -> float:
     return beta / (2.0 * omega)
 
 
-def spectral_grid(omega: float, n: int | None = None) -> Grid:
-    """Grid sized for eigenvalue work at this frequency.
+def spectral_grid(omega: float, n: int | None = None) -> MappedGrid:
+    """Mapped grid x = s sinh(xi) for eigenvalue work at this frequency.
 
-    The half-length puts the tail exp(-beta L) below exp(-22) ~ 2.8e-10.
-    The spacing follows the profile's analyticity strip alone: the profile
-    is analytic within the singularity distance d of the real axis, so its
-    Fourier coefficients decay like exp(-d |k|), and dx <= 0.12 d keeps
-    products of profile factors resolved, with no flat cap.  N is the next
-    multiple of 64; ``n`` overrides it.
+    The half-length L puts the tail exp(-beta L) below exp(-22) ~ 2.8e-10,
+    and the xi-lattice spans [-asinh(L/s), asinh(L/s)).  The profile's poles
+    lie on the imaginary x-axis, the nearest at the singularity distance
+    d >= 1/2, so with s = MAP_SCALE = 1/2 every pole maps onto
+    Im xi = pi/2 and the mapped profile factors are analytic in one strip
+    of half-width pi/2 at every omega; so are J^(1/2) and 1/J, whose
+    singularities are at xi = i pi/2.  One lattice size SPECTRAL_N therefore
+    serves every omega (see CHANGES.md for its convergence table); ``n``
+    overrides it.
     """
     half_length = tail_half_length(omega, 22.0)
-    if n is None:
-        n = 64 * int(np.ceil(2.0 * half_length / (0.12 * singularity_distance(omega)) / 64.0))
-    return Grid(half_length, n)
+    lattice = Grid(float(np.arcsinh(half_length / MAP_SCALE)), SPECTRAL_N if n is None else n)
+    return MappedGrid(lattice, MAP_SCALE)
 
 
 class SectorAnalysis(NamedTuple):
@@ -631,13 +750,13 @@ class SectorAnalysis(NamedTuple):
 
     isolated: np.ndarray  # isolated eigenvalues (ascending): the union of the block spectra
     constrained_min: float  # smallest eigenvalue off the two constraint vectors
-    sigma: SigmaSolve | None  # the slope, scaled by 2 dx, and its residual; None near omega = 0
+    sigma: SigmaSolve | None  # the slope, scaled by 2 h, and its residual; None near omega = 0
     parity_defect: float  # of the sector operator
     cutoff: float  # upper end of the isolated spectrum
 
 
 @lru_cache(maxsize=2)  # the current omega's two sectors
-def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
+def sector_analysis(omega: float, grid: Grid | MappedGrid, sign: int) -> SectorAnalysis:
     """The ``SectorAnalysis`` of one (omega, sector) from one ``_sector_setup``
     and one N x N buffer: after the parity defect has been checked, the
     K = +1 block is written into the buffer and reduced in place
@@ -645,9 +764,10 @@ def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
     formed, and the buffer is dropped on return.  The isolated spectrum is
     the union of the blocks' T spectra, the constrained minimum the lowest
     eigenvalue of their T[1:, 1:], and sigma
-    <L^{-1} s, s> = 2 dx s+^T M+^{-1} s+ (the +1 block holds no kernel; 2 dx
-    turns the realified dot into the pairing), its residual taken from the
-    upper triangle the reduction leaves intact."""
+    <L^{-1} s, s> = 2 h s+^T M+^{-1} s+ (the +1 block holds no kernel; the
+    lattice spacing h, dx on a uniform grid, turns the realified dot into
+    the pairing, the weights h J being carried by s+ = J^(1/2) s), its
+    residual taken from the upper triangle the reduction leaves intact."""
     coefficients, s, k, defect = _sector_setup(omega, grid, sign)
     _refuse_defect(defect)
     block = np.empty((grid.n, grid.n))
@@ -658,13 +778,13 @@ def sector_analysis(omega: float, grid: Grid, sign: int) -> SectorAnalysis:
     lowest = min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
                  for d, e in tridiagonals)
     if solved is not None:
-        solved = solved._replace(value=2.0 * grid.dx * solved.value)
+        solved = solved._replace(value=2.0 * _map_of(grid)[0].dx * solved.value)
     cutoff = _cutoff(1.0 - omega * omega)
     return SectorAnalysis(_eigenvalues_below(tridiagonals, cutoff), lowest, solved, defect,
                           cutoff)
 
 
-def sigma_index(omega: float, grid: Grid, sign: int) -> float:
+def sigma_index(omega: float, grid: Grid | MappedGrid, sign: int) -> float:
     """Constraint slope <L^{-1} s, s> of the shared sector analysis (see
     ``sector_analysis``)."""
     solved = sector_analysis(omega, grid, sign).sigma
@@ -685,7 +805,7 @@ def _constraint_rows(omega: float, grid: Grid) -> np.ndarray:
     return np.asarray(rows)
 
 
-def constrained_min_eig(omega: float, grid: Grid) -> float:
+def constrained_min_eig(omega: float, grid: Grid | MappedGrid) -> float:
     """Smallest eigenvalue of the curvature operator projected onto the
     orthogonal complement of the four real constraint functionals.  The
     similarity splits both the operator and the constraints, so this is the
@@ -711,18 +831,20 @@ def _constrained_min_eig_hessian(omega: float, grid: Grid) -> float:
 
 def constrained_split_defect(omega: float, grid: Grid) -> float:
     """|per-sector route - full-Hessian route| of the constrained minimum on
-    ``grid``: a self-check of the constraint split, meant for small grids.
+    ``grid``: a self-check of the constraint split, meant for small uniform
+    grids (the Hessian refuses a mapped one).
     Its sector analyses bypass the cache, so the current omega's stay in it."""
     sector = min(sector_analysis.__wrapped__(omega, grid, sign).constrained_min
                  for sign in (1, -1))
     return abs(sector - _constrained_min_eig_hessian(omega, grid))
 
 
-def splitting_probe(omega: float, grid: Grid) -> dict:
+def splitting_probe(omega: float, grid: Grid | MappedGrid) -> dict:
     """The isolated spectrum of both sector operators at one omega: counts
     below the edge, the non-kernel eigenvalue of each sector, the parity
     defect of each sector operator, and the degenerate-splitting integral
-    whose sign the probe settles empirically."""
+    whose sign the probe settles empirically, by the rectangle rule in the
+    lattice variable with weights h J (h = dx, J = 1 on a uniform grid)."""
     row = {"omega": float(omega)}
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = sector_analysis(omega, grid, sign)
@@ -739,7 +861,9 @@ def splitting_probe(omega: float, grid: Grid) -> dict:
     zg = stretched_grid(omega, grid)
     num = -3.0 + 2.0 * omega**2 + np.cosh(4.0 * zg.x)
     den = (omega + np.cosh(2.0 * zg.x)) ** 4
-    row["splitting_integral"] = float(np.real(quadrature(num / den, zg)))
+    lattice, jacobian = _map_of(zg)
+    integrand = num / den if jacobian is None else jacobian * num / den
+    row["splitting_integral"] = float(lattice.dx * np.sum(integrand))
     return row
 
 

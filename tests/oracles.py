@@ -393,6 +393,17 @@ def realified_similarity(n: int) -> np.ndarray:
     return np.kron(small, np.eye(n))
 
 
+def uniform_spectral_grid(omega: float, n: int | None = None) -> Grid:
+    """The uniform spectral grid of the strip rule that ``spectral_grid``'s
+    sinh map replaced: the exponent-22 tail, dx <= 0.12 d (d the
+    singularity distance) with no cap, and N the next multiple of 64;
+    ``n`` overrides it."""
+    half_length = tail_half_length(omega, 22.0)
+    if n is None:
+        n = 64 * int(np.ceil(2.0 * half_length / (0.12 * singularity_distance(omega)) / 64.0))
+    return Grid(half_length, n)
+
+
 def spectral_grid_capped(omega: float) -> Grid:
     """The spectral grid of the earlier rule: the exponent-22 tail, dx <=
     min(0.08, 0.12 d) and N a multiple of 128."""
@@ -401,11 +412,37 @@ def spectral_grid_capped(omega: float) -> Grid:
     return Grid(half_length, 128 * int(np.ceil(2.0 * half_length / dx_target / 128.0)))
 
 
-def sector_vectors(omega: float, grid: Grid, sign: int) -> tuple[np.ndarray, np.ndarray]:
+def lattice_spacing(grid) -> float:
+    """The spacing h of the uniform lattice under a grid: dx on a uniform
+    grid, the xi-spacing on a ``spectral.MappedGrid``."""
+    return grid.lattice.dx if isinstance(grid, spectral.MappedGrid) else grid.dx
+
+
+def half_density(grid):
+    """J^(1/2), which turns samples of w into samples of phi = J^(1/2) w,
+    the coordinates of the mapped operators; 1 on a uniform grid."""
+    return np.sqrt(grid.jacobian) if isinstance(grid, spectral.MappedGrid) else 1.0
+
+
+def kinetic_matrix(grid) -> np.ndarray:
+    """-d^2/dx^2 as a dense N x N matrix: -D2 on a uniform grid; on a mapped
+    grid, acting on phi = J^(1/2) w, R (-(A D2 + D2 A)/2 + diag(D2 a)/2) R
+    with a = 1/J, A = diag(a), R = J^(-1/2) and D2 the lattice's circulant."""
+    if not isinstance(grid, spectral.MappedGrid):
+        return -spectral.differentiation_matrices(grid)[1]
+    _, d2 = spectral.differentiation_matrices(grid.lattice)
+    a = 1.0 / grid.jacobian
+    r = np.sqrt(a)
+    inner = -0.5 * (a[:, None] * d2 + d2 * a) + np.diag(0.5 * (d2 @ a))
+    return r[:, None] * inner * r
+
+
+def sector_vectors(omega: float, grid, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """The sector's realified constraint vector s and kernel vector k:
-    (U, U') for plus, (iU', iU) for minus."""
-    u = eval_profile(omega, grid)
-    up = profile_derivative(omega, grid.x)
+    (U, U') for plus, (iU', iU) for minus, times J^(1/2) on a mapped grid."""
+    root = half_density(grid)
+    u = root * eval_profile(omega, grid)
+    up = root * profile_derivative(omega, grid.x)
     if sign > 0:
         return spectral.embed_conjugate_pair(u), spectral.embed_conjugate_pair(up)
     return (spectral.embed_conjugate_pair(1j * up),
@@ -462,10 +499,13 @@ def constrained_min_eig_nullspace(omega: float, grid: Grid) -> float:
     return float(eigh(projected, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
-def sector_matrix(omega: float, grid: Grid, sign: int) -> np.ndarray:
+def sector_matrix(omega: float, grid, sign: int) -> np.ndarray:
     """The realified 2N x 2N sector matrix assembled from its complex
-    (linear, conjugate) N x N blocks, without the parity split."""
-    d1, d2 = spectral.differentiation_matrices(grid)
+    (linear, conjugate) N x N blocks, without the parity split.  On a mapped
+    grid it acts on phi = J^(1/2) w: the kinetic part is ``kinetic_matrix``,
+    the first-order term i S(g/J), the potentials are unchanged."""
+    mapped = isinstance(grid, spectral.MappedGrid)
+    d1, _ = spectral.differentiation_matrices(grid.lattice if mapped else grid)
     u = eval_profile(omega, grid)
     absq = np.abs(u) ** 2
     big = 1.0 - omega * omega
@@ -477,7 +517,9 @@ def sector_matrix(omega: float, grid: Grid, sign: int) -> np.ndarray:
         g = -2.0 * absq
         pot = -2.0 * absq**2 - 2.0 * omega * absq + big
         off = 2.0 * omega * u**2
-    linear = -d2 + symmetric_first_order(g, d1) + np.diag(pot)
+    if mapped:
+        g = g / grid.jacobian
+    linear = kinetic_matrix(grid) + symmetric_first_order(g, d1) + np.diag(pot)
     m = realify_conjugate_pair(linear, np.diag(off))
     return 0.5 * (m + m.T)
 
@@ -535,11 +577,11 @@ def full_matrix(op) -> np.ndarray:
     return plus @ op.matrix[0] @ plus.T + minus @ op.matrix[1] @ minus.T
 
 
-def schrodinger_matrix(problem, grid: Grid) -> np.ndarray:
-    """The N x N matrix -D2 + diag(1 + V) of a scalar Schrodinger problem
-    from the dense circulant D2, without the parity split."""
-    _, d2 = spectral.differentiation_matrices(grid)
-    return -d2 + np.diag(1.0 + problem.potential(grid.x))
+def schrodinger_matrix(problem, grid) -> np.ndarray:
+    """The N x N matrix ``kinetic_matrix`` + diag(1 + V) of a scalar
+    Schrodinger problem (-D2 + diag(1 + V) on a uniform grid) from the dense
+    circulant D2, without the parity split."""
+    return kinetic_matrix(grid) + np.diag(1.0 + problem.potential(grid.x))
 
 
 def scalar_full_matrix(op) -> np.ndarray:
@@ -592,7 +634,7 @@ def sigma_deflated(omega: float, grid: Grid, sign: int) -> float:
     """Reference for ``sigma_index`` on the 2N x 2N ``sector_matrix``: one
     symmetric solve with the kernel deflated.  With K the isolated
     eigenvectors with |lambda| <= KERNEL_DEFLATION and s_perp = s - K K^T s,
-    sigma = 2 dx s_perp^T (M + K K^T)^{-1} s_perp."""
+    sigma = 2 h s_perp^T (M + K K^T)^{-1} s_perp."""
     if abs(omega) < OMEGA_DEGENERATE:
         raise ValueError("sigma solve is degenerate near omega = 0")
     m = sector_matrix(omega, grid, sign)
@@ -604,7 +646,7 @@ def sigma_deflated(omega: float, grid: Grid, sign: int) -> float:
     s = sector_vectors(omega, grid, sign)[0]
     s_perp = s - kernel @ (kernel.T @ s)
     x = solve(m + kernel @ kernel.T, s_perp, assume_a="sym")
-    return float(2.0 * grid.dx * (s_perp @ x))
+    return float(2.0 * lattice_spacing(grid) * (s_perp @ x))
 
 
 def constrained_min_2n(omega: float, grid: Grid, sign: int) -> float:
@@ -660,7 +702,7 @@ def sector_analysis_stacked(omega: float, grid: Grid, sign: int):
     lowest = min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
                  for d, e in tridiagonals)
     if solved is not None:
-        solved = solved._replace(value=2.0 * grid.dx * solved.value)
+        solved = solved._replace(value=2.0 * lattice_spacing(grid) * solved.value)
     return spectral.SectorAnalysis(spectral._eigenvalues_below(tridiagonals, op.cutoff), lowest,
                                    solved, op.parity_defect, op.cutoff)
 
@@ -674,7 +716,7 @@ def sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
     vals, vecs = eigh(sector_matrix(omega, grid, sign))
     keep = np.abs(vals) > KERNEL_DEFLATION
     proj = vecs[:, keep].T @ s
-    return float(2.0 * grid.dx * np.sum(proj * proj / vals[keep]))
+    return float(2.0 * lattice_spacing(grid) * np.sum(proj * proj / vals[keep]))
 
 
 def sigma_profile_path(omega: float, grid: Grid, sign: int) -> float:

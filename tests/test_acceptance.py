@@ -58,6 +58,7 @@ from oracles import (
     full_matrix,
     generalized_mode_residual,
     hessian_quadratic_form,
+    uniform_spectral_grid,
 )
 
 SEED = 123
@@ -189,8 +190,10 @@ def test_criterion_05_charge_hierarchy():
 
 
 def test_criterion_06_kernel_and_block_structure():
+    # the Hessian, the dense kernel checks and the similarity identity need
+    # a uniform grid: the strip rule's (``oracles.uniform_spectral_grid``)
     omega = 0.5
-    g = spectral_grid(omega)
+    g = uniform_spectral_grid(omega)
     hess = build_hessian(omega, g)
     modes = zero_mode_fields(omega, g)
     checks = {}
@@ -210,7 +213,7 @@ def test_criterion_06_kernel_and_block_structure():
     defect = block_diagonalize_check(omega, Grid(26.0, 512))
     checks[f"similarity defect = {defect:.2e} < 1e-8"] = defect < 1e-8
 
-    g0 = spectral_grid(0.0)
+    g0 = uniform_spectral_grid(0.0)
     u0 = eval_profile(0.0, g0)
     up0 = profile_derivative(0.0, g0.x)
     plus0 = full_matrix(build_sector_operator(0.0, g0, +1))

@@ -9,7 +9,7 @@ from scipy.linalg import eigh, eigvalsh_tridiagonal, null_space
 
 from mtmlab.conserved import lyapunov
 from mtmlab.experiments import SPLIT_CHECK_N, omega_sweep, random_h1_perturbation
-from mtmlab.grid import FieldState, Grid, quadrature
+from mtmlab.grid import FieldState, Grid, NonUniformGridError, differentiate, quadrature
 from mtmlab.soliton import (
     SolitonParams,
     eval_profile,
@@ -20,6 +20,7 @@ from mtmlab.soliton import (
 )
 from mtmlab import spectral
 from mtmlab.spectral import (
+    MappedGrid,
     OperatorConstructionError,
     SchrodingerProblem,
     _constrained_min_eig_hessian,
@@ -50,7 +51,9 @@ from oracles import (
     differentiation_matrices_fft,
     full_matrix,
     generalized_mode_residual,
+    half_density,
     hessian_quadratic_form,
+    kinetic_matrix,
     parity_bases,
     parity_blocks_assembled,
     prufer_zero_count,
@@ -65,11 +68,12 @@ from oracles import (
     sigma_index_eigh,
     sigma_profile_path,
     spectral_grid_capped,
+    uniform_spectral_grid,
 )
 
 # smallest projected curvature eigenvalue at omega = 0, frozen on the
 # spectral grid of the capped rule (L = 22, N = 640); the strip rule's
-# N = 512 grid gives it to 5.5e-14
+# N = 512 grid gives it to 5.5e-14, the sinh-mapped N = 128 lattice to 6.2e-11
 CONSTRAINED_MARGIN_ZERO = 0.7350832488511114
 # grid size of the dense-oracle comparisons
 ORACLE_N = 256
@@ -81,18 +85,18 @@ class TestSectorOperators:
         # assemble its blocks exactly symmetric
         assert build_sector_operator(0.5, spectral_grid(0.5, ORACLE_N), +1).continuum_edge == 0.75
         for omega in (0.0, 0.3, -0.7, 0.9):
-            g = spectral_grid(omega, ORACLE_N)
-            zg = stretched_grid(omega, g)
-            ops = [build_sector_operator(omega, g, sign) for sign in (1, -1)]
-            ops += [build_schrodinger(SchrodingerProblem(kind, omega), zg)
-                    for kind in spectral.ALL_KINDS]
-            ops.append(build_hessian(omega, g))
+            ops = [build_hessian(omega, uniform_spectral_grid(omega, ORACLE_N))]
+            for g in (spectral_grid(omega, ORACLE_N), uniform_spectral_grid(omega, ORACLE_N)):
+                zg = stretched_grid(omega, g)
+                ops += [build_sector_operator(omega, g, sign) for sign in (1, -1)]
+                ops += [build_schrodinger(SchrodingerProblem(kind, omega), zg)
+                        for kind in spectral.ALL_KINDS]
             for op in ops:
                 assert np.array_equal(op.matrix, op.matrix.swapaxes(-1, -2))
 
     @pytest.mark.parametrize("omega", [0.3, 0.5])
     def test_kernel_vectors(self, omega):
-        g = spectral_grid(omega)
+        g = uniform_spectral_grid(omega)
         up = profile_derivative(omega, g.x)
         u = eval_profile(omega, g)
         plus = full_matrix(build_sector_operator(omega, g, +1))
@@ -101,7 +105,7 @@ class TestSectorOperators:
         assert np.max(np.abs(minus @ embed_conjugate_pair(1j * u))) < 1e-6
 
     def test_extra_kernels_at_zero_frequency(self):
-        g = spectral_grid(0.0)
+        g = uniform_spectral_grid(0.0)
         u = eval_profile(0.0, g)
         up = profile_derivative(0.0, g.x)
         plus = full_matrix(build_sector_operator(0.0, g, +1))
@@ -157,7 +161,7 @@ class TestIsolatedSpectrum:
 @pytest.fixture(scope="module")
 def hessian_setup():
     omega = 0.4
-    g = spectral_grid(omega)
+    g = uniform_spectral_grid(omega)
     return omega, g, build_hessian(omega, g)
 
 
@@ -211,7 +215,7 @@ class TestHessian:
 class TestSchrodingerForms:
     def test_kernel_mode_difference_sector(self):
         pr = SchrodingerProblem("difference_sector", 0.5)
-        zg = stretched_grid(0.5, spectral_grid(0.5))
+        zg = stretched_grid(0.5, uniform_spectral_grid(0.5))
         op = build_schrodinger(pr, zg)
         psi0 = difference_sector_kernel_mode(0.5, zg.x)
         assert np.max(np.abs(scalar_full_matrix(op) @ psi0)) < 1e-6
@@ -228,7 +232,7 @@ class TestSchrodingerForms:
 
     def test_coupled_kernel_mode(self):
         pr = SchrodingerProblem("coupled_system", 0.3)
-        zg = stretched_grid(0.3, spectral_grid(0.3))
+        zg = stretched_grid(0.3, uniform_spectral_grid(0.3))
         op = build_schrodinger(pr, zg)
         phi0 = coupled_kernel_mode(0.3, zg.x)
         assert np.max(np.abs(full_matrix(op) @ embed_conjugate_pair(phi0))) < 1e-6
@@ -290,11 +294,12 @@ SCALAR_SPLIT_OMEGAS = (0.0, 0.5, -0.7, 0.9)
 
 class TestScalarSplit:
     """The scalar Schrodinger operators' even/odd blocks against the dense
-    circulant matrix -D2 + diag(1 + V) (``oracles.schrodinger_matrix``)."""
+    circulant matrix -D2 + diag(1 + V) (``oracles.schrodinger_matrix``), on
+    the uniform grids of the oracle rule."""
 
     @staticmethod
     def grid(omega, n):
-        return stretched_grid(omega, spectral_grid(omega, n))
+        return stretched_grid(omega, uniform_spectral_grid(omega, n))
 
     @pytest.mark.parametrize("n", [None, 8], ids=["spectral_grid", "n8"])
     @pytest.mark.parametrize("omega", SCALAR_SPLIT_OMEGAS)
@@ -334,7 +339,7 @@ class TestScalarSplit:
 
         monkeypatch.setattr(spectral, "differentiation_matrices", refuse)
         monkeypatch.setattr(spectral, "circulant", refuse)
-        zg = self.grid(0.5, ORACLE_N)
+        zg = stretched_grid(0.5, spectral_grid(0.5))
         for kind in spectral.ALL_KINDS:
             assert len(isolated_spectrum(build_schrodinger(SchrodingerProblem(kind, 0.5), zg)))
 
@@ -424,9 +429,11 @@ class TestSigma:
 
     @pytest.mark.parametrize("omega", [0.3, -0.3, 0.5, -0.5, 0.7, -0.7])
     def test_solve_and_profile_paths_agree(self, omega):
-        g = spectral_grid(omega)
+        # the profile path's quadrature and omega-differences run on the
+        # uniform grid of the oracle rule
+        g, uniform = spectral_grid(omega), uniform_spectral_grid(omega)
         for sign in (1, -1):
-            assert abs(sigma_index(omega, g, sign) - sigma_profile_path(omega, g, sign)) < 1e-4
+            assert abs(sigma_index(omega, g, sign) - sigma_profile_path(omega, uniform, sign)) < 1e-4
 
     def test_sign_pattern_across_zero(self):
         for omega in (0.5, -0.5):
@@ -446,7 +453,7 @@ class TestSigma:
 
 class TestGeneralizedMode:
     def test_minus_sector_identity(self):
-        g = spectral_grid(0.5)
+        g = uniform_spectral_grid(0.5)
         assert generalized_mode_residual(0.5, g) < 1e-5
 
 
@@ -458,18 +465,18 @@ class TestConstrainedPositivity:
         assert val == pytest.approx(CONSTRAINED_MARGIN_ZERO, abs=1e-8)
 
     def test_unprojected_operator_is_not_positive(self):
-        g = spectral_grid(0.0)
+        g = uniform_spectral_grid(0.0)
         vals = isolated_spectrum(build_hessian(0.0, g))
         assert np.sum(np.abs(vals) < 1e-6) >= 4
         assert np.min(vals) < 1e-6
-        g3 = spectral_grid(0.3)
+        g3 = uniform_spectral_grid(0.3)
         vals3 = isolated_spectrum(build_hessian(0.3, g3))
         assert np.min(vals3) < -1e-3
 
     def test_excluded_direction_overlap(self):
         # the extra zero-frequency kernel pair has overlap -2i with the
         # charge-type constraint vector, so the constraint removes it
-        g = spectral_grid(0.0)
+        g = uniform_spectral_grid(0.0)
         u0 = eval_profile(0.0, g)
         up0 = profile_derivative(0.0, g.x)
         overlap = quadrature(np.conj(u0) * up0 - u0 * np.conj(up0), g)
@@ -504,15 +511,16 @@ class TestSectorRoute:
 
     @pytest.mark.parametrize("omega", [0.0, 0.3, -0.3, 0.5, 0.9, -0.9])
     def test_constrained_min_matches_hessian_oracle(self, omega):
-        g = spectral_grid(omega, ORACLE_N)
+        g = uniform_spectral_grid(omega, ORACLE_N)
         sector = constrained_min_eig(omega, g)
         assert abs(sector - _constrained_min_eig_hessian(omega, g)) <= 1e-12
 
+    @pytest.mark.parametrize("grid", [uniform_spectral_grid, spectral_grid])
     @pytest.mark.parametrize("omega", [0.3, 0.5, 0.9])
-    def test_deflated_sigma_matches_eigen_sum(self, omega):
+    def test_deflated_sigma_matches_eigen_sum(self, omega, grid):
         # the +1 block solve against the kernel-deflated solve and the
         # eigen-sum, both on the 2N x 2N oracle matrix
-        g = spectral_grid(omega, ORACLE_N)
+        g = grid(omega, ORACLE_N)
         for sign in (1, -1):
             solve = sector_analysis(omega, g, sign).sigma
             assert abs(solve.value - sigma_deflated(omega, g, sign)) <= 1e-10
@@ -521,7 +529,7 @@ class TestSectorRoute:
 
     @pytest.mark.parametrize("omega", [0.0, 0.5, -0.9])
     def test_subset_matches_full_eigh(self, omega):
-        g = spectral_grid(omega, ORACLE_N)
+        g = uniform_spectral_grid(omega, ORACLE_N)
         for sign in (1, -1):
             analysis = sector_analysis(omega, g, sign)
             vals = analysis.isolated
@@ -573,15 +581,15 @@ class TestSectorRoute:
         # both cached analyses together hold less than one N x N block
         assert retained < g.n * g.n * 8
         before = sector_analysis.cache_info()
-        spectral.constrained_split_defect(0.5, spectral_grid(0.5, 64))
+        spectral.constrained_split_defect(0.5, uniform_spectral_grid(0.5, 64))
         assert sector_analysis.cache_info() == before
 
     def test_sigma_needs_no_resolved_kernel(self):
-        # on this coarse grid the plus-sector kernel eigenvalue is ~1e-5: the
-        # sector check still fails on it, while the +1 block solve, which
+        # on this coarse lattice the plus-sector kernel eigenvalue is ~1e-5:
+        # the sector check still fails on it, while the +1 block solve, which
         # the kernel does not enter, gives sigma near its closed form
         omega = -0.3
-        record = omega_sweep([omega], grid_n=ORACLE_N, checks=("plus_sector", "slope"))
+        record = omega_sweep([omega], grid_n=24, checks=("plus_sector", "slope"))
         row = record.tables["sweep"][0]
         assert 1e-6 < abs(row["kernel_plus"]) < 1e-4
         assert record.verdicts["plus_sector"] is False
@@ -590,7 +598,9 @@ class TestSectorRoute:
             assert abs(row[f"sigma_{tag}"] - row[f"sigma_{tag}_closed"]) < 1e-4
 
 
-# the 11 default omega of `mtmlab sweep`: N of the capped rule and of the strip rule
+# the 11 default omega of `mtmlab sweep`: N of the capped rule and of the
+# strip rule, the uniform rules before the sinh map (the oracle rule is
+# ``oracles.uniform_spectral_grid``)
 SWEEP_GRID_N = {
     0.0: (640, 512), 0.1: (640, 512), -0.1: (640, 576), 0.3: (640, 448), -0.3: (640, 640),
     0.5: (768, 384), -0.5: (768, 768), 0.7: (896, 320), -0.7: (1024, 960),
@@ -601,23 +611,30 @@ SWEEP_GRID_N = {
 CHANGED_GRID_OMEGAS = [w for w, (capped, strip) in SWEEP_GRID_N.items() if capped != strip] + [0.95]
 
 
+def uniform_sweep(monkeypatch, omegas, grid_n=None):
+    """``omega_sweep`` on the uniform grids of the oracle rule."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "spectral_grid", uniform_spectral_grid)
+        return omega_sweep(omegas, grid_n=grid_n)
+
+
 class TestSpectralGrid:
     @pytest.mark.parametrize("omega", SWEEP_GRID_N)
     def test_strip_rule_sizes(self, omega):
-        capped, grid = spectral_grid_capped(omega), spectral_grid(omega)
+        capped, grid = spectral_grid_capped(omega), uniform_spectral_grid(omega)
         assert (capped.n, grid.n) == SWEEP_GRID_N[omega]
         assert grid.half_length == capped.half_length
         # the smallest multiple of 64 with dx <= 0.12 d
         assert grid.n % 64 == 0
         assert grid.dx <= 0.12 * singularity_distance(omega) < 2.0 * grid.half_length / (grid.n - 64)
-        assert spectral_grid(omega, 200) == Grid(grid.half_length, 200)
+        assert uniform_spectral_grid(omega, 200) == Grid(grid.half_length, 200)
 
     @pytest.mark.parametrize("omega", CHANGED_GRID_OMEGAS)
-    def test_sweep_matches_capped_grid(self, omega):
+    def test_strip_rule_sweep_matches_capped_grid(self, omega, monkeypatch):
         capped_n = spectral_grid_capped(omega).n
-        assert spectral_grid(omega).n < capped_n
-        record = omega_sweep([omega])
-        reference = omega_sweep([omega], grid_n=capped_n)
+        assert uniform_spectral_grid(omega).n < capped_n
+        record = uniform_sweep(monkeypatch, [omega])
+        reference = uniform_sweep(monkeypatch, [omega], grid_n=capped_n)
         assert record.verdicts == reference.verdicts
         (row,), (ref,) = record.tables["sweep"], reference.tables["sweep"]
         assert "error" not in row and row.keys() == ref.keys()
@@ -626,6 +643,147 @@ class TestSpectralGrid:
                 assert abs(row[key] - value) <= 1e-10, key
             else:  # counts, verdicts and *_ok flags
                 assert row[key] == value, key
+
+    @pytest.mark.parametrize("omega", [0.0, -0.7, 0.9, -0.95])
+    def test_mapped_lattice(self, omega):
+        g = spectral_grid(omega)
+        half_length = uniform_spectral_grid(omega).half_length
+        assert g == MappedGrid(Grid(float(np.arcsinh(half_length / 0.5)), 128), 0.5)
+        assert g.half_length == pytest.approx(half_length, rel=1e-14)
+        assert g.x[0] == pytest.approx(-half_length, rel=1e-14) and g.x[g.n // 2] == 0.0
+        # the reflection j -> N - j sends x to -x (j = 0 is x = -L, fixed as
+        # the periodic image of L)
+        assert np.max(np.abs(g.x[1:] + g.x[:0:-1])) <= 1e-13 * half_length
+        assert np.array_equal(g.jacobian, 0.5 * np.cosh(g.lattice.x))
+        # ``n`` sets the size of the xi-lattice, not the x-extent
+        assert spectral_grid(omega, 200) == MappedGrid(Grid(g.lattice.half_length, 200), 0.5)
+        zg = stretched_grid(omega, g)
+        assert zg.lattice == g.lattice
+        assert np.allclose(zg.x, np.sqrt(1.0 - omega**2) * g.x, rtol=1e-15, atol=0.0)
+
+    def test_mapped_grid_arguments(self):
+        with pytest.raises(ValueError, match="map scale"):
+            MappedGrid(Grid(4.0, 64), 0.0)
+        with pytest.raises(NonUniformGridError):
+            MappedGrid(spectral_grid(0.5), 0.5)
+
+    def test_uniform_calculus_refuses_a_mapped_grid(self):
+        # a mapped lattice has no single spacing, so each of these raises a
+        # named TypeError instead of using the xi-spacing as dx
+        g = spectral_grid(0.5)
+        f = eval_profile(0.5, g)
+        calls = {
+            "quadrature": lambda: quadrature(f, g),
+            "differentiate": lambda: differentiate(f, g),
+            "build_hessian": lambda: build_hessian(0.5, g),
+            "differentiation_matrices": lambda: spectral.differentiation_matrices(g),
+            "zero_mode_fields": lambda: zero_mode_fields(0.5, g),
+        }
+        for name, call in calls.items():
+            with pytest.raises(NonUniformGridError, match=name) as err:
+                call()
+            assert isinstance(err.value, TypeError)
+
+
+# agreement of the mapped route with the uniform route of the oracle rule:
+# every quantity within AGREEMENT_TOL, except in the minus sector at
+# omega >= 0.7, whose slowest states (decay rate 0.2 at 0.7, 0.04 at 0.9)
+# still hold 1e-3 to 0.1 of their amplitude at x = +-L; there the two routes
+# differ by up to NEAR_EDGE_TOL, while doubling L moves either by 4e-7 to 1e-4
+AGREEMENT_TOL = 1e-9
+NEAR_EDGE_TOL = 3e-7
+AGREEMENT_OMEGAS = sorted(SWEEP_GRID_N) + [0.95, -0.95]
+
+
+def agreement_tol(omega, sign):
+    return NEAR_EDGE_TOL if sign < 0 and omega >= 0.7 else AGREEMENT_TOL
+
+
+def mapped_route_defects(omega, uniform):
+    """Per sector, the largest difference between the mapped route and the
+    uniform route on ``uniform``, or None where the counts differ."""
+    defects = {}
+    for sign in (1, -1):
+        got = sector_analysis.__wrapped__(omega, spectral_grid(omega), sign)
+        ref = sector_analysis(omega, uniform, sign)
+        if len(got.isolated) != len(ref.isolated):
+            defects[sign] = None
+            continue
+        diffs = [np.max(np.abs(got.isolated - ref.isolated)),
+                 abs(got.constrained_min - ref.constrained_min)]
+        if ref.sigma is not None:
+            diffs.append(abs(got.sigma.value - ref.sigma.value))
+        defects[sign] = max(diffs)
+    return defects
+
+
+class TestMappedRoute:
+    """The sector analyses on the sinh-mapped lattice against the uniform
+    route of the oracle rule and against the dense mapped oracle."""
+
+    @pytest.mark.parametrize("omega", AGREEMENT_OMEGAS)
+    def test_agrees_with_uniform_route(self, omega, monkeypatch):
+        record = omega_sweep([omega])
+        reference = uniform_sweep(monkeypatch, [omega])
+        assert record.verdicts == reference.verdicts
+        (row,), (ref,) = record.tables["sweep"], reference.tables["sweep"]
+        assert "error" not in row and row.keys() == ref.keys()
+        for key, value in ref.items():
+            if not isinstance(value, float):  # counts, verdicts and *_ok flags
+                assert row[key] == value, key
+        # the uniform sweep leaves its own grid's analyses in the cache
+        defects = mapped_route_defects(omega, uniform_spectral_grid(omega))
+        for sign, defect in defects.items():
+            assert defect is not None and defect <= agreement_tol(omega, sign), (sign, defect)
+        integral = ref["splitting_integral"]
+        assert abs(row["splitting_integral"] - integral) <= AGREEMENT_TOL * abs(integral)
+
+    def test_disagrees_without_the_mapped_diagonal(self, monkeypatch):
+        # negative control: without the term a (D2 a)/2 the mapped route
+        # leaves the tolerance
+        uniform = uniform_spectral_grid(0.5)
+        assert max(mapped_route_defects(0.5, uniform).values()) <= AGREEMENT_TOL
+        monkeypatch.setattr(spectral, "differentiate", lambda f, grid, order: 0.0 * f)
+        assert any(d is None or d > 1e-6 for d in mapped_route_defects(0.5, uniform).values())
+
+    @pytest.mark.parametrize("omega", [0.0, 0.3, 0.5, -0.9, 0.95])
+    def test_kernel_vectors_have_zero_rayleigh_quotient(self, omega):
+        # the blocks act on phi = J^(1/2) w, so the kernel vectors are
+        # J^(1/2) U' and J^(1/2) iU.  Their residuals hold a sawtooth of
+        # ~1e-4, the alias of the kink of 1/J where the lattice wraps, which
+        # smooth vectors do not see: the Rayleigh quotients vanish
+        g = spectral_grid(omega)
+        root = half_density(g)
+        for sign, k in ((1, profile_derivative(omega, g.x)), (-1, 1j * eval_profile(omega, g))):
+            v = embed_conjugate_pair(root * k)
+            m = full_matrix(build_sector_operator(omega, g, sign))
+            assert abs(v @ m @ v) <= 1e-12 * (v @ v)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.9, -0.95])
+    def test_blocks_equal_dense_oracle_projections(self, omega):
+        g = spectral_grid(omega)
+        plus, minus = parity_bases(g.n)
+        for sign in (1, -1):
+            m = sector_matrix(omega, g, sign)
+            blocks = build_sector_operator(omega, g, sign).matrix
+            scale = np.max(np.abs(m))
+            assert np.max(np.abs(plus.T @ m @ plus - blocks[0])) <= 1e-13 * scale
+            assert np.max(np.abs(minus.T @ m @ minus - blocks[1])) <= 1e-13 * scale
+            assert np.max(np.abs(plus.T @ m @ minus)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("kind", spectral.ALL_KINDS)
+    def test_schrodinger_blocks_equal_dense_oracle(self, kind):
+        zg = stretched_grid(0.5, spectral_grid(0.5))
+        pr = SchrodingerProblem(kind, 0.5)
+        op = build_schrodinger(pr, zg)
+        if pr.scalar:
+            m = schrodinger_matrix(pr, zg)
+            assert np.max(np.abs(scalar_full_matrix(op) - m)) <= 1e-13 * np.max(np.abs(m))
+        else:
+            v1, v2 = pr.coupled_potentials(zg.x)
+            kinetic = kinetic_matrix(zg) + np.diag(1.0 + v1)
+            m = realify_conjugate_pair(kinetic.astype(complex), np.diag(v2))
+            assert np.max(np.abs(full_matrix(op) - m)) <= 1e-13 * np.max(np.abs(m))
 
 
 # every omega of the spectral criteria (7-10)
@@ -643,13 +801,13 @@ class TestHessianRoutes:
         [(w, ORACLE_N) for w in CRITERION_OMEGAS] + [(w, None) for w in (0.0, 0.4, 0.5)],
     )
     def test_in_place_build_matches_block_oracle(self, omega, n):
-        g = spectral_grid(omega, n)
+        g = uniform_spectral_grid(omega, n)
         assert np.array_equal(build_hessian(omega, g).matrix, build_hessian_blocked(omega, g))
 
     def test_build_peak_is_the_matrix(self):
         # the 4N x 4N result and the two N x N circulants, plus one N x N
         # temporary; the np.block route peaked at 3.5 matrices
-        g = spectral_grid(0.5)
+        g = uniform_spectral_grid(0.5)
         spectral.differentiation_matrices.cache_clear()
         tracemalloc.start()
         try:
@@ -661,7 +819,7 @@ class TestHessianRoutes:
 
     @pytest.mark.parametrize("omega", SWEEP_GRID_N)
     def test_householder_projection_matches_null_space_oracle(self, omega, monkeypatch):
-        g = spectral_grid(omega, SPLIT_CHECK_N)
+        g = uniform_spectral_grid(omega, SPLIT_CHECK_N)
         expected = constrained_min_eig_nullspace(omega, g)
 
         def refuse(*args, **kwargs):
@@ -673,7 +831,7 @@ class TestHessianRoutes:
     def test_split_check_peak(self):
         # the Hessian projected in place, and the copy of its trailing block
         # that the eigensolver takes; the null-space route peaked at 5.1 matrices
-        g = spectral_grid(-0.7, SPLIT_CHECK_N)
+        g = uniform_spectral_grid(-0.7, SPLIT_CHECK_N)
         tracemalloc.start()
         try:
             spectral.constrained_split_defect(-0.7, g)
@@ -694,7 +852,7 @@ class TestParityBlocks:
     def test_reflection_commutes_with_oracle_matrix(self, omega, n):
         # K M K - M, with K = diag(R, -R) applied as a signed permutation,
         # has the entries of K M - M K up to order and sign
-        g = spectral_grid(omega, n)
+        g = uniform_spectral_grid(omega, n)
         mirror = -np.arange(2 * g.n) % g.n + np.repeat([0, g.n], g.n)
         signs = np.repeat([1.0, -1.0], g.n)
         for sign in (1, -1):
@@ -704,7 +862,7 @@ class TestParityBlocks:
 
     @pytest.mark.parametrize("omega", CRITERION_OMEGAS)
     def test_blocks_equal_projections(self, omega):
-        g = spectral_grid(omega, ORACLE_N)
+        g = uniform_spectral_grid(omega, ORACLE_N)
         plus, minus = parity_bases(g.n)
         for sign in (1, -1):
             m = sector_matrix(omega, g, sign)
@@ -714,7 +872,7 @@ class TestParityBlocks:
             assert np.max(np.abs(plus.T @ m @ minus)) <= 1e-12
 
     def test_coupled_schrodinger_blocks(self):
-        zg = stretched_grid(0.3, spectral_grid(0.3, ORACLE_N))
+        zg = stretched_grid(0.3, uniform_spectral_grid(0.3, ORACLE_N))
         op = build_schrodinger(SchrodingerProblem("coupled_system", 0.3), zg)
         v1, v2 = SchrodingerProblem("coupled_system", 0.3).coupled_potentials(zg.x)
         _, d2 = spectral.differentiation_matrices(zg)
@@ -725,7 +883,7 @@ class TestParityBlocks:
     @pytest.mark.parametrize("full", [False, True], ids=["oracle_n", "full_grid"])
     @pytest.mark.parametrize("omega", FULL_GRID_OMEGAS)
     def test_route_matches_oracles(self, omega, full):
-        g = spectral_grid(omega, None if full else ORACLE_N)
+        g = uniform_spectral_grid(omega, None if full else ORACLE_N)
         for sign in (1, -1):
             analysis = sector_analysis(omega, g, sign)
             m = sector_matrix(omega, g, sign)
@@ -738,13 +896,16 @@ class TestParityBlocks:
                 assert abs(analysis.sigma.value - sigma_deflated(omega, g, sign)) <= 1e-10
 
     @pytest.mark.parametrize(
-        "omega, n",
-        [(w, ORACLE_N) for w in CRITERION_OMEGAS] + [(w, None) for w in FULL_GRID_OMEGAS],
+        "omega, grid",
+        [(w, uniform_spectral_grid(w, ORACLE_N)) for w in CRITERION_OMEGAS]
+        + [(w, uniform_spectral_grid(w)) for w in FULL_GRID_OMEGAS]
+        + [(w, spectral_grid(w)) for w in CRITERION_OMEGAS],
+        ids=str,
     )
-    def test_in_place_analysis_matches_stacked_route(self, omega, n):
+    def test_in_place_analysis_matches_stacked_route(self, omega, grid):
         # same blocks, same reductions: only the sigma residual's products
         # sum in another order
-        g = spectral_grid(omega, n)
+        g = grid
         for sign in (1, -1):
             analysis = sector_analysis.__wrapped__(omega, g, sign)
             ref = sector_analysis_stacked(omega, g, sign)
@@ -753,17 +914,21 @@ class TestParityBlocks:
             assert (analysis.parity_defect, analysis.cutoff) == (ref.parity_defect, ref.cutoff)
             assert (analysis.sigma is None) == (ref.sigma is None) == (omega == 0.0)
             if analysis.sigma is not None:
+                # the residuals scale with the block, ~8 times larger on the
+                # mapped lattice's fine core
+                tol = 1e-13 if isinstance(g, Grid) else 1e-12
                 assert analysis.sigma.value == ref.sigma.value
-                assert abs(analysis.sigma.residual - ref.sigma.residual) <= 1e-13
+                assert abs(analysis.sigma.residual - ref.sigma.residual) <= tol
 
+    @pytest.mark.parametrize("mapped", [False, True], ids=["uniform", "mapped"])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_analysis_peak_is_one_block(self, sign):
+    def test_analysis_peak_is_one_block(self, sign, mapped):
         # one N x N buffer, plus O(N) vectors, LAPACK's workspace and the
-        # assembly's 64-row strip of weights (about 0.11 N x N at N = 960);
+        # assembly's 64-row strips of weights (about 0.11 N x N at N = 960);
         # the stack route peaked near 4 blocks, a quarter-block temporary of
         # weights would add 0.25, and a copy of the stored reflectors for
         # dormqr one more
-        g = spectral_grid(-0.7)
+        g = spectral_grid(-0.7, 960) if mapped else uniform_spectral_grid(-0.7)
         assert g.n >= 512
         tracemalloc.start()
         try:
@@ -795,7 +960,7 @@ class TestParityBlocks:
 
         write = spectral._parity_block
         monkeypatch.setattr(spectral, "_parity_block", recording)
-        g = spectral_grid(omega)
+        g = uniform_spectral_grid(omega)
         for sign in (1, -1):
             build_sector_operator(omega, g, sign)
             sector_analysis.__wrapped__(omega, g, sign)
@@ -824,7 +989,7 @@ class TestParityBlocks:
         assert np.array_equal(d, ref_d) and np.array_equal(e, ref_e)
         assert solved == ref_solved and solved.residual < 1e-10
 
-        small = spectral_grid(0.5, 64)
+        small = uniform_spectral_grid(0.5, 64)
         expected = _constrained_min_eig_hessian(0.5, small)
         hessian = build_hessian(0.5, small)
         monkeypatch.setattr(spectral, "build_hessian", lambda omega, grid: spectral.DiscreteOperator(
