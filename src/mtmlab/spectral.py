@@ -44,14 +44,16 @@ The sector analyses run on a sinh-mapped lattice (``MappedGrid``,
 spacing h, fine at the core and coarse in the tails, with Jacobian
 J = dx/dxi = s cosh(xi).  The blocks act on phi = J^(1/2) w, so that the
 weighted pairing h sum J conj(v) w is the Euclidean one and the blocks stay
-real symmetric.  -d^2/dx^2 becomes R (-(A D2 + D2 A)/2 + diag(D2 a)/2) R
-with a = 1/J, A = diag(a), R = J^(-1/2) and D2 the lattice's spectral
-second derivative; the first-order term S(g) becomes S(g/J); the
-potentials are unchanged; the constraint and kernel vectors become
-J^(1/2) s and J^(1/2) k; sigma pairs as 2h (J^(1/2) s)^T M^{-1} (J^(1/2) s);
-quadratures carry the weights h J.  A uniform ``Grid`` is the identity map
-(J = 1, h = dx): the same writer then gives exactly -D2 and the blocks of
-the uniform route, which the Hessian self-check needs.  The map is odd, so
+real symmetric.  -d^2/dx^2 becomes R (-(A D2 + D2 A)/2 + diag(a'')/2) R
+with a = 1/J, A = diag(a), R = J^(-1/2), D2 the lattice's spectral
+second derivative and a'' in closed form, with the kink of a where the
+lattice wraps as a lattice delta (``_kinetic_blocks``); the first-order
+term S(g) becomes S(g/J); the potentials are unchanged; the constraint
+and kernel vectors become J^(1/2) s and J^(1/2) k; sigma pairs as
+2h (J^(1/2) s)^T M^{-1} (J^(1/2) s); quadratures carry the weights h J.
+A uniform ``Grid`` is the identity map (J = 1, h = dx): the same writer
+then gives exactly -D2 and the blocks of the uniform route, which the
+Hessian self-check needs.  The map is odd, so
 the lattice reflection still sends x to -x, and what follows holds on both.
 
 The lattice reflection R: j -> -j mod N (x -> -x, fixing j = 0 and N/2) and
@@ -107,7 +109,7 @@ from scipy.linalg import null_space  # noqa: F401 - unused; the traced benchmark
 from scipy.linalg.blas import dsymv, dsyr2
 from scipy.linalg.lapack import dgeqrf, dgtsv, dormqr, dsytrd, dsytrd_lwork
 
-from .grid import Grid, differentiate, require_uniform
+from .grid import Grid, require_uniform
 from .soliton import (
     OMEGA_DEGENERATE,
     eval_profile,
@@ -308,15 +310,18 @@ def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarra
     lattice's second-derivative column) and return the diagonal it still
     needs: 0 on a uniform grid, where the blocks are -D2.  On a mapped grid
     the operator acts on phi = J^(1/2) w and is
-    R (-(A D2 + D2 A)/2 + diag(D2 a)/2) R, a = 1/J, A = diag(a), R = J^(-1/2),
+    R (-(A D2 + D2 A)/2 + diag(a'')/2) R, a = 1/J, A = diag(a), R = J^(-1/2),
     the symmetric form of -R d/dxi a d/dxi R: -D2 weighted entry by entry by
     R_i R_j (a_i + a_j)/2, a strip of rows at a time, and the returned
-    diagonal a (D2 a)/2.  The weights are even, so they act on the parity
+    diagonal a a''/2.  The weights are even, so they act on the parity
     blocks through their values at the lattice points 0..N/2 (even) and
-    1..N/2-1 (odd).  With D2 a, not the closed form of a'', the discrete
-    form still annihilates constants in xi, as -d/dxi a d/dxi does; a has a
-    kink where the lattice wraps, which D2 a aliases into a Nyquist
-    sawtooth that smooth vectors do not see."""
+    1..N/2-1 (odd).  a = sech(xi)/s is even, so on the periodic lattice it
+    has a kink where the lattice wraps (xi = -Xi, j = 0): a'' is
+    a (1 - 2 sech^2 xi) in closed form plus the jump 2 tanh(Xi) a(Xi) of a'
+    there, a lattice delta of that weight over h.  The spectral D2 a would
+    alias the delta into an oscillation over the whole lattice, ~1e-4 at
+    the core, which the residual of every sampled kernel vector would
+    carry."""
     _negative_d2_blocks(c2, even_out, odd_out)
     lattice, jacobian = _map_of(grid)
     if jacobian is None:
@@ -332,7 +337,9 @@ def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarra
             weight *= rp[rows, None] * rp
             weight *= 0.5
             out[rows] *= weight
-    return 0.5 * a * differentiate(a, lattice, order=2).real
+    second = a * (1.0 - 2.0 / np.cosh(lattice.x) ** 2)
+    second[0] += 2.0 * np.tanh(lattice.half_length) * a[0] / lattice.dx
+    return 0.5 * a * second
 
 
 def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.ndarray) -> None:

@@ -412,28 +412,30 @@ def spectral_grid_capped(omega: float) -> Grid:
     return Grid(half_length, 128 * int(np.ceil(2.0 * half_length / dx_target / 128.0)))
 
 
-def lattice_spacing(grid) -> float:
-    """The spacing h of the uniform lattice under a grid: dx on a uniform
-    grid, the xi-spacing on a ``spectral.MappedGrid``."""
-    return grid.lattice.dx if isinstance(grid, spectral.MappedGrid) else grid.dx
-
-
 def half_density(grid):
     """J^(1/2), which turns samples of w into samples of phi = J^(1/2) w,
     the coordinates of the mapped operators; 1 on a uniform grid."""
-    return np.sqrt(grid.jacobian) if isinstance(grid, spectral.MappedGrid) else 1.0
+    jacobian = spectral._map_of(grid)[1]
+    return 1.0 if jacobian is None else np.sqrt(jacobian)
 
 
 def kinetic_matrix(grid) -> np.ndarray:
     """-d^2/dx^2 as a dense N x N matrix: -D2 on a uniform grid; on a mapped
-    grid, acting on phi = J^(1/2) w, R (-(A D2 + D2 A)/2 + diag(D2 a)/2) R
-    with a = 1/J, A = diag(a), R = J^(-1/2) and D2 the lattice's circulant."""
-    if not isinstance(grid, spectral.MappedGrid):
-        return -spectral.differentiation_matrices(grid)[1]
-    _, d2 = spectral.differentiation_matrices(grid.lattice)
-    a = 1.0 / grid.jacobian
+    grid, acting on phi = J^(1/2) w, R (-(A D2 + D2 A)/2 + diag(a'')/2) R
+    with a = 1/J = sech(xi)/s, A = diag(a), R = J^(-1/2), D2 the lattice's
+    circulant and a'' = (sech - 2 sech^3)/s, plus at the wrap (j = 0) the
+    jump of a' = -sinh/(s cosh^2) between xi = Xi and -Xi over h."""
+    lattice, jacobian = spectral._map_of(grid)
+    _, d2 = spectral.differentiation_matrices(lattice)
+    if jacobian is None:
+        return -d2
+    a = 1.0 / jacobian
+    sech = 1.0 / np.cosh(lattice.x)
+    curvature = (sech - 2.0 * sech**3) / grid.scale
+    wrap = lattice.half_length
+    curvature[0] += 2.0 * np.sinh(wrap) / (grid.scale * np.cosh(wrap) ** 2) / lattice.dx
     r = np.sqrt(a)
-    inner = -0.5 * (a[:, None] * d2 + d2 * a) + np.diag(0.5 * (d2 @ a))
+    inner = -0.5 * (a[:, None] * d2 + d2 * a) + np.diag(0.5 * curvature)
     return r[:, None] * inner * r
 
 
@@ -504,8 +506,8 @@ def sector_matrix(omega: float, grid, sign: int) -> np.ndarray:
     (linear, conjugate) N x N blocks, without the parity split.  On a mapped
     grid it acts on phi = J^(1/2) w: the kinetic part is ``kinetic_matrix``,
     the first-order term i S(g/J), the potentials are unchanged."""
-    mapped = isinstance(grid, spectral.MappedGrid)
-    d1, _ = spectral.differentiation_matrices(grid.lattice if mapped else grid)
+    lattice, jacobian = spectral._map_of(grid)
+    d1, _ = spectral.differentiation_matrices(lattice)
     u = eval_profile(omega, grid)
     absq = np.abs(u) ** 2
     big = 1.0 - omega * omega
@@ -517,8 +519,8 @@ def sector_matrix(omega: float, grid, sign: int) -> np.ndarray:
         g = -2.0 * absq
         pot = -2.0 * absq**2 - 2.0 * omega * absq + big
         off = 2.0 * omega * u**2
-    if mapped:
-        g = g / grid.jacobian
+    if jacobian is not None:
+        g = g / jacobian
     linear = kinetic_matrix(grid) + symmetric_first_order(g, d1) + np.diag(pot)
     m = realify_conjugate_pair(linear, np.diag(off))
     return 0.5 * (m + m.T)
@@ -646,7 +648,7 @@ def sigma_deflated(omega: float, grid: Grid, sign: int) -> float:
     s = sector_vectors(omega, grid, sign)[0]
     s_perp = s - kernel @ (kernel.T @ s)
     x = solve(m + kernel @ kernel.T, s_perp, assume_a="sym")
-    return float(2.0 * lattice_spacing(grid) * (s_perp @ x))
+    return float(2.0 * spectral._map_of(grid)[0].dx * (s_perp @ x))
 
 
 def constrained_min_2n(omega: float, grid: Grid, sign: int) -> float:
@@ -702,7 +704,7 @@ def sector_analysis_stacked(omega: float, grid: Grid, sign: int):
     lowest = min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
                  for d, e in tridiagonals)
     if solved is not None:
-        solved = solved._replace(value=2.0 * lattice_spacing(grid) * solved.value)
+        solved = solved._replace(value=2.0 * spectral._map_of(grid)[0].dx * solved.value)
     return spectral.SectorAnalysis(spectral._eigenvalues_below(tridiagonals, op.cutoff), lowest,
                                    solved, op.parity_defect, op.cutoff)
 
@@ -716,7 +718,7 @@ def sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
     vals, vecs = eigh(sector_matrix(omega, grid, sign))
     keep = np.abs(vals) > KERNEL_DEFLATION
     proj = vecs[:, keep].T @ s
-    return float(2.0 * lattice_spacing(grid) * np.sum(proj * proj / vals[keep]))
+    return float(2.0 * spectral._map_of(grid)[0].dx * np.sum(proj * proj / vals[keep]))
 
 
 def sigma_profile_path(omega: float, grid: Grid, sign: int) -> float:

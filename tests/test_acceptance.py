@@ -57,6 +57,7 @@ from oracles import (
     block_diagonalize_check,
     full_matrix,
     generalized_mode_residual,
+    half_density,
     hessian_quadratic_form,
     uniform_spectral_grid,
 )
@@ -190,8 +191,10 @@ def test_criterion_05_charge_hierarchy():
 
 
 def test_criterion_06_kernel_and_block_structure():
-    # the Hessian, the dense kernel checks and the similarity identity need
-    # a uniform grid: the strip rule's (``oracles.uniform_spectral_grid``)
+    # the Hessian and the similarity identity need a uniform grid, the strip
+    # rule's (``oracles.uniform_spectral_grid``); the sector kernels are
+    # checked on the sinh-mapped spectral grid, where the blocks act on
+    # J^(1/2) w, and on that uniform grid
     omega = 0.5
     g = uniform_spectral_grid(omega)
     hess = build_hessian(omega, g)
@@ -201,14 +204,17 @@ def test_criterion_06_kernel_and_block_structure():
         a, b = modes[name][0], modes[name][1]
         val = abs(hessian_quadratic_form(hess, g, a, b))
         checks[f"<L F, F> ({name}) = {val:.2e} < 1e-6"] = val < 1e-6
-    u = eval_profile(omega, g)
-    up = profile_derivative(omega, g.x)
-    plus = full_matrix(build_sector_operator(omega, g, +1))
-    minus = full_matrix(build_sector_operator(omega, g, -1))
-    val = np.max(np.abs(plus @ embed_conjugate_pair(up)))
-    checks[f"plus-sector kernel = {val:.2e} < 1e-6"] = val < 1e-6
-    val = np.max(np.abs(minus @ embed_conjugate_pair(1j * u)))
-    checks[f"minus-sector kernel = {val:.2e} < 1e-6"] = val < 1e-6
+    for rule in (spectral_grid, uniform_spectral_grid):
+        # at omega = 0 each sector also holds the other's kernel vector
+        for w, label in ((omega, "kernel"), (0.0, "extra kernel at omega=0")):
+            grid = rule(w)
+            u = half_density(grid) * eval_profile(w, grid)
+            up = half_density(grid) * profile_derivative(w, grid.x)
+            k_plus, k_minus = (up, 1j * u) if w else (1j * up, u)
+            for sector, sign, k in (("plus", 1, k_plus), ("minus", -1, k_minus)):
+                m = full_matrix(build_sector_operator(w, grid, sign))
+                val = np.max(np.abs(m @ embed_conjugate_pair(k)))
+                checks[f"{sector}-sector {label} ({rule.__name__}) = {val:.2e} < 1e-6"] = val < 1e-6
 
     defect = block_diagonalize_check(omega, Grid(26.0, 512))
     checks[f"similarity defect = {defect:.2e} < 1e-8"] = defect < 1e-8
@@ -216,13 +222,6 @@ def test_criterion_06_kernel_and_block_structure():
     g0 = uniform_spectral_grid(0.0)
     u0 = eval_profile(0.0, g0)
     up0 = profile_derivative(0.0, g0.x)
-    plus0 = full_matrix(build_sector_operator(0.0, g0, +1))
-    minus0 = full_matrix(build_sector_operator(0.0, g0, -1))
-    val = np.max(np.abs(plus0 @ embed_conjugate_pair(1j * up0)))
-    checks[f"extra plus kernel at omega=0 = {val:.2e} < 1e-6"] = val < 1e-6
-    val = np.max(np.abs(minus0 @ embed_conjugate_pair(u0)))
-    checks[f"extra minus kernel at omega=0 = {val:.2e} < 1e-6"] = val < 1e-6
-
     overlap = quadrature(np.conj(u0) * up0 - u0 * np.conj(up0), g0)
     checks[f"exclusion overlap = -2i within 1e-8"] = abs(overlap - (-2j)) < 1e-8
 
