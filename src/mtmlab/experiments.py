@@ -364,7 +364,9 @@ def omega_sweep(
       strictly positive, and on the uniform grid of the same half-length
       with N = SPLIT_CHECK_N (the identity map, which the 4N x 4N Hessian
       needs) the per-sector route agrees with the full-Hessian route within
-      SPLIT_DEFECT_TOL.
+      SPLIT_DEFECT_TOL.  That grid has J = 1, so this check never
+      exercises the J^(1/2) weights, S(g/J) and the mapped kinetic part
+      behind the verdicts on ``spectral_grid``.
 
     Failures during the analysis are isolated per omega and recorded; the
     sweep continues.  An unknown check name, and an omega or ``grid_n``

@@ -70,9 +70,8 @@ sector's coefficients, s+, k- and parity defect.  Each block is reduced to
 tridiagonal form once, with s+ (or k-) reflected onto e_1, for its share of
 the isolated spectrum, its minimum off that vector and, on the kernel-free
 +1 block, sigma = 2 h s+^T M+^{-1} s+.  The analysis writes the two blocks
-in turn into one N x N buffer and reduces each in place: LAPACK's lower
-reduction never reads the strict upper triangle, so that triangle and the
-saved diagonal still apply M for the sigma residual.  The symmetry breaks
+in turn into one N x N buffer and reduces a copy of each, so the intact
+block applies M for the sigma residual.  The symmetry breaks
 only in the e^-22 tail at the fixed point x = -L; ``parity_defect`` records
 the largest wrong-parity component of the coefficients and of s and k,
 refused above CONSTRUCTION_TOL (a domain too short for the soliton).  The
@@ -103,7 +102,6 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import circulant, eigh, eigvalsh_tridiagonal
 from scipy.linalg import null_space  # noqa: F401 - unused; the traced benchmark wraps it
 from scipy.linalg.blas import dsymv, dsyr2
@@ -130,9 +128,6 @@ CONSTRUCTION_TOL = 1e-6
 # h/2) puts the Richardson-extrapolated eigenvalues within ~1e-8 of the limit.
 STURM_HALF_WIDTH = 16.0
 STURM_STEP = 0.004
-# rows of the weight temporaries of ``_parity_block`` and ``_kinetic_blocks``,
-# so that they stay far below the N x N block they scale
-WEIGHT_STRIP = 64
 # the sinh map of ``spectral_grid``: its scale, the infimum 1/2 of
 # ``singularity_distance`` over omega, and its lattice size
 MAP_SCALE = 0.5
@@ -279,13 +274,11 @@ def parity_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _reflection_views(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views, without copies, of the circulant of ``col`` against the
-    reflection: T[i, j] = col[i - j] and H[i, j] = col[i + j] (mod N) for
-    0 <= i, j <= N/2, sliding windows over two short gathers of ``col``."""
-    n, h = len(col), len(col) // 2
-    t = np.arange(2 * h + 1)
-    return (sliding_window_view(col[(h - t) % n], h + 1)[::-1],
-            sliding_window_view(col[t % n], h + 1))
+    """The circulant of ``col`` against the reflection, each one gather of
+    ``col``: T[i, j] = col[i - j] and H[i, j] = col[i + j] (mod N) for
+    0 <= i, j <= N/2."""
+    i = np.arange(len(col) // 2 + 1)
+    return col[(i[:, None] - i) % len(col)], col[(i[:, None] + i) % len(col)]
 
 
 def _negative_d2_blocks(c2: np.ndarray, even_out: np.ndarray, odd_out: np.ndarray) -> None:
@@ -312,10 +305,9 @@ def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarra
     the operator acts on phi = J^(1/2) w and is
     R (-(A D2 + D2 A)/2 + diag(a'')/2) R, a = 1/J, A = diag(a), R = J^(-1/2),
     the symmetric form of -R d/dxi a d/dxi R: -D2 weighted entry by entry by
-    R_i R_j (a_i + a_j)/2, a strip of rows at a time, and the returned
-    diagonal a a''/2.  The weights are even, so they act on the parity
-    blocks through their values at the lattice points 0..N/2 (even) and
-    1..N/2-1 (odd).  a = sech(xi)/s is even, so on the periodic lattice it
+    R_i R_j (a_i + a_j)/2, one weight per block, and the returned diagonal
+    a a''/2.  The weights are even, so they act on the parity blocks through
+    their values at the lattice points 0..N/2 (even) and 1..N/2-1 (odd).  a = sech(xi)/s is even, so on the periodic lattice it
     has a kink where the lattice wraps (xi = -Xi, j = 0): a'' is
     a (1 - 2 sech^2 xi) in closed form plus the jump 2 tanh(Xi) a(Xi) of a'
     there, a lattice delta of that weight over h.  The spectral D2 a would
@@ -331,12 +323,10 @@ def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarra
     h = lattice.n // 2
     for out, points in ((even_out, slice(None, h + 1)), (odd_out, slice(1, h))):
         ap, rp = a[points], r[points]
-        for top in range(0, len(out), WEIGHT_STRIP):
-            rows = slice(top, top + WEIGHT_STRIP)
-            weight = ap[rows, None] + ap
-            weight *= rp[rows, None] * rp
-            weight *= 0.5
-            out[rows] *= weight
+        weight = ap[:, None] + ap
+        weight *= rp[:, None] * rp
+        weight *= 0.5
+        out *= weight
     second = a * (1.0 - 2.0 / np.cosh(lattice.x) ** 2)
     second[0] += 2.0 * np.tanh(lattice.half_length) * a[0] / lattice.dx
     return 0.5 * a * second
@@ -371,11 +361,9 @@ def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.nd
     off = out[e, o]  # -eo on +1, eo on -1, then plus q
     first, second = (hankel, toeplitz) if parity > 0 else (toeplitz, hankel)
     np.subtract(first[:, 1:h], second[:, 1:h], out=off)
-    for top in range(0, h + 1, WEIGHT_STRIP):  # s_i (g_i + g_j) / 2, a strip of rows at a time
-        rows = slice(top, min(top + WEIGHT_STRIP, h + 1))
-        weight = g[rows, None] + g[odd]
-        weight *= 0.5 * scale[rows, None]
-        off[rows] *= weight
+    weight = g[: h + 1, None] + g[odd]  # s_i (g_i + g_j) / 2
+    weight *= 0.5 * scale[:, None]
+    off *= weight
     off[odd, odd - 1] += q[odd]
     out[o, e] = off.T
     out.flat[:: n + 1] += diagonal
@@ -605,7 +593,7 @@ def isolated_spectrum(op: DiscreteOperator) -> np.ndarray:
     of each block; the margin below the edge excludes discretized continuum
     states that scatter slightly below it on finite domains."""
     blocks = op.matrix.reshape(-1, *op.matrix.shape[-2:])
-    return _eigenvalues_below([_reduce_block(b.copy())[:2] for b in blocks], op.cutoff)
+    return _eigenvalues_below([_reduce_block(b)[:2] for b in blocks], op.cutoff)
 
 
 def _eigenvalues_below(tridiagonals, cutoff: float) -> np.ndarray:
@@ -617,34 +605,29 @@ def _eigenvalues_below(tridiagonals, cutoff: float) -> np.ndarray:
 
 
 def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
-    """Tridiagonal form (d, e) of a symmetric block M from one reduction in
-    place, and with ``solve`` the ``SigmaSolve`` of v^T M^{-1} v.  The block
-    is consumed: the lower triangle of its Fortran view ``matrix.T`` ends up
-    holding the reduction, while the strict upper triangle, which no
-    lower-triangle routine touches, and the diagonal, saved and written back,
-    still hold M on return.
+    """Tridiagonal form (d, e) of a symmetric block M from one reduction of a
+    Fortran-ordered copy, and with ``solve`` the ``SigmaSolve`` of
+    v^T M^{-1} v; the block is left intact.
     A ``vector`` v is first reflected onto e_1 by the rank-two update
     H M H = M - h w^T - w h^T (H = I - beta h h^T, H v = -a e_1, a = |v|
     signed as v_0).  LAPACK's lower reduction H M H = Q T Q^T keeps e_1 fixed
     (Golub & Van Loan, sec. 8.3): T has the spectrum of M, T[1:, 1:] is M off
     v, and T y = e_1 gives v^T M^{-1} v = a^2 y_0, checked by the residual of
-    x = -a H Q y with Q applied from the stored reflectors and M from that
-    upper triangle.  Products with M are BLAS ``dsymv`` calls (see the module
+    x = -a H Q y with Q applied from the stored reflectors and M from the
+    intact block.  Products with M are BLAS ``dsymv`` calls (see the module
     docstring)."""
     n = matrix.shape[0]
-    t = matrix.T  # Fortran-ordered, as M is symmetric
-    diagonal = matrix.diagonal().copy()
+    t = np.array(matrix, order="C").T  # Fortran-ordered, as M is symmetric
     if vector is not None:
         h = np.array(vector, dtype=float)
         a = np.copysign(np.linalg.norm(h), h[0])
         h[0] += a
         beta = 2.0 / (h @ h)
-        p = dsymv(beta, t, h, lower=1)
+        p = dsymv(beta, matrix.T, h, lower=1)
         w = p - (0.5 * beta * (p @ h)) * h
         t = dsyr2(-1.0, h, w, lower=1, a=t, overwrite_a=1)
     lwork, _ = dsytrd_lwork(n, lower=1)
     c, d, e, tau, _ = dsytrd(t, lower=1, lwork=int(lwork), overwrite_a=1)
-    np.fill_diagonal(c, diagonal)
     if not solve:
         return d, e, None
     *_, y, info = dgtsv(e, d, e, np.eye(1, n)[0])
@@ -652,17 +635,10 @@ def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
         raise np.linalg.LinAlgError("singular block: v^T M^{-1} v is undefined")
     value = float(a * a * y[0])
     # Q y = H(1) ... H(n-1) y, applied as LAPACK's dormtr does for a lower
-    # reduction; lwork = 1 selects the unblocked loop, the cheaper for one column.
-    # The reflectors c[1:, :n-1] go to dormqr without a copy, as the contiguous
-    # (n, n-1) Fortran array that starts at c[1, 0]: its extra last row is
-    # c[0, 1:], zeroed meanwhile, so the padding appended to y stays 0
-    first_row = c[0, 1:].copy()
-    c[0, 1:] = 0.0
-    reflectors = c.ravel(order="F")[1 : 1 + n * (n - 1)].reshape(n, n - 1, order="F")
-    y[1:] = dormqr("L", "N", reflectors, tau, np.append(y[1:], 0.0)[:, None], 1)[0][:-1, 0]
-    c[0, 1:] = first_row
+    # reduction; lwork = 1 selects the unblocked loop, the cheaper for one column
+    y[1:] = dormqr("L", "N", c[1:, : n - 1], tau, y[1:, None], 1)[0][:, 0]
     x = -a * (y - (beta * (h @ y)) * h)
-    residual = dsymv(1.0, c, x, beta=-1.0, y=vector, lower=0)
+    residual = dsymv(1.0, matrix.T, x, beta=-1.0, y=vector, lower=1)
     return d, e, SigmaSolve(value, float(np.max(np.abs(residual))))
 
 
@@ -766,15 +742,15 @@ class SectorAnalysis(NamedTuple):
 def sector_analysis(omega: float, grid: Grid | MappedGrid, sign: int) -> SectorAnalysis:
     """The ``SectorAnalysis`` of one (omega, sector) from one ``_sector_setup``
     and one N x N buffer: after the parity defect has been checked, the
-    K = +1 block is written into the buffer and reduced in place
-    (``_reduce_block``), then the K = -1 block; no stack of both blocks is
-    formed, and the buffer is dropped on return.  The isolated spectrum is
+    K = +1 block is written into the buffer and reduced (``_reduce_block``,
+    on a copy), then the K = -1 block; no stack of both blocks is formed,
+    and the buffer is dropped on return.  The isolated spectrum is
     the union of the blocks' T spectra, the constrained minimum the lowest
     eigenvalue of their T[1:, 1:], and sigma
     <L^{-1} s, s> = 2 h s+^T M+^{-1} s+ (the +1 block holds no kernel; the
     lattice spacing h, dx on a uniform grid, turns the realified dot into
     the pairing, the weights h J being carried by s+ = J^(1/2) s), its
-    residual taken from the upper triangle the reduction leaves intact."""
+    residual taken on the intact +1 block."""
     coefficients, s, k, defect = _sector_setup(omega, grid, sign)
     _refuse_defect(defect)
     block = np.empty((grid.n, grid.n))

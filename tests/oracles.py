@@ -5,8 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, eigh, eigvalsh_tridiagonal, null_space, solve
-from scipy.linalg.blas import dgemm, dsymm, dsymv, dsyr2
-from scipy.linalg.lapack import dgtsv, dormqr, dsytrd, dsytrd_lwork
+from scipy.linalg.blas import dgemm, dsymm
 
 from mtmlab import scattering, spectral
 from mtmlab.conserved import charge, higher_charge
@@ -664,43 +663,15 @@ def constrained_min_2n(omega: float, grid: Grid, sign: int) -> float:
     return float(eigh(projected, eigvals_only=True, subset_by_index=[0, 0])[0])
 
 
-def reduce_block_copying(matrix: np.ndarray, vector=None, solve: bool = False):
-    """``spectral._reduce_block`` on a Fortran-ordered copy of the block,
-    which stays intact: the sigma residual applies M from its lower
-    triangle."""
-    n = matrix.shape[0]
-    t = np.array(matrix, order="C").T
-    if vector is not None:
-        h = np.array(vector, dtype=float)
-        a = np.copysign(np.linalg.norm(h), h[0])
-        h[0] += a
-        beta = 2.0 / (h @ h)
-        p = dsymv(beta, matrix.T, h, lower=1)
-        w = p - (0.5 * beta * (p @ h)) * h
-        t = dsyr2(-1.0, h, w, lower=1, a=t, overwrite_a=1)
-    lwork, _ = dsytrd_lwork(n, lower=1)
-    c, d, e, tau, _ = dsytrd(t, lower=1, lwork=int(lwork), overwrite_a=1)
-    if not solve:
-        return d, e, None
-    *_, y, info = dgtsv(e, d, e, np.eye(1, n)[0])
-    if info:
-        raise np.linalg.LinAlgError("singular block: v^T M^{-1} v is undefined")
-    value = float(a * a * y[0])
-    y[1:] = dormqr("L", "N", c[1:, : n - 1], tau, y[1:, None], 1)[0][:, 0]
-    x = -a * (y - (beta * (h @ y)) * h)
-    residual = dsymv(1.0, matrix.T, x, beta=-1.0, y=vector, lower=1)
-    return d, e, spectral.SigmaSolve(value, float(np.max(np.abs(residual))))
-
-
 def sector_analysis_stacked(omega: float, grid: Grid, sign: int):
     """``spectral.sector_analysis`` through the (2, N, N) stack of
     ``build_sector_operator``, each block reduced by
-    ``reduce_block_copying``."""
+    ``spectral._reduce_block``."""
     _, s, k, _ = spectral._sector_setup(omega, grid, sign)
     op = spectral.build_sector_operator(omega, grid, sign)
     plus, minus = op.matrix
-    *t_plus, solved = reduce_block_copying(plus, s, solve=abs(omega) >= OMEGA_DEGENERATE)
-    tridiagonals = (t_plus, reduce_block_copying(minus, k)[:2])
+    *t_plus, solved = spectral._reduce_block(plus, s, solve=abs(omega) >= OMEGA_DEGENERATE)
+    tridiagonals = (t_plus, spectral._reduce_block(minus, k)[:2])
     lowest = min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
                  for d, e in tridiagonals)
     if solved is not None:

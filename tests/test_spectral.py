@@ -916,8 +916,7 @@ class TestParityBlocks:
         ids=str,
     )
     def test_in_place_analysis_matches_stacked_route(self, omega, grid):
-        # same blocks, same reductions: only the sigma residual's products
-        # sum in another order
+        # same blocks, same reductions
         g = grid
         for sign in (1, -1):
             analysis = sector_analysis.__wrapped__(omega, g, sign)
@@ -926,32 +925,7 @@ class TestParityBlocks:
             assert analysis.constrained_min == ref.constrained_min
             assert (analysis.parity_defect, analysis.cutoff) == (ref.parity_defect, ref.cutoff)
             assert (analysis.sigma is None) == (ref.sigma is None) == (omega == 0.0)
-            if analysis.sigma is not None:
-                # the residuals are rounding of M x and scale with the block,
-                # ~8 times larger on the mapped lattice's fine core, where the
-                # two orders of summation differ by a few units in the
-                # last place of its entries (4.5e-13 each)
-                tol = 1e-13 if isinstance(g, Grid) else 2e-12
-                assert analysis.sigma.value == ref.sigma.value
-                assert abs(analysis.sigma.residual - ref.sigma.residual) <= tol
-
-    @pytest.mark.parametrize("mapped", [False, True], ids=["uniform", "mapped"])
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_analysis_peak_is_one_block(self, sign, mapped):
-        # one N x N buffer, plus O(N) vectors, LAPACK's workspace and the
-        # assembly's 64-row strips of weights (about 0.11 N x N at N = 960);
-        # the stack route peaked near 4 blocks, a quarter-block temporary of
-        # weights would add 0.25, and a copy of the stored reflectors for
-        # dormqr one more
-        g = spectral_grid(-0.7, 960) if mapped else uniform_spectral_grid(-0.7)
-        assert g.n >= 512
-        tracemalloc.start()
-        try:
-            sector_analysis.__wrapped__(-0.7, g, sign)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.2 * g.n * g.n * 8
+            assert analysis.sigma == ref.sigma
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sector_path_makes_no_dense_eigensolve(self, sign, monkeypatch):
@@ -1057,16 +1031,17 @@ class TestReduction:
         assert abs(solved.value - quadratic) <= 1e-12 * (v @ v)
         assert solved.residual <= 1e-12 * 4.0 * np.linalg.norm(v)
 
-    def test_reduction_keeps_one_triangle(self):
-        # the reduction overwrites the upper triangle of the C-ordered block
-        # (the lower one of its Fortran view); the strict lower triangle and
-        # the diagonal still hold M
-        rng = np.random.default_rng(5)
-        m = self.random_symmetric(rng, 64)
+    @pytest.mark.parametrize("source", ["random", "sector"])
+    def test_reduction_leaves_block_intact(self, source):
+        if source == "random":
+            rng = np.random.default_rng(5)
+            m, v = self.random_symmetric(rng, 64), rng.standard_normal(64)
+        else:
+            g = spectral_grid(0.5)
+            m, v = build_sector_operator(0.5, g, 1).matrix[0], spectral._sector_setup(0.5, g, 1)[1]
         block = m.copy()
-        spectral._reduce_block(block, rng.standard_normal(64), solve=True)
-        assert np.array_equal(np.tril(block), np.tril(m))
-        assert not np.array_equal(block, m)
+        spectral._reduce_block(block, v, solve=True)
+        assert np.array_equal(block, m)
 
     @pytest.mark.parametrize("n", [2, 3])  # one and two stored reflectors
     def test_small_blocks_solve(self, n):
