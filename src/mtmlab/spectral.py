@@ -617,7 +617,7 @@ def _reduce_block(matrix: np.ndarray, vector=None, solve: bool = False):
     intact block.  Products with M are BLAS ``dsymv`` calls (see the module
     docstring)."""
     n = matrix.shape[0]
-    t = np.array(matrix, order="C").T  # Fortran-ordered, as M is symmetric
+    t = np.array(matrix, order="C").T  # a Fortran-ordered copy of M, as M is symmetric
     if vector is not None:
         h = np.array(vector, dtype=float)
         a = np.copysign(np.linalg.norm(h), h[0])
