@@ -132,7 +132,7 @@ class TestSectorOperators:
 
 class TestIsolatedSpectrum:
     def test_operator_left_intact(self):
-        # the reduction consumes its block, so each block is reduced in a copy
+        # each block is reduced on a copy, so the operator stays intact
         g = spectral_grid(0.5, ORACLE_N)
         for op in (build_sector_operator(0.5, g, -1),
                    build_schrodinger(SchrodingerProblem("sum_sector", 0.5), stretched_grid(0.5, g))):
@@ -926,6 +926,23 @@ class TestParityBlocks:
             assert (analysis.parity_defect, analysis.cutoff) == (ref.parity_defect, ref.cutoff)
             assert (analysis.sigma is None) == (ref.sigma is None) == (omega == 0.0)
             assert analysis.sigma == ref.sigma
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["uniform", "mapped"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_analysis_peak_is_three_blocks(self, sign, mapped):
+        # the N x N buffer, the copy under reduction and dormqr's copy of the
+        # stored reflectors (3.02 blocks at N = 960), plus O(N) vectors; a
+        # stack of both blocks, or a block copy held across the +1 reduction,
+        # adds one more
+        g = spectral_grid(-0.7, 960) if mapped else uniform_spectral_grid(-0.7)
+        assert g.n >= 512
+        tracemalloc.start()
+        try:
+            sector_analysis.__wrapped__(-0.7, g, sign)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.2 * g.n * g.n * 8
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_sector_path_makes_no_dense_eigensolve(self, sign, monkeypatch):
