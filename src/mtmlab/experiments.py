@@ -22,15 +22,15 @@ import numpy as np
 from . import conserved, spectral
 from .evolve import BlowUpError, EvolverConfig, Trajectory, evolve
 from .grid import FieldState, Grid, differentiate, l2_norm_sq, norms, quadrature
-from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid, tail_half_length
+from .soliton import SolitonParams, eval_profile, eval_soliton, recommended_grid
 
 STABILITY_FACTOR = 10.0
 ZERO_DISTANCE_FLOOR = 1e-8
 PERTURBATION_MODES = 16
 BOUNDEDNESS_FACTOR = 2.0
 # self-check of the per-sector constrained minimum against the 4N x 4N
-# Hessian route: grid size and agreement required (the routes are equal in
-# exact arithmetic and agree to ~1e-14 in practice)
+# Hessian route: the largest lattice it runs on and the agreement required
+# (the routes are equal in exact arithmetic and agree to ~1e-12 in practice)
 SPLIT_CHECK_N = 128
 SPLIT_DEFECT_TOL = 1e-10
 SWEEP_CHECKS = ("minus_sector", "plus_sector", "slope", "constrained")
@@ -361,12 +361,13 @@ def omega_sweep(
     * ``slope``: constraint slopes match their closed forms within
       ``SLOPE_TOL`` (asserted for |omega| >= 0.1).
     * ``constrained``: projected curvature minimum (per-sector route) is
-      strictly positive, and on the uniform grid of the same half-length
-      with N = SPLIT_CHECK_N (the identity map, which the 4N x 4N Hessian
-      needs) the per-sector route agrees with the full-Hessian route within
-      SPLIT_DEFECT_TOL.  That grid has J = 1, so this check never
-      exercises the J^(1/2) weights, S(g/J) and the mapped kinetic part
-      behind the verdicts on ``spectral_grid``.
+      strictly positive, and the per-sector route agrees with the
+      full-Hessian route within SPLIT_DEFECT_TOL on the verdict's own
+      mapped lattice, or on ``spectral_grid(omega, SPLIT_CHECK_N)`` when
+      that lattice has more than SPLIT_CHECK_N points, which bounds the
+      4N x 4N Hessian.  The check so exercises the J^(1/2) weights, S(g/J)
+      and the mapped kinetic part behind the verdicts, and on the verdict's
+      lattice it reads the sector analyses the verdicts left in the cache.
 
     Failures during the analysis are isolated per omega and recorded; the
     sweep continues.  An unknown check name, and an omega or ``grid_n``
@@ -412,7 +413,8 @@ def omega_sweep(
                     row[f"sigma_{tag}_ok"] = bool(abs(num - closed) < SLOPE_TOL)
             if "constrained" in checks:
                 lam_min = spectral.constrained_min_eig(omega, g)
-                check_grid = Grid(tail_half_length(omega, 22.0), SPLIT_CHECK_N)
+                check_grid = (g if g.n <= SPLIT_CHECK_N
+                              else spectral.spectral_grid(omega, SPLIT_CHECK_N))
                 defect = spectral.constrained_split_defect(omega, check_grid)
                 row["constrained_min"] = lam_min
                 row["constrained_split_defect"] = defect

@@ -139,6 +139,7 @@ def l2_norm_sq(samples: np.ndarray, grid: Grid) -> float:
 def h1_norm_sq(samples: np.ndarray, grid: Grid) -> float:
     """Squared H1 norm ||f||^2 + ||f'||^2, summed over a stack (..., N) of
     fields: by Parseval, the ``Grid.h1_weights``-weighted power spectrum."""
+    require_uniform(grid, "h1_norm_sq")
     s = np.asarray(samples, dtype=complex)
     if s.shape[-1:] != (grid.n,):
         raise ValueError("sample length does not match grid")
@@ -156,6 +157,7 @@ def norms(state: FieldState) -> dict[str, float]:
     once, and ``H1_sq`` is ``h1_norm_sq`` of the pair.
     """
     g = state.grid
+    require_uniform(g, "norms")
     fields = np.stack([state.u, state.v])
     power = (g.dx / g.n) * np.abs(np.fft.fft(fields)) ** 2
     grad_sq = np.sum(g.wavenumbers_odd**2 * power, axis=-1)

@@ -33,11 +33,13 @@ Hessian acts on w = (u, v), so its coordinates are (Re u, Re v, Im u, Im v).
 Vectors of the form (w, -conj w) are embedded through multiplication by i,
 which rotates them into (iw, conj(iw)).  The realified similarity identity
 Q^T H Q = diag(plus, minus) behind the split is a test oracle
-(``tests/oracles.py``); ``omega_sweep`` re-checks the split on a small grid
-through ``constrained_split_defect``.  That check writes the Hessian block by
-block into one 4N x 4N array (``build_hessian``), removes the four
-constraint directions with their Householder reflectors, applied in place
-from both sides, and takes one subset eigenvalue of what is left.
+(``tests/oracles.py``); ``omega_sweep`` re-checks the split on the verdict's
+own mapped lattice, of at most 128 points, through
+``constrained_split_defect``.  That check writes the Hessian block by block
+into one 4N x 4N array (``build_hessian``), mapped as the sector blocks are,
+removes the four constraint directions with their Householder reflectors,
+applied in place from both sides, and takes one subset eigenvalue of what is
+left; its per-sector side is the cached ``SectorAnalysis`` pair.
 
 The sector analyses run on a sinh-mapped lattice (``MappedGrid``,
 ``spectral_grid``): x = s sinh(xi) on a uniform periodic xi-lattice of
@@ -47,14 +49,15 @@ weighted pairing h sum J conj(v) w is the Euclidean one and the blocks stay
 real symmetric.  -d^2/dx^2 becomes R (-(A D2 + D2 A)/2 + diag(a'')/2) R
 with a = 1/J, A = diag(a), R = J^(-1/2), D2 the lattice's spectral
 second derivative and a'' in closed form, with the kink of a where the
-lattice wraps as a lattice delta (``_kinetic_blocks``); the first-order
+lattice wraps as a lattice delta (``_mapped_kinetic``); the first-order
 term S(g) becomes S(g/J); the potentials are unchanged; the constraint
 and kernel vectors become J^(1/2) s and J^(1/2) k; sigma pairs as
 2h (J^(1/2) s)^T M^{-1} (J^(1/2) s); quadratures carry the weights h J.
 A uniform ``Grid`` is the identity map (J = 1, h = dx): the same writer
-then gives exactly -D2 and the blocks of the uniform route, which the
-Hessian self-check needs.  The map is odd, so
-the lattice reflection still sends x to -x, and what follows holds on both.
+then gives exactly -D2 and the blocks of the uniform route, the test
+oracles' reference.  The Hessian is mapped alike, with the same kinetic
+part (``_mapped_kinetic``).  The map is odd, so the lattice reflection still
+sends x to -x, and what follows holds on both.
 
 The lattice reflection R: j -> -j mod N (x -> -x, fixing j = 0 and N/2) and
 U(-x) = conj U(x) make K = diag(R, -R) on (Re w, Im w) commute with both
@@ -78,8 +81,8 @@ refused above CONSTRUCTION_TOL (a domain too short for the soliton).  The
 Schrodinger problems are stacked alike, a scalar one (V even) as its blocks
 on the even and the odd lattice functions; every kinetic part is one gather,
 ``_negative_d2_blocks``, weighted on a mapped lattice (``_kinetic_blocks``),
-and the dense circulants of ``differentiation_matrices`` serve only the
-small-N Hessian self-check, on a uniform grid.
+and the dense circulants of ``differentiation_matrices``, on the uniform
+lattice under a mapped one, serve only the small-N Hessian self-check.
 
 Every dense matrix product on the sector path (the reflection's M h, the
 sigma residual's M x, Q y and the Hessian self-check's Householder
@@ -237,6 +240,13 @@ def _map_of(grid: Grid | MappedGrid) -> tuple[Grid, np.ndarray | None]:
     return grid, None
 
 
+def _half_density(grid: Grid | MappedGrid):
+    """J^(1/2), which turns samples of w into samples of phi = J^(1/2) w,
+    the coordinates of the mapped operators; 1 on a uniform grid."""
+    jacobian = _map_of(grid)[1]
+    return 1.0 if jacobian is None else np.sqrt(jacobian)
+
+
 def _derivative_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """First columns of the spectral first/second derivative matrices (the
     derivatives of the unit sample at x[0]), cleaned to exact odd/even
@@ -296,40 +306,55 @@ def _negative_d2_blocks(c2: np.ndarray, even_out: np.ndarray, odd_out: np.ndarra
     np.subtract(hankel[1:h, 1:h], toeplitz[1:h, 1:h], out=odd_out)
 
 
-def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarray,
-                    odd_out: np.ndarray):
-    """Write -d^2/dx^2 on the even and on the odd lattice functions into
-    ``even_out`` and ``odd_out`` (as ``_negative_d2_blocks``, ``c2`` the
-    lattice's second-derivative column) and return the diagonal it still
-    needs: 0 on a uniform grid, where the blocks are -D2.  On a mapped grid
-    the operator acts on phi = J^(1/2) w and is
+def _mapped_kinetic(grid: Grid | MappedGrid):
+    """The mapped form of -d^2/dx^2, acting on phi = J^(1/2) w:
     R (-(A D2 + D2 A)/2 + diag(a'')/2) R, a = 1/J, A = diag(a), R = J^(-1/2),
-    the symmetric form of -R d/dxi a d/dxi R: -D2 weighted entry by entry by
-    R_i R_j (a_i + a_j)/2, one weight per block, and the returned diagonal
-    a a''/2.  The weights are even, so they act on the parity blocks through
-    their values at the lattice points 0..N/2 (even) and 1..N/2-1 (odd).  a = sech(xi)/s is even, so on the periodic lattice it
-    has a kink where the lattice wraps (xi = -Xi, j = 0): a'' is
+    the symmetric form of -R d/dxi a d/dxi R.  Returns (a, R, a a''/2), the
+    factors of the entry weights R_i R_j (a_i + a_j)/2 of -D2
+    (``_weight_kinetic``) and the diagonal, or None on a uniform grid, where
+    the operator is -D2.  a = sech(xi)/s is even, so on the periodic lattice
+    it has a kink where the lattice wraps (xi = -Xi, j = 0): a'' is
     a (1 - 2 sech^2 xi) in closed form plus the jump 2 tanh(Xi) a(Xi) of a'
     there, a lattice delta of that weight over h.  The spectral D2 a would
     alias the delta into an oscillation over the whole lattice, ~1e-4 at
     the core, which the residual of every sampled kernel vector would
     carry."""
-    _negative_d2_blocks(c2, even_out, odd_out)
     lattice, jacobian = _map_of(grid)
     if jacobian is None:
-        return 0.0
+        return None
     a = 1.0 / jacobian
-    r = np.sqrt(a)
-    h = lattice.n // 2
-    for out, points in ((even_out, slice(None, h + 1)), (odd_out, slice(1, h))):
-        ap, rp = a[points], r[points]
-        weight = ap[:, None] + ap
-        weight *= rp[:, None] * rp
-        weight *= 0.5
-        out *= weight
     second = a * (1.0 - 2.0 / np.cosh(lattice.x) ** 2)
     second[0] += 2.0 * np.tanh(lattice.half_length) * a[0] / lattice.dx
-    return 0.5 * a * second
+    return a, np.sqrt(a), 0.5 * a * second
+
+
+def _weight_kinetic(out: np.ndarray, a: np.ndarray, r: np.ndarray) -> None:
+    """Weight -D2, written in ``out`` on the points where a and R are
+    sampled, entry by entry by R_i R_j (a_i + a_j)/2 (``_mapped_kinetic``)."""
+    weight = a[:, None] + a
+    weight *= r[:, None] * r
+    weight *= 0.5
+    out *= weight
+
+
+def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarray,
+                    odd_out: np.ndarray):
+    """Write -d^2/dx^2 on the even and on the odd lattice functions into
+    ``even_out`` and ``odd_out`` (as ``_negative_d2_blocks``, ``c2`` the
+    lattice's second-derivative column) and return the diagonal it still
+    needs: 0 on a uniform grid, where the blocks are -D2, and a a''/2 on a
+    mapped grid (``_mapped_kinetic``).  The weights are even, so they act on
+    the parity blocks through their values at the lattice points 0..N/2
+    (even) and 1..N/2-1 (odd)."""
+    _negative_d2_blocks(c2, even_out, odd_out)
+    mapped = _mapped_kinetic(grid)
+    if mapped is None:
+        return 0.0
+    a, r, diagonal = mapped
+    h = grid.n // 2
+    for out, points in ((even_out, slice(None, h + 1)), (odd_out, slice(1, h))):
+        _weight_kinetic(out, a[points], r[points])
+    return diagonal
 
 
 def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.ndarray) -> None:
@@ -401,10 +426,8 @@ def _sector_setup(omega: float, grid: Grid | MappedGrid, sign: int):
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     s, k = (u, up) if sign > 0 else (1j * up, 1j * u)
-    jacobian = _map_of(grid)[1]
-    if jacobian is not None:
-        root = np.sqrt(jacobian)
-        s, k = root * s, root * k
+    root = _half_density(grid)
+    s, k = root * s, root * k
     absq = np.abs(u) ** 2
     big = 1.0 - omega * omega
     if sign > 0:
@@ -433,7 +456,7 @@ def build_sector_operator(omega: float, grid: Grid | MappedGrid, sign: int) -> D
                             parity_defect=defect)
 
 
-def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
+def build_hessian(omega: float, grid: Grid | MappedGrid) -> DiscreteOperator:
     """Realified 4N x 4N curvature operator on (Re u, Re v, Im u, Im v).
 
     Its displayed entries are l1 = -D2 + i S(g1) + diag p1, the diagonal l2
@@ -445,10 +468,14 @@ def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
     Re, Im l2 on them; each block is written in place into the one 4N x 4N
     array.  The profile derivative in the coefficients is the exact closed
     form, which makes the similarity identity against the sector operators
-    pointwise-exact.  The grid must be uniform."""
-    require_uniform(grid, "build_hessian")
+    pointwise-exact.  On a mapped grid the operator acts on J^(1/2) w, as
+    the sector blocks do: -D2 is the mapped kinetic part
+    (``_mapped_kinetic``), both first-order terms are S(g/J) with the
+    lattice's D1, and the potentials are unchanged; a uniform Grid is the
+    identity map."""
+    lattice, jacobian = _map_of(grid)
     n = grid.n
-    d1, d2 = differentiation_matrices(grid)
+    d1, d2 = differentiation_matrices(lattice)
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     absq = np.abs(u) ** 2
@@ -457,12 +484,19 @@ def build_hessian(omega: float, grid: Grid) -> DiscreteOperator:
     p1 = 4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + (1.0 - omega * omega)
     p3 = 2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
     l2 = -2j * u * up + 4.0 * u**2 * absq - 2.0 * absq
+    g1, g3 = -4.0 * absq, -2.0 * absq
     matrix = np.zeros((4 * n, 4 * n))
     blocks = matrix.reshape(4, n, 4, n).swapaxes(1, 2)  # blocks[r, c]: an N x N view
     np.negative(d2, out=blocks[0, 0])
+    mapped = _mapped_kinetic(grid)
+    if mapped is not None:
+        *weights, kinetic = mapped
+        _weight_kinetic(blocks[0, 0], *weights)
+        p1 = p1 + kinetic
+        g1, g3 = g1 / jacobian, g3 / jacobian
     blocks[1, 1] = blocks[2, 2] = blocks[3, 3] = blocks[0, 0]
-    for g, plus, minus in ((-4.0 * absq, [(1, 3), (2, 0)], [(0, 2), (3, 1)]),
-                           (-2.0 * absq, [(0, 3), (2, 1)], [(1, 2), (3, 0)])):
+    for g, plus, minus in ((g1, [(1, 3), (2, 0)], [(0, 2), (3, 1)]),
+                           (g3, [(0, 3), (2, 1)], [(1, 2), (3, 0)])):
         s = blocks[plus[0]]
         np.multiply(g[:, None], d1, out=s)
         s += d1 * g
@@ -776,12 +810,15 @@ def sigma_index(omega: float, grid: Grid | MappedGrid, sign: int) -> float:
     return solved.value
 
 
-def _constraint_rows(omega: float, grid: Grid) -> np.ndarray:
+def _constraint_rows(omega: float, grid: Grid | MappedGrid) -> np.ndarray:
     """Four real constraint functionals on (Re u, Re v, Im u, Im v): the
     real and imaginary parts of the complex constraints
-    <(f, conj f), (u, v)> = sum(conj(f) u + f v) for f = U and f = U'."""
+    <(f, conj f), (u, v)> = sum(conj(f) u + f v) for f = U and f = U'; on a
+    mapped grid f = J^(1/2) U and J^(1/2) U', the Hessian acting on
+    J^(1/2) (u, v)."""
+    root = _half_density(grid)
     rows = []
-    for f in (eval_profile(omega, grid), profile_derivative(omega, grid.x)):
+    for f in (root * eval_profile(omega, grid), root * profile_derivative(omega, grid.x)):
         w = np.concatenate([f, np.conj(f)])
         rows.append(embed_conjugate_pair(w))
         rows.append(embed_conjugate_pair(1j * w))
@@ -796,7 +833,7 @@ def constrained_min_eig(omega: float, grid: Grid | MappedGrid) -> float:
     return min(sector_analysis(omega, grid, sign).constrained_min for sign in (1, -1))
 
 
-def _constrained_min_eig_hessian(omega: float, grid: Grid) -> float:
+def _constrained_min_eig_hessian(omega: float, grid: Grid | MappedGrid) -> float:
     """Reference for ``constrained_min_eig`` through the full 4N x 4N Hessian;
     for small grids.  The four constraint rows C are factored as C^T = Q R
     (``dgeqrf``), and the four Householder reflectors of Q, applied in place
@@ -812,14 +849,14 @@ def _constrained_min_eig_hessian(omega: float, grid: Grid) -> float:
     return float(vals[0])
 
 
-def constrained_split_defect(omega: float, grid: Grid) -> float:
+def constrained_split_defect(omega: float, grid: Grid | MappedGrid) -> float:
     """|per-sector route - full-Hessian route| of the constrained minimum on
-    ``grid``: a self-check of the constraint split, meant for small uniform
-    grids (the Hessian refuses a mapped one).
-    Its sector analyses bypass the cache, so the current omega's stay in it."""
-    sector = min(sector_analysis.__wrapped__(omega, grid, sign).constrained_min
-                 for sign in (1, -1))
-    return abs(sector - _constrained_min_eig_hessian(omega, grid))
+    ``grid``: a self-check of the constraint split, and on a mapped grid of
+    its mapped parts (the J^(1/2) weights, S(g/J) and the kinetic part), for
+    small grids (the Hessian is 4N x 4N).  The sector route is read from the
+    cached ``sector_analysis``, so on the verdict's own grid it recomputes
+    nothing."""
+    return abs(constrained_min_eig(omega, grid) - _constrained_min_eig_hessian(omega, grid))
 
 
 def splitting_probe(omega: float, grid: Grid | MappedGrid) -> dict:

@@ -464,24 +464,30 @@ def realify_conjugate_pair(linear: np.ndarray, conj_part: np.ndarray) -> np.ndar
     return np.block([[ar + br, -ai + bi], [ai + bi, ar - br]])
 
 
-def build_hessian_blocked(omega: float, grid: Grid) -> np.ndarray:
+def build_hessian_blocked(omega: float, grid) -> np.ndarray:
     """``spectral.build_hessian``'s matrix assembled from the four displayed
     complex N x N entries l1, l2, l3 with ``np.block`` and
-    ``realify_conjugate_pair``, not written block by block in place."""
-    d1, d2 = spectral.differentiation_matrices(grid)
+    ``realify_conjugate_pair``, not written block by block in place.  On a
+    mapped grid it acts on J^(1/2) (u, v), as ``sector_matrix`` does: the
+    kinetic part is ``kinetic_matrix``, both first-order terms i S(g/J)."""
+    lattice, jacobian = spectral._map_of(grid)
+    d1, _ = spectral.differentiation_matrices(lattice)
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     absq = np.abs(u) ** 2
     im_uup = np.imag(np.conj(u) * up)
     re_u2 = np.real(u * u)
     big = 1.0 - omega * omega
+    g1, g3 = -4.0 * absq, -2.0 * absq
+    if jacobian is not None:
+        g1, g3 = g1 / jacobian, g3 / jacobian
     l1 = (
-        -d2
-        + symmetric_first_order(-4.0 * absq, d1)
+        kinetic_matrix(grid)
+        + symmetric_first_order(g1, d1)
         + np.diag(4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + big)
     )
     l2 = np.diag(-2j * u * up + 4.0 * u**2 * absq - 2.0 * absq)
-    l3 = symmetric_first_order(-2.0 * absq, d1) + np.diag(
+    l3 = symmetric_first_order(g3, d1) + np.diag(
         2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
     )
     linear = np.block([[l1, 2.0 * l2], [2.0 * np.conj(l2), np.conj(l1)]])

@@ -191,10 +191,12 @@ def test_criterion_05_charge_hierarchy():
 
 
 def test_criterion_06_kernel_and_block_structure():
-    # the Hessian and the similarity identity need a uniform grid, the strip
-    # rule's (``oracles.uniform_spectral_grid``); the sector kernels are
-    # checked on the sinh-mapped spectral grid, where the blocks act on
-    # J^(1/2) w, and on that uniform grid
+    # the Hessian's quadratic form along the zero modes needs one spacing dx,
+    # so it runs on a uniform grid, the strip rule's
+    # (``oracles.uniform_spectral_grid``); the sector kernels are checked on
+    # the sinh-mapped spectral grid, where the blocks act on J^(1/2) w, and
+    # on that uniform grid (the similarity identity on the mapped lattice is
+    # ``test_spectral.py::TestMappedSplitCheck``)
     omega = 0.5
     g = uniform_spectral_grid(omega)
     hess = build_hessian(omega, g)

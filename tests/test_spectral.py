@@ -8,8 +8,21 @@ import pytest
 from scipy.linalg import eigh, eigvalsh_tridiagonal, null_space
 
 from mtmlab.conserved import lyapunov
-from mtmlab.experiments import SPLIT_CHECK_N, omega_sweep, random_h1_perturbation
-from mtmlab.grid import FieldState, Grid, NonUniformGridError, differentiate, quadrature
+from mtmlab.experiments import (
+    SPLIT_CHECK_N,
+    SPLIT_DEFECT_TOL,
+    omega_sweep,
+    random_h1_perturbation,
+)
+from mtmlab.grid import (
+    FieldState,
+    Grid,
+    NonUniformGridError,
+    differentiate,
+    h1_norm_sq,
+    norms,
+    quadrature,
+)
 from mtmlab.soliton import (
     SolitonParams,
     eval_profile,
@@ -85,7 +98,8 @@ class TestSectorOperators:
         # assemble its blocks exactly symmetric
         assert build_sector_operator(0.5, spectral_grid(0.5, ORACLE_N), +1).continuum_edge == 0.75
         for omega in (0.0, 0.3, -0.7, 0.9):
-            ops = [build_hessian(omega, uniform_spectral_grid(omega, ORACLE_N))]
+            ops = [build_hessian(omega, uniform_spectral_grid(omega, ORACLE_N)),
+                   build_hessian(omega, spectral_grid(omega))]
             for g in (spectral_grid(omega, ORACLE_N), uniform_spectral_grid(omega, ORACLE_N)):
                 zg = stretched_grid(omega, g)
                 ops += [build_sector_operator(omega, g, sign) for sign in (1, -1)]
@@ -544,11 +558,14 @@ class TestSectorRoute:
             assert len(vals) == len(full)
             assert np.max(np.abs(vals - full)) <= 1e-12
 
-    def test_constraint_rows_split_by_similarity(self):
-        omega, n = 0.4, 64
-        g = Grid(20.0, n)
-        u = eval_profile(omega, g)
-        up = profile_derivative(omega, g.x)
+    @pytest.mark.parametrize("grid", [lambda: Grid(20.0, 64), lambda: spectral_grid(0.4, 64)])
+    def test_constraint_rows_split_by_similarity(self, grid):
+        # on the mapped lattice the Hessian and the sector matrices act on
+        # J^(1/2) w and the constraint rows carry J^(1/2)
+        omega, g = 0.4, grid()
+        n = g.n
+        u = half_density(g) * eval_profile(omega, g)
+        up = half_density(g) * profile_derivative(omega, g.x)
         q = realified_similarity(n)
         assert np.max(np.abs(q.T @ q - np.eye(4 * n))) < 1e-14
         # the realified Hessian splits into the two realified sector matrices
@@ -586,9 +603,12 @@ class TestSectorRoute:
         assert sector_analysis.cache_info().misses == 2
         # both cached analyses together hold less than one N x N block
         assert retained < g.n * g.n * 8
+        # the split check on the verdict's lattice reads both analyses from
+        # the cache
         before = sector_analysis.cache_info()
-        spectral.constrained_split_defect(0.5, uniform_spectral_grid(0.5, 64))
-        assert sector_analysis.cache_info() == before
+        spectral.constrained_split_defect(0.5, g)
+        after = sector_analysis.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
 
     def test_sigma_needs_no_resolved_kernel(self):
         # on this coarse lattice the plus-sector kernel eigenvalue is ~1e-5:
@@ -681,7 +701,8 @@ class TestSpectralGrid:
         calls = {
             "quadrature": lambda: quadrature(f, g),
             "differentiate": lambda: differentiate(f, g),
-            "build_hessian": lambda: build_hessian(0.5, g),
+            "h1_norm_sq": lambda: h1_norm_sq(f, g),
+            "norms": lambda: norms(FieldState(g, f, np.conj(f))),
             "differentiation_matrices": lambda: spectral.differentiation_matrices(g),
             "zero_mode_fields": lambda: zero_mode_fields(0.5, g),
         }
@@ -725,6 +746,19 @@ def mapped_route_defects(omega, uniform):
     return defects
 
 
+def unweighted_setup(monkeypatch):
+    """``spectral._sector_setup`` with the Jacobian hidden: the constraint
+    and kernel vectors s and k unweighted, not J^(1/2) s and J^(1/2) k."""
+    setup = spectral._sector_setup
+
+    def unweighted(omega, grid, sign):
+        with monkeypatch.context() as patch:
+            patch.setattr(spectral, "_map_of", lambda g: (g, None))
+            return setup(omega, grid, sign)
+
+    return unweighted
+
+
 class TestMappedRoute:
     """The sector analyses on the sinh-mapped lattice against the uniform
     route of the oracle rule and against the dense mapped oracle."""
@@ -762,14 +796,7 @@ class TestMappedRoute:
         # taken unweighted, not as J^(1/2) s and J^(1/2) k, the mapped route
         # leaves the tolerance
         uniform = uniform_spectral_grid(0.5)
-        setup = spectral._sector_setup
-
-        def unweighted(omega, grid, sign):
-            with monkeypatch.context() as patch:
-                patch.setattr(spectral, "_map_of", lambda g: (g, None))
-                return setup(omega, grid, sign)
-
-        monkeypatch.setattr(spectral, "_sector_setup", unweighted)
+        monkeypatch.setattr(spectral, "_sector_setup", unweighted_setup(monkeypatch))
         assert all(d is None or d > 1e-6 for d in mapped_route_defects(0.5, uniform).values())
 
     @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.9, -0.95])
@@ -797,6 +824,63 @@ class TestMappedRoute:
             kinetic = kinetic_matrix(zg) + np.diag(1.0 + v1)
             m = realify_conjugate_pair(kinetic.astype(complex), np.diag(v2))
             assert np.max(np.abs(full_matrix(op) - m)) <= 1e-13 * np.max(np.abs(m))
+
+
+@pytest.fixture
+def fresh_analyses():
+    """An empty ``sector_analysis`` cache before and after the test, so that
+    analyses made by a patched builder reach no other test."""
+    sector_analysis.cache_clear()
+    yield
+    sector_analysis.cache_clear()
+
+
+class TestMappedSplitCheck:
+    """The constraint-split self-check on the verdict's sinh-mapped lattice:
+    its Hessian, its grid, and the faults of the mapped sector route it
+    catches where the check on a uniform grid of the same half-length
+    (J = 1) cannot."""
+
+    @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.9, -0.95])
+    def test_similarity_identity(self, omega):
+        g = spectral_grid(omega)
+        scale = np.max(np.abs(build_hessian(omega, g).matrix))
+        assert block_diagonalize_check(omega, g) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("omega", [0.3, 0.5, -0.7])
+    def test_flags_unweighted_sector_vectors(self, omega, monkeypatch, fresh_analyses):
+        monkeypatch.setattr(spectral, "_sector_setup", unweighted_setup(monkeypatch))
+        assert spectral.constrained_split_defect(omega, spectral_grid(omega)) > 1e-2
+        # J = 1 on the uniform grid, where the fault does not show
+        uniform = uniform_spectral_grid(omega, SPLIT_CHECK_N)
+        assert spectral.constrained_split_defect(omega, uniform) <= SPLIT_DEFECT_TOL
+
+    @pytest.mark.parametrize("omega", [0.3, -0.7])
+    def test_flags_a_flipped_coupling(self, omega, monkeypatch, fresh_analyses):
+        setup = spectral._sector_setup
+
+        def flipped(omega, grid, sign):
+            (g, pa, pd, q), s, k, defect = setup(omega, grid, sign)
+            return (g, pa, pd, -q), s, k, defect
+
+        monkeypatch.setattr(spectral, "_sector_setup", flipped)
+        assert spectral.constrained_split_defect(omega, spectral_grid(omega)) > 1e-2
+
+    @pytest.mark.parametrize("grid_n, check_n", [(None, 128), (96, 96), (256, SPLIT_CHECK_N)])
+    def test_check_grid(self, grid_n, check_n, monkeypatch):
+        # the verdict's own lattice up to SPLIT_CHECK_N points, beyond it the
+        # mapped lattice of SPLIT_CHECK_N points
+        built = []
+        build = spectral.build_hessian
+
+        def recording(omega, grid):
+            built.append(grid)
+            return build(omega, grid)
+
+        monkeypatch.setattr(spectral, "build_hessian", recording)
+        record = omega_sweep([0.3], grid_n=grid_n, checks=("constrained",))
+        assert record.verdicts["constrained"] and record.verdicts["no_errors"]
+        assert built == [spectral_grid(0.3, check_n)]
 
 
 # every omega of the spectral criteria (7-10)
@@ -830,21 +914,42 @@ class TestHessianRoutes:
             tracemalloc.stop()
         assert peak <= 1.75 * (4 * g.n) ** 2 * 8
 
+    @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.95])
+    def test_mapped_build_matches_block_oracle(self, omega):
+        # the four diagonal blocks are the mapped kinetic part off their
+        # diagonals; the whole matrix is the blocked oracle's
+        g = spectral_grid(omega)
+        n = g.n
+        hessian = build_hessian(omega, g).matrix
+        blocks = hessian.reshape(4, n, 4, n)
+        kinetic = kinetic_matrix(g)
+        off = ~np.eye(n, dtype=bool)
+        for r in range(4):
+            defect = np.max(np.abs(blocks[r, :, r, :][off] - kinetic[off]))
+            assert defect <= 1e-13 * np.max(np.abs(kinetic))
+        blocked = build_hessian_blocked(omega, g)
+        assert np.max(np.abs(hessian - blocked)) <= 1e-13 * np.max(np.abs(blocked))
+
+    @pytest.mark.parametrize("grid", [uniform_spectral_grid, spectral_grid])
     @pytest.mark.parametrize("omega", SWEEP_GRID_N)
-    def test_householder_projection_matches_null_space_oracle(self, omega, monkeypatch):
-        g = uniform_spectral_grid(omega, SPLIT_CHECK_N)
+    def test_householder_projection_matches_null_space_oracle(self, omega, grid, monkeypatch):
+        g = grid(omega, SPLIT_CHECK_N)
         expected = constrained_min_eig_nullspace(omega, g)
 
         def refuse(*args, **kwargs):
             raise AssertionError("null-space basis on the Householder route")
 
         monkeypatch.setattr(spectral, "null_space", refuse)
-        assert abs(_constrained_min_eig_hessian(omega, g) - expected) <= 1e-12
+        # rounding grows with the largest entry, ~2.6e3 on the mapped lattice,
+        # whose core spacing is fine
+        scale = np.max(np.abs(build_hessian(omega, g).matrix))
+        tol = max(1e-12, 2e-15 * scale)
+        assert abs(_constrained_min_eig_hessian(omega, g) - expected) <= tol
 
     def test_split_check_peak(self):
         # the Hessian projected in place, and the copy of its trailing block
         # that the eigensolver takes; the null-space route peaked at 5.1 matrices
-        g = uniform_spectral_grid(-0.7, SPLIT_CHECK_N)
+        g = spectral_grid(-0.7, SPLIT_CHECK_N)
         tracemalloc.start()
         try:
             spectral.constrained_split_defect(-0.7, g)
