@@ -49,15 +49,17 @@ weighted pairing h sum J conj(v) w is the Euclidean one and the blocks stay
 real symmetric.  -d^2/dx^2 becomes R (-(A D2 + D2 A)/2 + diag(a'')/2) R
 with a = 1/J, A = diag(a), R = J^(-1/2), D2 the lattice's spectral
 second derivative and a'' in closed form, with the kink of a where the
-lattice wraps as a lattice delta (``_mapped_kinetic``); the first-order
+lattice wraps as a lattice delta (``MappedGrid.curvature``); the first-order
 term S(g) becomes S(g/J); the potentials are unchanged; the constraint
 and kernel vectors become J^(1/2) s and J^(1/2) k; sigma pairs as
 2h (J^(1/2) s)^T M^{-1} (J^(1/2) s); quadratures carry the weights h J.
-A uniform ``Grid`` is the identity map (J = 1, h = dx): the same writer
-then gives exactly -D2 and the blocks of the uniform route, the test
-oracles' reference.  The Hessian is mapped alike, with the same kinetic
-part (``_mapped_kinetic``).  The map is odd, so the lattice reflection still
-sends x to -x, and what follows holds on both.
+A uniform ``Grid`` is the identity map (J = 1, a'' = 0, h = dx), entered in
+one place, ``_map_of``: every builder runs one code path on both grid
+kinds, whose weights of exactly 1 and diagonal of exactly 0 give bitwise
+-D2 and the blocks of the uniform route, the test oracles' reference.  The
+Hessian is mapped alike, with the same kinetic part (``_mapped_kinetic``).
+The map is odd, so the lattice reflection still sends x to -x, and what
+follows holds on both.
 
 The lattice reflection R: j -> -j mod N (x -> -x, fixing j = 0 and N/2) and
 U(-x) = conj U(x) make K = diag(R, -R) on (Re w, Im w) commute with both
@@ -80,8 +82,8 @@ the largest wrong-parity component of the coefficients and of s and k,
 refused above CONSTRUCTION_TOL (a domain too short for the soliton).  The
 Schrodinger problems are stacked alike, a scalar one (V even) as its blocks
 on the even and the odd lattice functions; every kinetic part is one gather,
-``_negative_d2_blocks``, weighted on a mapped lattice (``_kinetic_blocks``),
-and the dense circulants of ``differentiation_matrices``, on the uniform
+``_negative_d2_blocks``, weighted by the map (``_kinetic_blocks``), and the
+dense circulants of ``differentiation_matrices``, on the uniform
 lattice under a mapped one, serve only the small-N Hessian self-check.
 
 Every dense matrix product on the sector path (the reflection's M h, the
@@ -113,6 +115,7 @@ from scipy.linalg.lapack import dgeqrf, dgtsv, dormqr, dsytrd, dsytrd_lwork
 from .grid import Grid, require_uniform
 from .soliton import (
     OMEGA_DEGENERATE,
+    _check_omega,
     eval_profile,
     profile_derivative,
     tail_half_length,
@@ -203,8 +206,10 @@ class MappedGrid:
     Jacobian J = dx/dxi = scale * cosh(xi).  The map is odd, so the lattice
     reflection j -> -j mod N still sends x to -x.  The points span
     [-half_length, half_length) with half_length = scale * sinh(Xi) for the
-    lattice's half-length Xi.  There is no single spacing dx, so the uniform
-    calculus of ``mtmlab.grid`` refuses this grid."""
+    lattice's half-length Xi.  The map's formulas, J and the curvature of
+    1/J, are cached properties, which the builders read through
+    ``_map_of``.  There is no single spacing dx, so the uniform calculus of
+    ``mtmlab.grid`` refuses this grid."""
 
     lattice: Grid
     scale: float
@@ -231,20 +236,29 @@ class MappedGrid:
         """J = dx/dxi at the points; h J are the quadrature weights."""
         return self.scale * np.cosh(self.lattice.x)
 
+    @cached_property
+    def curvature(self) -> np.ndarray:
+        """a'' = d^2 a/dxi^2 at the points, a = 1/J = sech(xi)/scale.  a is
+        even, so on the periodic lattice it has a kink where the lattice
+        wraps (xi = -Xi, j = 0): a'' is a (1 - 2 sech^2 xi) in closed form
+        plus the jump 2 tanh(Xi) a(Xi) of a' there, a lattice delta of that
+        weight over h.  The spectral D2 a would alias the delta into an
+        oscillation over the whole lattice, ~1e-4 at the core, which the
+        residual of every sampled kernel vector would carry."""
+        lattice = self.lattice
+        a = 1.0 / self.jacobian
+        second = a * (1.0 - 2.0 / np.cosh(lattice.x) ** 2)
+        second[0] += 2.0 * np.tanh(lattice.half_length) * a[0] / lattice.dx
+        return second
 
-def _map_of(grid: Grid | MappedGrid) -> tuple[Grid, np.ndarray | None]:
-    """The uniform lattice under ``grid`` and the Jacobian J of its map; a
-    uniform Grid is the identity map (J = 1), for which J is None."""
+
+def _map_of(grid: Grid | MappedGrid) -> tuple[Grid, np.ndarray, np.ndarray]:
+    """The uniform lattice under ``grid``, the Jacobian J of its map and the
+    curvature a'' of a = 1/J; a uniform Grid is the identity map, J = 1 and
+    a'' = 0.  The one place the builders tell the grid kinds apart."""
     if isinstance(grid, MappedGrid):
-        return grid.lattice, grid.jacobian
-    return grid, None
-
-
-def _half_density(grid: Grid | MappedGrid):
-    """J^(1/2), which turns samples of w into samples of phi = J^(1/2) w,
-    the coordinates of the mapped operators; 1 on a uniform grid."""
-    jacobian = _map_of(grid)[1]
-    return 1.0 if jacobian is None else np.sqrt(jacobian)
+        return grid.lattice, grid.jacobian, grid.curvature
+    return grid, np.ones(grid.n), np.zeros(grid.n)
 
 
 def _derivative_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -309,23 +323,13 @@ def _negative_d2_blocks(c2: np.ndarray, even_out: np.ndarray, odd_out: np.ndarra
 def _mapped_kinetic(grid: Grid | MappedGrid):
     """The mapped form of -d^2/dx^2, acting on phi = J^(1/2) w:
     R (-(A D2 + D2 A)/2 + diag(a'')/2) R, a = 1/J, A = diag(a), R = J^(-1/2),
-    the symmetric form of -R d/dxi a d/dxi R.  Returns (a, R, a a''/2), the
-    factors of the entry weights R_i R_j (a_i + a_j)/2 of -D2
-    (``_weight_kinetic``) and the diagonal, or None on a uniform grid, where
-    the operator is -D2.  a = sech(xi)/s is even, so on the periodic lattice
-    it has a kink where the lattice wraps (xi = -Xi, j = 0): a'' is
-    a (1 - 2 sech^2 xi) in closed form plus the jump 2 tanh(Xi) a(Xi) of a'
-    there, a lattice delta of that weight over h.  The spectral D2 a would
-    alias the delta into an oscillation over the whole lattice, ~1e-4 at
-    the core, which the residual of every sampled kernel vector would
-    carry."""
-    lattice, jacobian = _map_of(grid)
-    if jacobian is None:
-        return None
+    the symmetric form of -R d/dxi a d/dxi R, for the J and a'' of
+    ``_map_of``.  Returns (a, R, a a''/2), the factors of the entry weights
+    R_i R_j (a_i + a_j)/2 of -D2 (``_weight_kinetic``) and the diagonal;
+    on a uniform grid they are 1, 1 and 0, and the operator is -D2."""
+    _, jacobian, curvature = _map_of(grid)
     a = 1.0 / jacobian
-    second = a * (1.0 - 2.0 / np.cosh(lattice.x) ** 2)
-    second[0] += 2.0 * np.tanh(lattice.half_length) * a[0] / lattice.dx
-    return a, np.sqrt(a), 0.5 * a * second
+    return a, np.sqrt(a), 0.5 * a * curvature
 
 
 def _weight_kinetic(out: np.ndarray, a: np.ndarray, r: np.ndarray) -> None:
@@ -337,20 +341,15 @@ def _weight_kinetic(out: np.ndarray, a: np.ndarray, r: np.ndarray) -> None:
     out *= weight
 
 
-def _kinetic_blocks(grid: Grid | MappedGrid, c2: np.ndarray, even_out: np.ndarray,
-                    odd_out: np.ndarray):
+def _kinetic_blocks(grid: Grid | MappedGrid, even_out: np.ndarray, odd_out: np.ndarray):
     """Write -d^2/dx^2 on the even and on the odd lattice functions into
-    ``even_out`` and ``odd_out`` (as ``_negative_d2_blocks``, ``c2`` the
-    lattice's second-derivative column) and return the diagonal it still
-    needs: 0 on a uniform grid, where the blocks are -D2, and a a''/2 on a
-    mapped grid (``_mapped_kinetic``).  The weights are even, so they act on
-    the parity blocks through their values at the lattice points 0..N/2
-    (even) and 1..N/2-1 (odd)."""
-    _negative_d2_blocks(c2, even_out, odd_out)
-    mapped = _mapped_kinetic(grid)
-    if mapped is None:
-        return 0.0
-    a, r, diagonal = mapped
+    ``even_out`` and ``odd_out``: -D2 of the lattice under ``grid``
+    (``_negative_d2_blocks``) weighted as ``_mapped_kinetic`` says.  Returns
+    the diagonal it still needs, a a''/2 (0 on a uniform grid).  The weights
+    are even, so they act on the parity blocks through their values at the
+    lattice points 0..N/2 (even) and 1..N/2-1 (odd)."""
+    _negative_d2_blocks(_derivative_columns(_map_of(grid)[0])[1], even_out, odd_out)
+    a, r, diagonal = _mapped_kinetic(grid)
     h = grid.n // 2
     for out, points in ((even_out, slice(None, h + 1)), (odd_out, slice(1, h))):
         _weight_kinetic(out, a[points], r[points])
@@ -362,14 +361,14 @@ def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.nd
     [[-D2 + pa, -S + q], [S + q, -D2 + pd]], S = (g D1 + D1 g)/2, for even
     diagonals g, pa, pd and odd q, into the N x N ``out``.  The -D2 parts are
     ``_kinetic_blocks``; the even-odd part of S is
-    s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2.  On a mapped grid the block acts
-    on phi = J^(1/2) w: the kinetic parts are mapped, the first-order term is
-    S(g/J) and the potentials are unchanged."""
+    s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2, c1 the lattice's
+    first-derivative column.  The block acts on phi = J^(1/2) w: the kinetic
+    parts are mapped, the first-order term is S(g/J) and the potentials are
+    unchanged."""
     n, h = grid.n, grid.n // 2
-    lattice, jacobian = _map_of(grid)
-    c1, c2 = _derivative_columns(lattice)
-    if jacobian is not None:
-        g = g / jacobian
+    lattice, jacobian, _ = _map_of(grid)
+    c1 = _derivative_columns(lattice)[0]
+    g = g / jacobian
     odd = np.arange(1, h)
     scale = np.where(np.arange(h + 1) % h == 0, np.sqrt(0.5), 1.0)
 
@@ -379,7 +378,7 @@ def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.nd
         e, o = slice(None, h + 1), slice(h + 1, None)
     else:
         e, o = slice(h - 1, None), slice(None, h - 1)
-    kinetic = _kinetic_blocks(grid, c2, out[e, e], out[o, o])
+    kinetic = _kinetic_blocks(grid, out[e, e], out[o, o])
     pa, pd = pa + kinetic, pd + kinetic
     diagonal = np.concatenate([pa[: h + 1], pd[odd]] if parity > 0 else [pa[odd], pd[: h + 1]])
     toeplitz, hankel = _reflection_views(c1)
@@ -418,15 +417,15 @@ def _sector_setup(omega: float, grid: Grid | MappedGrid, sign: int):
     """One evaluation of U and U' for the v = sign * conj(u) reduction: the
     coefficients (g, pa, pd, q) of ``_parity_block``, the K = +1 part s+ of
     the constraint vector s, the K = -1 part k- of the kernel vector k
-    ((s, k) = (U, U') for plus, (iU', iU) for minus; J^(1/2) s and J^(1/2) k
-    on a mapped grid, whose blocks act on J^(1/2) w), and the sector's parity
-    defect: that of the coefficients and of the dropped parts s- and k+."""
+    ((s, k) = (U, U') for plus, (iU', iU) for minus, times J^(1/2), as the
+    blocks act on J^(1/2) w), and the sector's parity defect: that of the
+    coefficients and of the dropped parts s- and k+."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     s, k = (u, up) if sign > 0 else (1j * up, 1j * u)
-    root = _half_density(grid)
+    root = np.sqrt(_map_of(grid)[1])
     s, k = root * s, root * k
     absq = np.abs(u) ** 2
     big = 1.0 - omega * omega
@@ -468,32 +467,27 @@ def build_hessian(omega: float, grid: Grid | MappedGrid) -> DiscreteOperator:
     Re, Im l2 on them; each block is written in place into the one 4N x 4N
     array.  The profile derivative in the coefficients is the exact closed
     form, which makes the similarity identity against the sector operators
-    pointwise-exact.  On a mapped grid the operator acts on J^(1/2) w, as
-    the sector blocks do: -D2 is the mapped kinetic part
-    (``_mapped_kinetic``), both first-order terms are S(g/J) with the
-    lattice's D1, and the potentials are unchanged; a uniform Grid is the
-    identity map."""
-    lattice, jacobian = _map_of(grid)
+    pointwise-exact.  The operator acts on J^(1/2) w, as the sector blocks
+    do: -D2 is the mapped kinetic part (``_mapped_kinetic``), both
+    first-order terms are S(g/J) with the lattice's D1, and the potentials
+    are unchanged."""
+    lattice, jacobian, _ = _map_of(grid)
     n = grid.n
     d1, d2 = differentiation_matrices(lattice)
+    *weights, kinetic = _mapped_kinetic(grid)
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     absq = np.abs(u) ** 2
     im_uup = np.imag(np.conj(u) * up)
     re_u2 = np.real(u * u)
-    p1 = 4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + (1.0 - omega * omega)
+    p1 = 4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + (1.0 - omega * omega) + kinetic
     p3 = 2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
     l2 = -2j * u * up + 4.0 * u**2 * absq - 2.0 * absq
-    g1, g3 = -4.0 * absq, -2.0 * absq
+    g1, g3 = -4.0 * absq / jacobian, -2.0 * absq / jacobian
     matrix = np.zeros((4 * n, 4 * n))
     blocks = matrix.reshape(4, n, 4, n).swapaxes(1, 2)  # blocks[r, c]: an N x N view
     np.negative(d2, out=blocks[0, 0])
-    mapped = _mapped_kinetic(grid)
-    if mapped is not None:
-        *weights, kinetic = mapped
-        _weight_kinetic(blocks[0, 0], *weights)
-        p1 = p1 + kinetic
-        g1, g3 = g1 / jacobian, g3 / jacobian
+    _weight_kinetic(blocks[0, 0], *weights)
     blocks[1, 1] = blocks[2, 2] = blocks[3, 3] = blocks[0, 0]
     for g, plus, minus in ((g1, [(1, 3), (2, 0)], [(0, 2), (3, 1)]),
                            (g3, [(0, 3), (2, 1)], [(1, 2), (3, 0)])):
@@ -583,17 +577,15 @@ def build_schrodinger(problem: SchrodingerProblem, grid: Grid | MappedGrid) -> D
     padded to the even one's size N/2+1 with two decoupled entries at the
     continuum edge 1, above ``cutoff``; the coupled kind (V1 even,
     V2(-z) = conj V2(z)) the K = +1 and K = -1 blocks of the realified
-    2N x 2N matrix.  The kinetic parts are ``_kinetic_blocks``, mapped on a
-    mapped grid.  The parity defect is the wrong-parity part of the
-    potentials."""
+    2N x 2N matrix.  The kinetic parts are ``_kinetic_blocks``.  The parity
+    defect is the wrong-parity part of the potentials."""
     if problem.scalar:
         h = grid.n // 2
         diag = 1.0 + problem.potential(grid.x)
         wrong = parity_split(np.concatenate([diag, np.zeros(grid.n)]))[1]
         blocks = np.zeros((2, h + 1, h + 1))
         even, odd = blocks
-        diag = diag + _kinetic_blocks(grid, _derivative_columns(_map_of(grid)[0])[1], even,
-                                      odd[: h - 1, : h - 1])
+        diag = diag + _kinetic_blocks(grid, even, odd[: h - 1, : h - 1])
         even.flat[:: h + 2] += diag[: h + 1]
         odd.flat[:: h + 2] += np.concatenate([diag[1:h], [1.0, 1.0]])
         return DiscreteOperator(blocks, 1.0, parity_defect=float(np.max(np.abs(wrong))))
@@ -607,6 +599,7 @@ def stretched_grid(omega: float, grid_x: Grid | MappedGrid) -> Grid | MappedGrid
     """The z-grid matching a given x-grid under z = sqrt(1 - omega^2) x: the
     same lattice, with the half-length, or the map's scale, times
     sqrt(1 - omega^2)."""
+    _check_omega(omega)
     beta = float(np.sqrt(1.0 - omega * omega))
     if isinstance(grid_x, MappedGrid):
         return MappedGrid(grid_x.lattice, beta * grid_x.scale)
@@ -735,6 +728,7 @@ def sigma_closed_form(omega: float, sign: int) -> float:
     """Constraint slopes of the two sectors in closed form."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
+    _check_omega(omega)
     if abs(omega) < OMEGA_DEGENERATE:
         raise ValueError("sigma diverges at omega = 0")
     beta = float(np.sqrt(1.0 - omega * omega))
@@ -813,10 +807,9 @@ def sigma_index(omega: float, grid: Grid | MappedGrid, sign: int) -> float:
 def _constraint_rows(omega: float, grid: Grid | MappedGrid) -> np.ndarray:
     """Four real constraint functionals on (Re u, Re v, Im u, Im v): the
     real and imaginary parts of the complex constraints
-    <(f, conj f), (u, v)> = sum(conj(f) u + f v) for f = U and f = U'; on a
-    mapped grid f = J^(1/2) U and J^(1/2) U', the Hessian acting on
-    J^(1/2) (u, v)."""
-    root = _half_density(grid)
+    <(f, conj f), (u, v)> = sum(conj(f) u + f v) for f = J^(1/2) U and
+    f = J^(1/2) U', the Hessian acting on J^(1/2) (u, v)."""
+    root = np.sqrt(_map_of(grid)[1])
     rows = []
     for f in (root * eval_profile(omega, grid), root * profile_derivative(omega, grid.x)):
         w = np.concatenate([f, np.conj(f)])
@@ -861,7 +854,8 @@ def constrained_split_defect(omega: float, grid: Grid | MappedGrid) -> float:
 
 def splitting_probe(omega: float, grid: Grid | MappedGrid) -> dict:
     """The isolated spectrum of both sector operators at one omega: counts
-    below the edge, the non-kernel eigenvalue of each sector, the parity
+    below the edge, the non-kernel eigenvalue of each sector (NaN where its
+    isolated spectrum is only the kernel, or empty), the parity
     defect of each sector operator, and the degenerate-splitting integral
     whose sign the probe settles empirically, by the rectangle rule in the
     lattice variable with weights h J (h = dx, J = 1 on a uniform grid)."""
@@ -875,15 +869,15 @@ def splitting_probe(omega: float, grid: Grid | MappedGrid) -> dict:
             kernel_idx = int(np.argmin(np.abs(vals)))
             others = np.delete(vals, kernel_idx)
             row[f"kernel_{tag}"] = float(vals[kernel_idx])
-            row[f"second_{tag}"] = float(others[np.argmax(np.abs(others))]) if len(others) else 0.0
+            row[f"second_{tag}"] = (float(others[np.argmax(np.abs(others))]) if len(others)
+                                    else np.nan)
         else:
             row[f"kernel_{tag}"] = row[f"second_{tag}"] = np.nan
     zg = stretched_grid(omega, grid)
     num = -3.0 + 2.0 * omega**2 + np.cosh(4.0 * zg.x)
     den = (omega + np.cosh(2.0 * zg.x)) ** 4
-    lattice, jacobian = _map_of(zg)
-    integrand = num / den if jacobian is None else jacobian * num / den
-    row["splitting_integral"] = float(lattice.dx * np.sum(integrand))
+    lattice, jacobian, _ = _map_of(zg)
+    row["splitting_integral"] = float(lattice.dx * np.sum(jacobian * num / den))
     return row
 
 

@@ -411,30 +411,46 @@ def spectral_grid_capped(omega: float) -> Grid:
     return Grid(half_length, 128 * int(np.ceil(2.0 * half_length / dx_target / 128.0)))
 
 
+def map_of(grid):
+    """The uniform lattice under ``grid`` and the Jacobian J of its sinh map,
+    or None on a uniform grid, which has no map.  Decided here, not through
+    ``spectral._map_of``, whose identity-map convention the oracles check."""
+    if isinstance(grid, spectral.MappedGrid):
+        return grid.lattice, grid.jacobian
+    return grid, None
+
+
 def half_density(grid):
     """J^(1/2), which turns samples of w into samples of phi = J^(1/2) w,
     the coordinates of the mapped operators; 1 on a uniform grid."""
-    jacobian = spectral._map_of(grid)[1]
+    jacobian = map_of(grid)[1]
     return 1.0 if jacobian is None else np.sqrt(jacobian)
+
+
+def map_curvature(grid) -> np.ndarray:
+    """a'' of a = 1/J = sech(xi)/s on a mapped grid's lattice:
+    (sech - 2 sech^3)/s, plus at the wrap (j = 0) the jump of
+    a' = -sinh/(s cosh^2) between xi = Xi and -Xi over h."""
+    lattice = grid.lattice
+    sech = 1.0 / np.cosh(lattice.x)
+    curvature = (sech - 2.0 * sech**3) / grid.scale
+    wrap = lattice.half_length
+    curvature[0] += 2.0 * np.sinh(wrap) / (grid.scale * np.cosh(wrap) ** 2) / lattice.dx
+    return curvature
 
 
 def kinetic_matrix(grid) -> np.ndarray:
     """-d^2/dx^2 as a dense N x N matrix: -D2 on a uniform grid; on a mapped
     grid, acting on phi = J^(1/2) w, R (-(A D2 + D2 A)/2 + diag(a'')/2) R
-    with a = 1/J = sech(xi)/s, A = diag(a), R = J^(-1/2), D2 the lattice's
-    circulant and a'' = (sech - 2 sech^3)/s, plus at the wrap (j = 0) the
-    jump of a' = -sinh/(s cosh^2) between xi = Xi and -Xi over h."""
-    lattice, jacobian = spectral._map_of(grid)
+    with a = 1/J, A = diag(a), R = J^(-1/2), D2 the lattice's circulant and
+    a'' from ``map_curvature``."""
+    lattice, jacobian = map_of(grid)
     _, d2 = spectral.differentiation_matrices(lattice)
     if jacobian is None:
         return -d2
     a = 1.0 / jacobian
-    sech = 1.0 / np.cosh(lattice.x)
-    curvature = (sech - 2.0 * sech**3) / grid.scale
-    wrap = lattice.half_length
-    curvature[0] += 2.0 * np.sinh(wrap) / (grid.scale * np.cosh(wrap) ** 2) / lattice.dx
     r = np.sqrt(a)
-    inner = -0.5 * (a[:, None] * d2 + d2 * a) + np.diag(0.5 * curvature)
+    inner = -0.5 * (a[:, None] * d2 + d2 * a) + np.diag(0.5 * map_curvature(grid))
     return r[:, None] * inner * r
 
 
@@ -470,7 +486,7 @@ def build_hessian_blocked(omega: float, grid) -> np.ndarray:
     ``realify_conjugate_pair``, not written block by block in place.  On a
     mapped grid it acts on J^(1/2) (u, v), as ``sector_matrix`` does: the
     kinetic part is ``kinetic_matrix``, both first-order terms i S(g/J)."""
-    lattice, jacobian = spectral._map_of(grid)
+    lattice, jacobian = map_of(grid)
     d1, _ = spectral.differentiation_matrices(lattice)
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
@@ -511,7 +527,7 @@ def sector_matrix(omega: float, grid, sign: int) -> np.ndarray:
     (linear, conjugate) N x N blocks, without the parity split.  On a mapped
     grid it acts on phi = J^(1/2) w: the kinetic part is ``kinetic_matrix``,
     the first-order term i S(g/J), the potentials are unchanged."""
-    lattice, jacobian = spectral._map_of(grid)
+    lattice, jacobian = map_of(grid)
     d1, _ = spectral.differentiation_matrices(lattice)
     u = eval_profile(omega, grid)
     absq = np.abs(u) ** 2
@@ -653,7 +669,7 @@ def sigma_deflated(omega: float, grid: Grid, sign: int) -> float:
     s = sector_vectors(omega, grid, sign)[0]
     s_perp = s - kernel @ (kernel.T @ s)
     x = solve(m + kernel @ kernel.T, s_perp, assume_a="sym")
-    return float(2.0 * spectral._map_of(grid)[0].dx * (s_perp @ x))
+    return float(2.0 * map_of(grid)[0].dx * (s_perp @ x))
 
 
 def constrained_min_2n(omega: float, grid: Grid, sign: int) -> float:
@@ -681,7 +697,7 @@ def sector_analysis_stacked(omega: float, grid: Grid, sign: int):
     lowest = min(float(eigvalsh_tridiagonal(d[1:], e[1:], select="i", select_range=(0, 0))[0])
                  for d, e in tridiagonals)
     if solved is not None:
-        solved = solved._replace(value=2.0 * spectral._map_of(grid)[0].dx * solved.value)
+        solved = solved._replace(value=2.0 * map_of(grid)[0].dx * solved.value)
     return spectral.SectorAnalysis(spectral._eigenvalues_below(tridiagonals, op.cutoff), lowest,
                                    solved, op.parity_defect, op.cutoff)
 
@@ -695,7 +711,7 @@ def sigma_index_eigh(omega: float, grid: Grid, sign: int) -> float:
     vals, vecs = eigh(sector_matrix(omega, grid, sign))
     keep = np.abs(vals) > KERNEL_DEFLATION
     proj = vecs[:, keep].T @ s
-    return float(2.0 * spectral._map_of(grid)[0].dx * np.sum(proj * proj / vals[keep]))
+    return float(2.0 * map_of(grid)[0].dx * np.sum(proj * proj / vals[keep]))
 
 
 def sigma_profile_path(omega: float, grid: Grid, sign: int) -> float:

@@ -67,6 +67,7 @@ from oracles import (
     half_density,
     hessian_quadratic_form,
     kinetic_matrix,
+    map_curvature,
     parity_bases,
     parity_blocks_assembled,
     prufer_zero_count,
@@ -470,6 +471,13 @@ class TestSigma:
         with pytest.raises(ValueError):
             sigma_index(5e-4, g, +1)
 
+    @pytest.mark.parametrize("omega", [1.0, -1.0, 1.5, np.nan])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_closed_form_refuses_frequencies_off_the_branch(self, omega, sign):
+        # refused by name, before the square root of 1 - omega^2 can warn
+        with pytest.raises(ValueError, match=r"\|omega\| < 1"):
+            sigma_closed_form(omega, sign)
+
 
 class TestGeneralizedMode:
     def test_minus_sector_identity(self):
@@ -522,6 +530,14 @@ class TestSplittingProbe:
         g = spectral_grid(0.01)
         row = splitting_probe(0.01, g)
         assert row["splitting_integral"] == pytest.approx(-2.0 / 3.0, abs=0.05)
+
+    def test_kernel_only_sector_has_no_second_eigenvalue(self):
+        # at omega = 0.95 the minus sector holds only its kernel below the
+        # edge: its second eigenvalue is missing (NaN), not a second zero
+        row = splitting_probe(0.95, spectral_grid(0.95))
+        assert row["count_minus"] == 1 and abs(row["kernel_minus"]) < 1e-6
+        assert np.isnan(row["second_minus"])
+        assert row["count_plus"] == 2 and row["second_plus"] < 0.0
 
 
 
@@ -665,8 +681,8 @@ class TestSpectralGrid:
         (row,), (ref,) = record.tables["sweep"], reference.tables["sweep"]
         assert "error" not in row and row.keys() == ref.keys()
         for key, value in ref.items():
-            if isinstance(value, float):
-                assert abs(row[key] - value) <= 1e-10, key
+            if isinstance(value, float):  # NaN on both: no such eigenvalue
+                assert abs(row[key] - value) <= 1e-10 or np.isnan(value) and np.isnan(row[key]), key
             else:  # counts, verdicts and *_ok flags
                 assert row[key] == value, key
 
@@ -686,6 +702,31 @@ class TestSpectralGrid:
         zg = stretched_grid(omega, g)
         assert zg.lattice == g.lattice
         assert np.allclose(zg.x, np.sqrt(1.0 - omega**2) * g.x, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("omega", [0.0, -0.7, 0.9, -0.95])
+    def test_curvature(self, omega):
+        # a'' of a = 1/J against the oracle's independent closed form, the
+        # lattice delta of the wrap (j = 0) included
+        g = spectral_grid(omega)
+        ref = map_curvature(g)
+        assert np.max(np.abs(g.curvature[1:] - ref[1:])) <= 1e-14 * np.max(np.abs(ref))
+        # the wrap's delta is over 95% of a''[0], so a missing one fails here
+        assert g.curvature[0] == pytest.approx(ref[0], rel=1e-13)
+
+    def test_uniform_grid_is_the_identity_map(self):
+        g = Grid(10.0, 16)
+        lattice, jacobian, curvature = spectral._map_of(g)
+        assert lattice is g
+        assert np.array_equal(jacobian, np.ones(16)) and np.array_equal(curvature, np.zeros(16))
+        a, r, diagonal = spectral._mapped_kinetic(g)
+        assert np.array_equal(a, np.ones(16)) and np.array_equal(r, np.ones(16))
+        assert np.array_equal(diagonal, np.zeros(16))
+
+    @pytest.mark.parametrize("omega", [1.0, -1.0, 1.5, np.nan])
+    @pytest.mark.parametrize("grid", [spectral_grid(0.5), Grid(10.0, 16)], ids=["mapped", "uniform"])
+    def test_stretched_grid_refuses_frequencies_off_the_branch(self, omega, grid):
+        with pytest.raises(ValueError, match=r"\|omega\| < 1"):
+            stretched_grid(omega, grid)
 
     def test_mapped_grid_arguments(self):
         with pytest.raises(ValueError, match="map scale"):
@@ -748,12 +789,14 @@ def mapped_route_defects(omega, uniform):
 
 def unweighted_setup(monkeypatch):
     """``spectral._sector_setup`` with the Jacobian hidden: the constraint
-    and kernel vectors s and k unweighted, not J^(1/2) s and J^(1/2) k."""
-    setup = spectral._sector_setup
+    and kernel vectors s and k unweighted, not J^(1/2) s and J^(1/2) k.
+    The setup reads only J^(1/2) from ``_map_of``, here the identity map of
+    the lattice under the grid."""
+    setup, map_of = spectral._sector_setup, spectral._map_of
 
     def unweighted(omega, grid, sign):
         with monkeypatch.context() as patch:
-            patch.setattr(spectral, "_map_of", lambda g: (g, None))
+            patch.setattr(spectral, "_map_of", lambda g: map_of(getattr(g, "lattice", g)))
             return setup(omega, grid, sign)
 
     return unweighted
