@@ -27,7 +27,7 @@ from .experiments import (
     perturbed_soliton,
     stability_experiment,
 )
-from .grid import Grid, dump_state
+from .grid import Grid, dump_state, write_table
 from .soliton import SolitonParams, eval_soliton
 
 # setting -> (type, default); a command's flag and its config-file key set
@@ -172,10 +172,10 @@ def _cmd_spectrum(cfg: dict, args) -> int:
     rows = []
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = spectral.sector_analysis(omega, g, sign)
-        vals = [float(v) for v in analysis.isolated]
-        rows.append((omega, tag, vals, analysis.cutoff))
+        rows += [(omega, tag, idx, val, int(val < analysis.cutoff))
+                 for idx, val in enumerate(analysis.isolated)]
     out = _outdir(cfg)
-    spectral.write_spectral_csv(out / "spectrum.csv", rows)
+    write_table(out / "spectrum.csv", "omega,operator,index,eigenvalue,below_edge", rows)
     print(f"wrote {out / 'spectrum.csv'}")
     return 0
 
@@ -185,13 +185,13 @@ def _cmd_sigma(cfg: dict, args) -> int:
     g = spectral.spectral_grid(omega, cfg["grid_N"])
     rows = []
     ok = True
-    for sign in (1, -1):
+    for sign, tag in ((1, "+"), (-1, "-")):
         num = spectral.sigma_index(omega, g, sign)
         closed = spectral.sigma_closed_form(omega, sign)
         ok = ok and abs(num - closed) < SLOPE_TOL
-        rows.append((omega, sign, num, closed))
+        rows.append((omega, tag, num, closed))
     out = _outdir(cfg)
-    spectral.write_sigma_csv(out / "sigma.csv", rows)
+    write_table(out / "sigma.csv", "omega,sign,sigma_numeric,sigma_closed_form", rows)
     print(f"wrote {out / 'sigma.csv'}")
     return 0 if ok else 1
 

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .grid import FieldState, differentiate, quadrature
+from .grid import FieldState, differentiate, quadrature, write_table
 
 
 def _current(f: np.ndarray, fx: np.ndarray) -> np.ndarray:
@@ -148,8 +148,5 @@ def evaluate_all(state: FieldState) -> ConservedSet:
 
 def write_series_csv(path: str | Path, sets: Iterable[ConservedSet], omega: float) -> None:
     """Conserved-quantity time series as CSV: t,Q,P,H,R,Lambda."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("t,Q,P,H,R,Lambda\n")
-        for c in sets:
-            lam = c.R + (1.0 - omega * omega) * c.Q
-            f.write(f"{c.t!r},{c.Q!r},{c.P!r},{c.H!r},{c.R!r},{lam!r}\n")
+    write_table(path, "t,Q,P,H,R,Lambda",
+                ((c.t, c.Q, c.P, c.H, c.R, c.R + (1.0 - omega * omega) * c.Q) for c in sets))

@@ -1,5 +1,5 @@
-"""Uniform periodic 1-D grids, two-component complex fields, and the
-calculus on them.
+"""Uniform periodic 1-D grids, two-component complex fields, the calculus
+on them, and ``write_table``, the one writer of the CSV tables.
 
 Differentiation is Fourier-spectral and quadrature is the rectangle rule
 (which coincides with the trapezoid rule on a periodic lattice).  Everything
@@ -9,6 +9,7 @@ is built on these primitives.  All quantities are dimensionless.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from numbers import Integral
@@ -181,22 +182,28 @@ def norms(state: FieldState) -> dict[str, float]:
     return out
 
 
+def write_table(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
+    """Write a CSV table: the ``header`` line(s), then one line of
+    comma-separated ``str(value)`` per row.  ``str`` gives the shortest
+    round-trip digits of a Python float and of a numpy float64 alike.  The
+    text is built first, so a row that raises leaves no file behind."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def dump_state(state: FieldState, path: str | Path) -> None:
     """Write a field state as CSV with the standard metadata comment line."""
     g = state.grid
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(f"# t={float(state.t)!r} L={float(g.half_length)!r} N={g.n} bc=periodic\n")
-        f.write("x,re_u,im_u,re_v,im_v\n")
-        for j in range(g.n):
-            f.write(
-                f"{float(g.x[j])!r},{float(state.u[j].real)!r},{float(state.u[j].imag)!r},"
-                f"{float(state.v[j].real)!r},{float(state.v[j].imag)!r}\n"
-            )
+    header = (f"# t={float(state.t)!r} L={float(g.half_length)!r} N={g.n} bc=periodic\n"
+              "x,re_u,im_u,re_v,im_v")
+    write_table(path, header, zip(g.x, state.u.real, state.u.imag, state.v.real, state.v.imag))
 
 
 def load_state(path: str | Path) -> FieldState:
     """Read a field state written by :func:`dump_state`; only periodic
-    (``bc=periodic``) dumps are accepted."""
+    (``bc=periodic``) dumps are accepted.  A malformed dump is refused with a
+    ``ValueError`` that names the metadata key, the column count or the row
+    count at fault."""
     with open(path, "r", encoding="utf-8") as f:
         meta = f.readline()
         if not meta.startswith("#"):
@@ -211,6 +218,12 @@ def load_state(path: str | Path) -> FieldState:
             raise ValueError(f"metadata line lacks {', '.join(missing)}: {meta.strip()!r}")
         if fields.get("bc") != "periodic":
             raise ValueError(f"unsupported boundary kind {fields.get('bc')!r}; need bc=periodic")
+        for key, kind in (("t", float), ("L", float), ("N", int)):
+            try:
+                fields[key] = kind(fields[key])
+            except ValueError:
+                raise ValueError(f"metadata value {key}={fields[key]} is not "
+                                 f"{'an integer' if kind is int else 'a number'}") from None
         header = f.readline().strip()
         if header != "x,re_u,im_u,re_v,im_v":
             raise ValueError(f"unexpected header {header!r}")
@@ -218,7 +231,11 @@ def load_state(path: str | Path) -> FieldState:
     if not any(row.strip() for row in rows):
         raise ValueError("dump has no data rows")
     data = np.loadtxt(rows, delimiter=",", ndmin=2)
-    grid = Grid(float(fields["L"]), int(fields["N"]))
+    if data.shape[1] != 5:
+        raise ValueError(f"dump rows have {data.shape[1]} columns; x,re_u,im_u,re_v,im_v needs 5")
+    if len(data) != fields["N"]:
+        raise ValueError(f"dump has {len(data)} data rows for N={fields['N']}")
+    grid = Grid(fields["L"], fields["N"])
     u = data[:, 1] + 1j * data[:, 2]
     v = data[:, 3] + 1j * data[:, 4]
-    return FieldState(grid, u, v, float(fields["t"]))
+    return FieldState(grid, u, v, fields["t"])

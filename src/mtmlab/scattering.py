@@ -48,7 +48,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .conserved import charge, hamiltonian, higher_charge, momentum
-from .grid import FieldState, Grid, differentiate, quadrature
+from .grid import FieldState, Grid, differentiate, quadrature, write_table
 
 LAMBDA_WINDOW = (0.05, 20.0)
 NU_BLOWUP = 1e6
@@ -322,7 +322,5 @@ def hierarchy_relations(state: FieldState) -> HierarchyReport:
 
 def write_scan_csv(path, samples_with_time) -> None:
     """Lambda-scan CSV: lambda,re_log_a,im_log_a,t."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("lambda,re_log_a,im_log_a,t\n")
-        for sample, t in samples_with_time:
-            f.write(f"{sample.lam!r},{sample.log_a.real!r},{sample.log_a.imag!r},{t!r}\n")
+    write_table(path, "lambda,re_log_a,im_log_a,t",
+                ((s.lam, s.log_a.real, s.log_a.imag, t) for s, t in samples_with_time))

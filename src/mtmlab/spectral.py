@@ -747,8 +747,9 @@ def spectral_grid(omega: float, n: int | None = None) -> MappedGrid:
     Im xi = pi/2 and the mapped profile factors are analytic in one strip
     of half-width pi/2 at every omega; so are J^(1/2) and 1/J, whose
     singularities are at xi = i pi/2.  One lattice size SPECTRAL_N therefore
-    serves every omega (see CHANGES.md for its convergence table); ``n``
-    overrides it.
+    serves every omega >= -0.997 (see CHANGES.md for its convergence table);
+    at -0.998 and -0.999 it shows a spurious negative constrained minimum in
+    the plus sector, which 256 points remove.  ``n`` overrides it.
     """
     half_length = tail_half_length(omega, 22.0)
     lattice = Grid(float(np.arcsinh(half_length / MAP_SCALE)), SPECTRAL_N if n is None else n)
@@ -880,21 +881,3 @@ def splitting_probe(omega: float, grid: Grid | MappedGrid) -> dict:
     row["splitting_integral"] = float(lattice.dx * np.sum(jacobian * num / den))
     return row
 
-
-def write_spectral_csv(path, rows_by_operator) -> None:
-    """Spectral table CSV: omega,operator,index,eigenvalue,below_edge, where
-    below_edge compares each eigenvalue with its operator's cutoff."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("omega,operator,index,eigenvalue,below_edge\n")
-        for omega, operator, eigenvalues, cutoff in rows_by_operator:
-            for idx, val in enumerate(eigenvalues):
-                f.write(f"{omega!r},{operator},{idx},{val!r},{int(val < cutoff)}\n")
-
-
-def write_sigma_csv(path, rows) -> None:
-    """Sigma table CSV: omega,sign,sigma_numeric,sigma_closed_form."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("omega,sign,sigma_numeric,sigma_closed_form\n")
-        for omega, sign, numeric, closed in rows:
-            tag = "+" if sign > 0 else "-"
-            f.write(f"{omega!r},{tag},{numeric!r},{closed!r}\n")

@@ -571,8 +571,10 @@ def parity_bases(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parity_blocks_assembled(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float]:
-    """``spectral._parity_blocks`` assembled from separate sub-blocks with
-    ``np.block``, ``np.diag`` and ``np.stack`` instead of in place."""
+    """The K = +1 and K = -1 blocks that ``spectral._parity_block`` writes in
+    place (stacked as ``spectral._parity_stack`` stacks them) on a uniform
+    grid, assembled from separate sub-blocks with ``np.block``, ``np.diag``
+    and ``np.stack``, and the coefficients' parity defect."""
     n, h = grid.n, grid.n // 2
     c1, c2 = spectral._derivative_columns(grid)
     even, odd = np.arange(h + 1), np.arange(1, h)

@@ -274,6 +274,16 @@ class TestOmegaSweep:
             assert 0.0 < row[f"parity_defect_{tag}"] < 1e-9
             assert row[f"sigma_{tag}_residual"] < 1e-10
 
+    def test_near_edge_frequency_on_a_refined_lattice(self):
+        # at omega = -0.999 the default 128-point lattice shows a negative
+        # constrained minimum, a discretization failure (see CHANGES.md);
+        # 256 points pass every check
+        record = omega_sweep([-0.999], grid_n=256)
+        checks = ("minus_sector", "plus_sector", "constrained", "slope", "no_errors")
+        assert record.verdicts == dict.fromkeys(checks, True)
+        row = record.tables["sweep"][0]
+        assert row["constrained_min"] > 0.0 and row["constrained_split_defect"] <= 1e-10
+
     def test_check_selection(self):
         record = omega_sweep([0.3], checks=("minus_sector",))
         assert "slope" not in record.verdicts

@@ -16,6 +16,7 @@ from mtmlab.grid import (
     load_state,
     norms,
     quadrature,
+    write_table,
     zero_state,
 )
 from mtmlab.soliton import eval_soliton, SolitonParams
@@ -241,3 +242,33 @@ class TestDumpFormat:
             warnings.simplefilter("error")  # no numpy empty-input warning either
             with pytest.raises(ValueError, match="no data rows"):
                 load_state(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda lines: lines[:2] + [row.rsplit(",", 2)[0] for row in lines[2:]],
+         "dump rows have 3 columns"),
+        (lambda lines: [lines[0].replace("L=12.0", "L=abc")] + lines[1:], "L=abc is not a number"),
+        (lambda lines: lines[:10], "dump has 8 data rows for N=16"),
+    ], ids=["columns", "key", "rows"])
+    def test_malformed_table_named(self, tmp_path, edit, named):
+        path = tmp_path / "state.csv"
+        dump_state(zero_state(Grid(12.0, 16)), path)
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=named):
+            load_state(path)
+
+
+class TestWriteTable:
+    def test_header_lines_and_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table(path, "# note\na,b,c", [(0.1, "x", 2), (np.float64(1e-8), np.float64(-0.0), 3)])
+        assert path.read_text() == "# note\na,b,c\n0.1,x,2\n1e-08,-0.0,3\n"
+
+    def test_raising_rows_leave_no_file(self, tmp_path):
+        def rows():
+            yield (1.0, 2.0)
+            raise RuntimeError("row failed")
+
+        path = tmp_path / "table.csv"
+        with pytest.raises(RuntimeError, match="row failed"):
+            write_table(path, "a,b", rows())
+        assert not path.exists()

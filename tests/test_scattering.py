@@ -268,10 +268,11 @@ class TestRiccati:
         state = eval_soliton(SolitonParams(0.5), soliton_grid)
         sample = riccati_solve(state, 0.8)
         path = tmp_path / "scan.csv"
-        write_scan_csv(path, [(sample, 0.0)])
+        # a numpy float is written as a plain number, like a Python float
+        write_scan_csv(path, [(sample, 0.0), (sample, np.float64(0.0))])
         lines = path.read_text().splitlines()
         assert lines[0] == "lambda,re_log_a,im_log_a,t"
-        assert len(lines) == 2
+        assert len(lines) == 3 and lines[1] == lines[2] and lines[2].endswith(",0.0")
 
 
 class TestHierarchy:
