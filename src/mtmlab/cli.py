@@ -172,10 +172,9 @@ def _cmd_spectrum(cfg: dict, args) -> int:
     rows = []
     for sign, tag in ((1, "plus"), (-1, "minus")):
         analysis = spectral.sector_analysis(omega, g, sign)
-        rows += [(omega, tag, idx, val, int(val < analysis.cutoff))
-                 for idx, val in enumerate(analysis.isolated)]
+        rows += [(omega, tag, idx, val) for idx, val in enumerate(analysis.isolated)]
     out = _outdir(cfg)
-    write_table(out / "spectrum.csv", "omega,operator,index,eigenvalue,below_edge", rows)
+    write_table(out / "spectrum.csv", "omega,operator,index,eigenvalue", rows)
     print(f"wrote {out / 'spectrum.csv'}")
     return 0
 

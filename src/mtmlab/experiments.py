@@ -28,9 +28,11 @@ STABILITY_FACTOR = 10.0
 ZERO_DISTANCE_FLOOR = 1e-8
 PERTURBATION_MODES = 16
 BOUNDEDNESS_FACTOR = 2.0
-# self-check of the per-sector constrained minimum against the 4N x 4N
-# Hessian route: the largest lattice it runs on and the agreement required
-# (the routes are equal in exact arithmetic and agree to ~1e-12 in practice)
+# self-check of the per-sector constrained minimum against the Hessian
+# route, two dense (2N - 2)-square subset eigensolves, one per K4 block of
+# the Hessian (~6 ms per omega at N = 128 on a 2-core host): the largest
+# lattice it runs on and the agreement required (the routes are equal in
+# exact arithmetic and agree to ~1e-12 in practice)
 SPLIT_CHECK_N = 128
 SPLIT_DEFECT_TOL = 1e-10
 SWEEP_CHECKS = ("minus_sector", "plus_sector", "slope", "constrained")
@@ -365,9 +367,11 @@ def omega_sweep(
       full-Hessian route within SPLIT_DEFECT_TOL on the verdict's own
       mapped lattice, or on ``spectral_grid(omega, SPLIT_CHECK_N)`` when
       that lattice has more than SPLIT_CHECK_N points, which bounds the
-      4N x 4N Hessian.  The check so exercises the J^(1/2) weights, S(g/J)
-      and the mapped kinetic part behind the verdicts, and on the verdict's
-      lattice it reads the sector analyses the verdicts left in the cache.
+      Hessian's two dense 2N x 2N K4 blocks, each projected off its two
+      constraint rows and given one subset eigensolve.  The check so
+      exercises the J^(1/2) weights, S(g/J) and the mapped kinetic part
+      behind the verdicts, and on the verdict's lattice it reads the sector
+      analyses the verdicts left in the cache.
 
     Failures during the analysis are isolated per omega and recorded; the
     sweep continues.  An unknown check name, and an omega or ``grid_n``

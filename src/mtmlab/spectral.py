@@ -22,7 +22,7 @@ sector to the complement of {iU', iU}.  Constrained positivity of the full
 operator is therefore the smaller of two per-sector constrained minima, and
 every spectral quantity of a sector (isolated eigenvalues, the constraint
 slope sigma, the constrained minimum) comes from one cached ``SectorAnalysis``
-record, computed once and holding no matrix; the 4N x 4N Hessian is kept as a
+record, computed once and holding no matrix; the Hessian is kept as a
 small-N reference.
 
 Everything is realified in one layout: a complex pair (w, conj w) maps to the
@@ -35,11 +35,19 @@ which rotates them into (iw, conj(iw)).  The realified similarity identity
 Q^T H Q = diag(plus, minus) behind the split is a test oracle
 (``tests/oracles.py``); ``omega_sweep`` re-checks the split on the verdict's
 own mapped lattice, of at most 128 points, through
-``constrained_split_defect``.  That check writes the Hessian block by block
-into one 4N x 4N array (``build_hessian``), mapped as the sector blocks are,
-removes the four constraint directions with their Householder reflectors,
-applied in place from both sides, and takes one subset eigenvalue of what is
-left; its per-sector side is the cached ``SectorAnalysis`` pair.
+``constrained_split_defect``.  That check does not use the similarity.  It
+splits the Hessian by the lattice reflection the sector blocks rest on (see
+below): K4 = diag(R, R, -R, -R) on (Re u, Re v, Im u, Im v), which sends
+(u, v)(x) to (conj u, conj v)(-x), commutes with the Hessian, so
+``build_hessian`` writes its two 2N x 2N blocks, mapped as the sector blocks
+are, and never the 4N x 4N matrix.  Two of the four constraint rows lie in
+each block (``_constraint_blocks``); each block is projected off its two
+with their Householder reflectors, applied in place from both sides, and
+gives one subset eigenvalue of the (2N - 2)-square rest.  Two such
+eigensolves cost a quarter of the flops of one on the (4N - 4)-square
+projection of the whole Hessian: at N = 128 the check takes ~6 ms per omega
+against ~14 ms (2-core host, two OpenBLAS threads).  Its per-sector side is
+the cached ``SectorAnalysis`` pair.
 
 The sector analyses run on a sinh-mapped lattice (``MappedGrid``,
 ``spectral_grid``): x = s sinh(xi) on a uniform periodic xi-lattice of
@@ -57,7 +65,7 @@ A uniform ``Grid`` is the identity map (J = 1, a'' = 0, h = dx), entered in
 one place, ``_map_of``: every builder runs one code path on both grid
 kinds, whose weights of exactly 1 and diagonal of exactly 0 give bitwise
 -D2 and the blocks of the uniform route, the test oracles' reference.  The
-Hessian is mapped alike, with the same kinetic part (``_mapped_kinetic``).
+Hessian is mapped alike, with the same kinetic blocks (``_kinetic_blocks``).
 The map is odd, so the lattice reflection still sends x to -x, and what
 follows holds on both.
 
@@ -82,13 +90,13 @@ the largest wrong-parity component of the coefficients and of s and k,
 refused above CONSTRUCTION_TOL (a domain too short for the soliton).  The
 Schrodinger problems are stacked alike, a scalar one (V even) as its blocks
 on the even and the odd lattice functions; every kinetic part is one gather,
-``_negative_d2_blocks``, weighted by the map (``_kinetic_blocks``), and the
-dense circulants of ``differentiation_matrices``, on the uniform
-lattice under a mapped one, serve only the small-N Hessian self-check.
+``_negative_d2_blocks``, weighted by the map (``_kinetic_blocks``), and
+every first-order coupling's even-odd part one gather of the first-derivative
+column (``_even_odd_part``), in the sector blocks and the Hessian's alike.
 
 Every dense matrix product on the sector path (the reflection's M h, the
 sigma residual's M x, Q y and the Hessian self-check's Householder
-projection) goes through scipy's BLAS/LAPACK, the runtime of ``dsytrd``.
+projections) goes through scipy's BLAS/LAPACK, the runtime of ``dsytrd``.
 numpy links its own OpenBLAS, whose worker threads keep spinning for a while
 after a numpy matrix product; on a host with few cores they would compete
 with the next reduction for the same cores.  Only 1-D inner products, which
@@ -274,7 +282,9 @@ def _derivative_columns(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=4)  # dense pairs are large; keep only adjacent reuse
 def differentiation_matrices(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Dense spectral first/second derivative matrices on a uniform periodic
-    grid, exactly (anti)symmetric: the circulants of ``_derivative_columns``."""
+    grid, exactly (anti)symmetric: the circulants of ``_derivative_columns``.
+    No builder uses them; only the test oracles and the benchmark's
+    cold-cache reset do, and the function leaves this module with them."""
     require_uniform(grid, "differentiation_matrices")
     return tuple(map(circulant, _derivative_columns(grid)))
 
@@ -286,15 +296,19 @@ def embed_conjugate_pair(w: np.ndarray) -> np.ndarray:
     return np.concatenate([w.real, w.imag])
 
 
-def parity_split(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def parity_split(w: np.ndarray, components: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The K = +1 and K = -1 coordinates, (even Re w, odd Im w) and
-    (odd Re w, even Im w), of a realified vector (Re w, Im w)."""
-    pair = w.reshape(2, -1)
-    h = pair.shape[1] // 2
-    ahead, behind = pair[:, 1:h], pair[:, :h:-1]  # the samples at j and N - j
-    even = np.hstack([pair[:, :1], (ahead + behind) / np.sqrt(2.0), pair[:, h : h + 1]])
+    (odd Re w, even Im w), of a realified vector (Re w, Im w) whose w stacks
+    ``components`` lattice functions, taken component by component: for the
+    Hessian's (Re u, Re v, Im u, Im v), ``components=2`` gives
+    (even Re u, even Re v, odd Im u, odd Im v) and (odd, odd, even, even)."""
+    rows = w.reshape(2 * components, -1)
+    h = rows.shape[1] // 2
+    ahead, behind = rows[:, 1:h], rows[:, :h:-1]  # the samples at j and N - j
+    even = np.hstack([rows[:, :1], (ahead + behind) / np.sqrt(2.0), rows[:, h : h + 1]])
     odd = (ahead - behind) / np.sqrt(2.0)
-    return np.concatenate([even[0], odd[1]]), np.concatenate([odd[0], even[1]])
+    m = components
+    return np.concatenate([*even[:m], *odd[m:]]), np.concatenate([*odd[:m], *even[m:]])
 
 
 def _reflection_views(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,21 +370,37 @@ def _kinetic_blocks(grid: Grid | MappedGrid, even_out: np.ndarray, odd_out: np.n
     return diagonal
 
 
+def _even_odd_part(views, g, q, sign: int, out: np.ndarray) -> None:
+    """Write the even-odd part of sign S(g) + diag(q), S(g) = (g D1 + D1 g)/2,
+    for an even g (already divided by J on a mapped grid) and an odd q, into
+    the (N/2+1) x (N/2-1) ``out``: rows on the even, columns on the odd
+    lattice functions.  The even-odd part of S(g) is
+    s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2, c1 the lattice's first-derivative
+    column, whose ``_reflection_views`` are ``views``; that of diag(q) is q_j at
+    (j, j - 1).  Every block with a first-order coupling is written here."""
+    toeplitz, hankel = views
+    h = len(toeplitz) - 1
+    odd = np.arange(1, h)
+    scale = np.where(np.arange(h + 1) % h == 0, np.sqrt(0.5), 1.0)
+    first, second = (toeplitz, hankel) if sign > 0 else (hankel, toeplitz)
+    np.subtract(first[:, 1:h], second[:, 1:h], out=out)
+    weight = g[: h + 1, None] + g[odd]  # s_i (g_i + g_j) / 2
+    weight *= 0.5 * scale[:, None]
+    out *= weight
+    out[odd, odd - 1] += q[odd]
+
+
 def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.ndarray) -> None:
     """Write the K = ``parity`` block of the realified pair operator
     [[-D2 + pa, -S + q], [S + q, -D2 + pd]], S = (g D1 + D1 g)/2, for even
     diagonals g, pa, pd and odd q, into the N x N ``out``.  The -D2 parts are
-    ``_kinetic_blocks``; the even-odd part of S is
-    s_i (g_i + g_j) (c1[i-j] - c1[i+j]) / 2, c1 the lattice's
-    first-derivative column.  The block acts on phi = J^(1/2) w: the kinetic
-    parts are mapped, the first-order term is S(g/J) and the potentials are
-    unchanged."""
+    ``_kinetic_blocks``, the coupling's even-odd part is ``_even_odd_part``
+    and its odd-even part the transpose.  The block acts on
+    phi = J^(1/2) w: the kinetic parts are mapped, the first-order term is
+    S(g/J) and the potentials are unchanged."""
     n, h = grid.n, grid.n // 2
     lattice, jacobian, _ = _map_of(grid)
-    c1 = _derivative_columns(lattice)[0]
-    g = g / jacobian
     odd = np.arange(1, h)
-    scale = np.where(np.arange(h + 1) % h == 0, np.sqrt(0.5), 1.0)
 
     # +1 = [[pa - ee, q - eo], [(q - eo)^T, pd - oo]] on (even, odd) and
     # -1 = [[pa - oo, (q + eo)^T], [q + eo, pd - ee]] on (odd, even)
@@ -381,22 +411,18 @@ def _parity_block(grid: Grid | MappedGrid, g, pa, pd, q, parity: int, out: np.nd
     kinetic = _kinetic_blocks(grid, out[e, e], out[o, o])
     pa, pd = pa + kinetic, pd + kinetic
     diagonal = np.concatenate([pa[: h + 1], pd[odd]] if parity > 0 else [pa[odd], pd[: h + 1]])
-    toeplitz, hankel = _reflection_views(c1)
-    off = out[e, o]  # -eo on +1, eo on -1, then plus q
-    first, second = (hankel, toeplitz) if parity > 0 else (toeplitz, hankel)
-    np.subtract(first[:, 1:h], second[:, 1:h], out=off)
-    weight = g[: h + 1, None] + g[odd]  # s_i (g_i + g_j) / 2
-    weight *= 0.5 * scale[:, None]
-    off *= weight
-    off[odd, odd - 1] += q[odd]
-    out[o, e] = off.T
+    views = _reflection_views(_derivative_columns(lattice)[0])
+    _even_odd_part(views, g / jacobian, q, -parity, out[e, o])  # -eo on +1, eo on -1
+    out[o, e] = out[e, o].T
     out.flat[:: n + 1] += diagonal
 
 
-def _wrong_parity(g, pa, pd, q) -> float:
-    """The largest coordinate of wrong parity of the coefficients of
-    ``_parity_block``: the -1 part of each pair (c, q)."""
-    wrong = [parity_split(np.concatenate([c, q]))[1] for c in (g, pa, pd)]
+def _wrong_parity(*coefficients) -> float:
+    """The largest coordinate of wrong parity of even coefficients followed
+    by one odd one, as ``_parity_block`` and ``build_hessian`` take them: the
+    -1 part of each pair (even, odd)."""
+    *even, odd = coefficients
+    wrong = [parity_split(np.concatenate([c, odd]))[1] for c in even]
     return max(float(np.max(np.abs(w))) for w in wrong)
 
 
@@ -456,58 +482,70 @@ def build_sector_operator(omega: float, grid: Grid | MappedGrid, sign: int) -> D
 
 
 def build_hessian(omega: float, grid: Grid | MappedGrid) -> DiscreteOperator:
-    """Realified 4N x 4N curvature operator on (Re u, Re v, Im u, Im v).
+    """The realified 4N x 4N curvature operator on (Re u, Re v, Im u, Im v)
+    as the (2, 2N, 2N) stack of its K4 = +1 block, on (even Re u, even Re v,
+    odd Im u, odd Im v), and its K4 = -1 block, on (odd, odd, even, even)
+    (``parity_split`` with two components); K4 = diag(R, R, -R, -R) commutes
+    with it, as U(-x) = conj U(x) and the map is odd.
 
     Its displayed entries are l1 = -D2 + i S(g1) + diag p1, the diagonal l2
-    and l3 = i S(g3) + diag p3, with the Hermitian first-order form
-    S(g) = (g D1 + D1 g)/2, which is zero on the diagonal.  The pair operator
+    and l3 = i S(g3) + diag p3, S(g) = (g D1 + D1 g)/2.  The pair operator
     [[l1, 2 l2], [2 conj l2, conj l1]], with conjugate part
-    [[l2, l3], [conj l3, conj l2]], realifies to N x N blocks that are -D2,
-    +-S(g1), +-S(g3) or 0 off their diagonals and sums of p1, p3 and
-    Re, Im l2 on them; each block is written in place into the one 4N x 4N
-    array.  The profile derivative in the coefficients is the exact closed
-    form, which makes the similarity identity against the sector operators
-    pointwise-exact.  The operator acts on J^(1/2) w, as the sector blocks
-    do: -D2 is the mapped kinetic part (``_mapped_kinetic``), both
-    first-order terms are S(g/J) with the lattice's D1, and the potentials
-    are unchanged."""
+    [[l2, l3], [conj l3, conj l2]], realifies to N x N blocks: -D2 plus
+    diag a (Re) or diag b (Im) on the diagonal ones, diag c on (Re u, Re v),
+    diag d on (Im u, Im v), and +-S(g1) or +-S(g3) plus a multiple of
+    diag(Im l2) on the four (Re, Im) ones, with even g1, g3, a, b, c, d and
+    odd Im l2.  Each K4 block is written from the even and odd kinetic parts
+    (``_kinetic_blocks``), the samples of a, b, c, d and the (Re, Im)
+    blocks' even-odd parts (``_even_odd_part``), mirrored by transposition;
+    the coefficients' parity defect is refused above CONSTRUCTION_TOL.  The
+    profile derivative is the exact closed form, which makes the similarity
+    identity against the sector operators pointwise-exact.  The operator
+    acts on J^(1/2) w, as the sector blocks do."""
     lattice, jacobian, _ = _map_of(grid)
-    n = grid.n
-    d1, d2 = differentiation_matrices(lattice)
-    *weights, kinetic = _mapped_kinetic(grid)
+    h = grid.n // 2
     u = eval_profile(omega, grid)
     up = profile_derivative(omega, grid.x)
     absq = np.abs(u) ** 2
     im_uup = np.imag(np.conj(u) * up)
     re_u2 = np.real(u * u)
-    p1 = 4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + (1.0 - omega * omega) + kinetic
+    p1 = 4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + (1.0 - omega * omega)
     p3 = 2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
     l2 = -2j * u * up + 4.0 * u**2 * absq - 2.0 * absq
-    g1, g3 = -4.0 * absq / jacobian, -2.0 * absq / jacobian
-    matrix = np.zeros((4 * n, 4 * n))
-    blocks = matrix.reshape(4, n, 4, n).swapaxes(1, 2)  # blocks[r, c]: an N x N view
-    np.negative(d2, out=blocks[0, 0])
-    _weight_kinetic(blocks[0, 0], *weights)
-    blocks[1, 1] = blocks[2, 2] = blocks[3, 3] = blocks[0, 0]
-    for g, plus, minus in ((g1, [(1, 3), (2, 0)], [(0, 2), (3, 1)]),
-                           (g3, [(0, 3), (2, 1)], [(1, 2), (3, 0)])):
-        s = blocks[plus[0]]
-        np.multiply(g[:, None], d1, out=s)
-        s += d1 * g
-        s *= 0.5
-        blocks[plus[1]] = s
-        for rc in minus:
-            np.negative(s, out=blocks[rc])
-    i = np.arange(n)
-    l1_diagonal = blocks[0, 0, i, i] + p1
     re, im = l2.real, l2.imag
-    a, b = l1_diagonal + re, l1_diagonal - re
-    c, d = 2.0 * re + p3, 2.0 * re - p3
-    blocks[:, :, i, i] = [[a, c, im, -2.0 * im],
-                          [c, a, 2.0 * im, -im],
-                          [im, 2.0 * im, b, d],
-                          [-2.0 * im, -im, d, b]]
-    return DiscreteOperator(matrix, 1.0 - omega * omega)
+    g1, g3 = -4.0 * absq, -2.0 * absq
+    a, b, c, d = p1 + re, p1 - re, 2.0 * re + p3, 2.0 * re - p3
+    defect = _wrong_parity(g1, a, b, c, d, im)
+    g1, g3 = g1 / jacobian, g3 / jacobian
+    # (Re component, Im component, sign of S(g), g, diagonal) of the blocks
+    # [Re, Im] = sign S(g) + diag(diagonal), components numbered as the
+    # coordinates (Re u, Re v, Im u, Im v)
+    couplings = ((0, 2, -1, g1, im), (0, 3, 1, g3, -2.0 * im),
+                 (1, 2, -1, g3, 2.0 * im), (1, 3, 1, g1, -im))
+    views = _reflection_views(_derivative_columns(lattice)[0])
+    even, odd = slice(None, h + 1), slice(1, h)
+    blocks = np.zeros((2, 2 * grid.n, 2 * grid.n))
+    for parity, out in zip((1, -1), blocks):
+        re_points, im_points = (even, odd) if parity > 0 else (odd, even)
+        r, i = (h + 1, h - 1) if parity > 0 else (h - 1, h + 1)
+        comp = [slice(0, r), slice(r, 2 * r), slice(2 * r, 2 * r + i), slice(2 * r + i, None)]
+        re_block, im_block = out[comp[0], comp[0]], out[comp[2], comp[2]]
+        kinetic = _kinetic_blocks(grid, *((re_block, im_block) if parity > 0
+                                          else (im_block, re_block)))
+        out[comp[1], comp[1]] = re_block
+        out[comp[3], comp[3]] = im_block
+        for k, l, diagonal in ((0, 1, c[re_points]), (2, 3, d[im_points])):
+            np.fill_diagonal(out[comp[k], comp[l]], diagonal)
+            np.fill_diagonal(out[comp[l], comp[k]], diagonal)
+        # the even-odd part sits at [Re, Im] on +1 and at [Im, Re] on -1,
+        # where the block is the transpose, -sign S(g) + diag(diagonal)
+        for k, l, sign, g, diagonal in couplings:
+            rows, cols = (comp[k], comp[l]) if parity > 0 else (comp[l], comp[k])
+            _even_odd_part(views, g, diagonal, sign * parity, out[rows, cols])
+            out[cols, rows] = out[rows, cols].T
+        a_k, b_k = (a + kinetic)[re_points], (b + kinetic)[im_points]
+        out.flat[:: 2 * grid.n + 1] += np.concatenate([a_k, a_k, b_k, b_k])
+    return DiscreteOperator(blocks, 1.0 - omega * omega, parity_defect=defect)
 
 
 # ---------------------------------------------------------------------------
@@ -827,27 +865,46 @@ def constrained_min_eig(omega: float, grid: Grid | MappedGrid) -> float:
     return min(sector_analysis(omega, grid, sign).constrained_min for sign in (1, -1))
 
 
+def _constraint_blocks(omega: float, grid: Grid | MappedGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_constraint_rows`` of each K4 block of ``build_hessian``, as
+    (2, 2N) arrays: the real pairing with U and the imaginary pairing with U'
+    (rows 0 and 3) lie in K4 = +1, rows 1 and 2 in K4 = -1.  Their
+    wrong-parity remainders, which the blocks drop, are refused above
+    CONSTRUCTION_TOL."""
+    split = [parity_split(row, 2) for row in _constraint_rows(omega, grid)]
+    _refuse_defect(max(float(np.max(np.abs(split[row][parity])))
+                       for row, parity in ((0, 1), (3, 1), (1, 0), (2, 0))))
+    return (np.array([split[0][0], split[3][0]]), np.array([split[1][1], split[2][1]]))
+
+
 def _constrained_min_eig_hessian(omega: float, grid: Grid | MappedGrid) -> float:
-    """Reference for ``constrained_min_eig`` through the full 4N x 4N Hessian;
-    for small grids.  The four constraint rows C are factored as C^T = Q R
-    (``dgeqrf``), and the four Householder reflectors of Q, applied in place
-    from both sides to the Hessian's Fortran view (``dormqr``), give Q^T H Q:
-    its trailing (4N - 4)-square block is H on the null space of C (Golub &
-    Van Loan, sec. 5.1)."""
-    projected = build_hessian(omega, grid).matrix.T  # Fortran-ordered, as H is symmetric
-    reflectors, tau, *_ = dgeqrf(_constraint_rows(omega, grid).T)
-    for side, trans in (("L", "T"), ("R", "N")):
-        projected, *_ = dormqr(side, trans, reflectors, tau, projected, len(projected),
-                               overwrite_c=1)
-    vals = eigh(projected[4:, 4:], eigvals_only=True, subset_by_index=[0, 0], overwrite_a=True)
-    return float(vals[0])
+    """Reference for ``constrained_min_eig`` through the Hessian's two K4
+    blocks (``build_hessian``), each off its own two constraint rows
+    (``_constraint_blocks``); for small grids.  A block's rows C are factored
+    as C^T = Q R (``dgeqrf``), and their two Householder reflectors, applied
+    in place from both sides to the block's Fortran view (``dormqr``), give
+    Q^T M Q: its trailing (2N - 2)-square block is M on the null space of C
+    (Golub & Van Loan, sec. 5.1), whose lowest eigenvalue one subset
+    ``eigh`` gives.  The smaller of the two is the constrained minimum."""
+    lowest = np.inf
+    blocks = build_hessian(omega, grid).matrix
+    for block, rows in zip(blocks, _constraint_blocks(omega, grid)):
+        projected = block.T  # Fortran-ordered, as the block is symmetric
+        reflectors, tau, *_ = dgeqrf(rows.T)
+        for side, trans in (("L", "T"), ("R", "N")):
+            projected, *_ = dormqr(side, trans, reflectors, tau, projected, len(projected),
+                                   overwrite_c=1)
+        vals = eigh(projected[2:, 2:], eigvals_only=True, subset_by_index=[0, 0],
+                    overwrite_a=True)
+        lowest = min(lowest, float(vals[0]))
+    return lowest
 
 
 def constrained_split_defect(omega: float, grid: Grid | MappedGrid) -> float:
     """|per-sector route - full-Hessian route| of the constrained minimum on
     ``grid``: a self-check of the constraint split, and on a mapped grid of
     its mapped parts (the J^(1/2) weights, S(g/J) and the kinetic part), for
-    small grids (the Hessian is 4N x 4N).  The sector route is read from the
+    small grids (the Hessian's K4 blocks are 2N x 2N and dense).  The sector route is read from the
     cached ``sector_analysis``, so on the verdict's own grid it recomputes
     nothing."""
     return abs(constrained_min_eig(omega, grid) - _constrained_min_eig_hessian(omega, grid))

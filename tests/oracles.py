@@ -6,6 +6,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import block_diag, eigh, eigvalsh_tridiagonal, null_space, solve
 from scipy.linalg.blas import dgemm, dsymm
+from scipy.linalg.lapack import dgeqrf, dormqr
 
 from mtmlab import scattering, spectral
 from mtmlab.conserved import charge, higher_charge
@@ -511,12 +512,74 @@ def build_hessian_blocked(omega: float, grid) -> np.ndarray:
     return realify_conjugate_pair(linear, conj_part)
 
 
+def build_hessian_in_place(omega: float, grid) -> np.ndarray:
+    """The realified 4N x 4N Hessian on (Re u, Re v, Im u, Im v) written
+    block by block into one array from the dense circulants D1, D2, the
+    route ``spectral.build_hessian`` took before it wrote the K4 blocks:
+    -D2 (mapped as ``spectral._mapped_kinetic`` says) on the four diagonal
+    blocks, +-S(g1/J) and +-S(g3/J) on the (Re, Im) blocks, and the sums of
+    p1, p3 and Re, Im l2 on their diagonals."""
+    lattice, jacobian = map_of(grid)
+    jacobian = 1.0 if jacobian is None else jacobian
+    n = grid.n
+    d1, d2 = spectral.differentiation_matrices(lattice)
+    *weights, kinetic = spectral._mapped_kinetic(grid)
+    u = eval_profile(omega, grid)
+    up = profile_derivative(omega, grid.x)
+    absq = np.abs(u) ** 2
+    im_uup = np.imag(np.conj(u) * up)
+    re_u2 = np.real(u * u)
+    p1 = 4.0 * im_uup + 10.0 * absq**2 - 4.0 * re_u2 + (1.0 - omega * omega) + kinetic
+    p3 = 2.0 * im_uup + 8.0 * absq**2 - 2.0 * re_u2
+    l2 = -2j * u * up + 4.0 * u**2 * absq - 2.0 * absq
+    g1, g3 = -4.0 * absq / jacobian, -2.0 * absq / jacobian
+    matrix = np.zeros((4 * n, 4 * n))
+    blocks = matrix.reshape(4, n, 4, n).swapaxes(1, 2)  # blocks[r, c]: an N x N view
+    np.negative(d2, out=blocks[0, 0])
+    spectral._weight_kinetic(blocks[0, 0], *weights)
+    blocks[1, 1] = blocks[2, 2] = blocks[3, 3] = blocks[0, 0]
+    for g, plus, minus in ((g1, [(1, 3), (2, 0)], [(0, 2), (3, 1)]),
+                           (g3, [(0, 3), (2, 1)], [(1, 2), (3, 0)])):
+        s = blocks[plus[0]]
+        np.multiply(g[:, None], d1, out=s)
+        s += d1 * g
+        s *= 0.5
+        blocks[plus[1]] = s
+        for rc in minus:
+            np.negative(s, out=blocks[rc])
+    i = np.arange(n)
+    l1_diagonal = blocks[0, 0, i, i] + p1
+    re, im = l2.real, l2.imag
+    a, b = l1_diagonal + re, l1_diagonal - re
+    c, d = 2.0 * re + p3, 2.0 * re - p3
+    blocks[:, :, i, i] = [[a, c, im, -2.0 * im],
+                          [c, a, 2.0 * im, -im],
+                          [im, 2.0 * im, b, d],
+                          [-2.0 * im, -im, d, b]]
+    return matrix
+
+
+def constrained_min_eig_householder(omega: float, grid) -> float:
+    """``spectral._constrained_min_eig_hessian`` on the whole 4N x 4N
+    Hessian of ``build_hessian_in_place``: the four constraint rows C are
+    factored as C^T = Q R (``dgeqrf``), their Householder reflectors applied
+    in place from both sides (``dormqr``), and one subset ``eigh`` of the
+    trailing (4N - 4)-square block of Q^T H Q."""
+    projected = build_hessian_in_place(omega, grid).T  # Fortran-ordered, as H is symmetric
+    reflectors, tau, *_ = dgeqrf(spectral._constraint_rows(omega, grid).T)
+    for side, trans in (("L", "T"), ("R", "N")):
+        projected, *_ = dormqr(side, trans, reflectors, tau, projected, len(projected),
+                               overwrite_c=1)
+    vals = eigh(projected[4:, 4:], eigvals_only=True, subset_by_index=[0, 0], overwrite_a=True)
+    return float(vals[0])
+
+
 def constrained_min_eig_nullspace(omega: float, grid: Grid) -> float:
-    """``spectral._constrained_min_eig_hessian`` through an orthonormal
-    null-space basis B of the four constraint rows (``null_space``, an SVD)
-    and the product B^T H B (``dsymm``, ``dgemm``) instead of Householder
-    reflectors applied in place."""
-    hessian = spectral.build_hessian(omega, grid).matrix
+    """``constrained_min_eig_householder`` through an orthonormal null-space
+    basis B of the four constraint rows (``null_space``, an SVD) and the
+    product B^T H B (``dsymm``, ``dgemm``) instead of Householder reflectors
+    applied in place."""
+    hessian = build_hessian_in_place(omega, grid)
     basis = null_space(spectral._constraint_rows(omega, grid))
     projected = dgemm(1.0, basis, dsymm(1.0, hessian.T, basis, lower=1), trans_a=1)
     return float(eigh(projected, eigvals_only=True, subset_by_index=[0, 0])[0])
@@ -595,6 +658,16 @@ def parity_blocks_assembled(grid: Grid, g, pa, pd, q) -> tuple[np.ndarray, float
     return np.stack([plus, minus]), max(float(np.max(np.abs(w))) for w in wrong)
 
 
+def hessian_matrix(op) -> np.ndarray:
+    """The realified 4N x 4N Hessian on (Re u, Re v, Im u, Im v) of the K4
+    stack of ``spectral.build_hessian``, P+ M+ P+^T + P- M- P-^T with the
+    orthonormal bases P+ = diag(E, E, O, O) and P- = diag(O, O, E, E) of the
+    K4 = +1 and -1 eigenspaces (E, O from ``scalar_parity_bases``)."""
+    even, odd = scalar_parity_bases(op.matrix.shape[-1] // 2)
+    plus, minus = block_diag(even, even, odd, odd), block_diag(odd, odd, even, even)
+    return plus @ op.matrix[0] @ plus.T + minus @ op.matrix[1] @ minus.T
+
+
 def full_matrix(op) -> np.ndarray:
     """The realified 2N x 2N matrix of a stacked operator,
     P+ M+ P+^T + P- M- P-^T."""
@@ -620,10 +693,11 @@ def scalar_full_matrix(op) -> np.ndarray:
 def block_diagonalize_check(omega: float, grid: Grid) -> float:
     """Max-norm defect of the realified similarity identity
     Q^T H Q = diag(plus, minus) that splits the curvature operator into the
-    two sector operators.  The operators are looked up on ``spectral`` at
+    two sector operators, H the production K4 stack reassembled
+    (``hessian_matrix``).  The operators are looked up on ``spectral`` at
     call time, so a patched builder is what gets checked."""
     q = realified_similarity(grid.n)
-    split = q.T @ spectral.build_hessian(omega, grid).matrix @ q
+    split = q.T @ hessian_matrix(spectral.build_hessian(omega, grid)) @ q
     target = block_diag(
         full_matrix(spectral.build_sector_operator(omega, grid, +1)),
         full_matrix(spectral.build_sector_operator(omega, grid, -1)),
@@ -633,10 +707,11 @@ def block_diagonalize_check(omega: float, grid: Grid) -> float:
 
 def hessian_quadratic_form(op, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """Value of the second variation of Lambda along the perturbation
-    (a, b) for the realified Hessian ``op`` on ``grid``: equals
-    d^2/d eps^2 of Lambda(soliton + eps (a, b)) at eps = 0."""
+    (a, b) for the Hessian ``op`` on ``grid`` (its K4 stack, reassembled by
+    ``hessian_matrix``): equals d^2/d eps^2 of Lambda(soliton + eps (a, b))
+    at eps = 0."""
     w = spectral.embed_conjugate_pair(np.concatenate([a, b]))
-    return float(2.0 * grid.dx * (w @ (op.matrix @ w)))
+    return float(2.0 * grid.dx * (w @ (hessian_matrix(op) @ w)))
 
 
 def generalized_mode_residual(omega: float, grid: Grid) -> float:

@@ -258,7 +258,7 @@ class TestSpectrumCommand:
         rc = main(["spectrum", "--omega", "0.5", "--out", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "spectrum.csv").read_text().splitlines()
-        assert lines[0] == "omega,operator,index,eigenvalue,below_edge"
+        assert lines[0] == "omega,operator,index,eigenvalue"
         operators = {ln.split(",")[1] for ln in lines[1:]}
         assert operators == {"plus", "minus"}
 

@@ -57,7 +57,9 @@ from oracles import (
     SECTOR_SIMILARITY,
     block_diagonalize_check,
     build_hessian_blocked,
+    build_hessian_in_place,
     constrained_min_2n,
+    constrained_min_eig_householder,
     constrained_min_eig_nullspace,
     coupled_kernel_mode,
     difference_sector_kernel_mode,
@@ -65,6 +67,7 @@ from oracles import (
     full_matrix,
     generalized_mode_residual,
     half_density,
+    hessian_matrix,
     hessian_quadratic_form,
     kinetic_matrix,
     map_curvature,
@@ -192,7 +195,8 @@ class TestHessian:
         for name in ("gauge", "translation"):
             a, b = modes[name][0], modes[name][1]
             assert abs(hessian_quadratic_form(op, g, a, b)) < 1e-6
-            assert np.max(np.abs(op.matrix @ embed_conjugate_pair(np.concatenate([a, b])))) < 1e-6
+            mode = embed_conjugate_pair(np.concatenate([a, b]))
+            assert np.max(np.abs(hessian_matrix(op) @ mode)) < 1e-6
 
     def test_quadratic_form_matches_second_difference(self, hessian_setup):
         omega, g, op = hessian_setup
@@ -585,7 +589,7 @@ class TestSectorRoute:
         q = realified_similarity(n)
         assert np.max(np.abs(q.T @ q - np.eye(4 * n))) < 1e-14
         # the realified Hessian splits into the two realified sector matrices
-        split = q.T @ build_hessian(omega, g).matrix @ q
+        split = q.T @ hessian_matrix(build_hessian(omega, g)) @ q
         plus = sector_matrix(omega, g, +1)
         minus = sector_matrix(omega, g, -1)
         assert np.max(np.abs(split[: 2 * n, : 2 * n] - plus)) < 1e-8
@@ -933,37 +937,50 @@ FULL_GRID_OMEGAS = (0.5, -0.7)
 
 
 class TestHessianRoutes:
-    """The in-place Hessian assembly and the Householder projection of the
-    split self-check against their block and null-space oracles."""
+    """The Hessian's K4 blocks and the split self-check that projects each
+    by its own constraint rows, against the 4N x 4N in-place writer, the
+    block oracle and the Householder and null-space projections of the
+    whole Hessian."""
 
     @pytest.mark.parametrize(
         "omega, n",
         [(w, ORACLE_N) for w in CRITERION_OMEGAS] + [(w, None) for w in (0.0, 0.4, 0.5)],
     )
-    def test_in_place_build_matches_block_oracle(self, omega, n):
+    def test_in_place_oracle_matches_block_oracle(self, omega, n):
         g = uniform_spectral_grid(omega, n)
-        assert np.array_equal(build_hessian(omega, g).matrix, build_hessian_blocked(omega, g))
+        assert np.array_equal(build_hessian_in_place(omega, g), build_hessian_blocked(omega, g))
+
+    def test_build_is_the_k4_stack(self):
+        g = spectral_grid(0.5)
+        assert build_hessian(0.5, g).matrix.shape == (2, 2 * g.n, 2 * g.n)
+
+    def test_short_domain_refused(self):
+        with pytest.raises(OperatorConstructionError, match="parity defect"):
+            build_hessian(0.5, Grid(3.0, 128))
 
     def test_build_peak_is_the_matrix(self):
-        # the 4N x 4N result and the two N x N circulants, plus one N x N
-        # temporary; the np.block route peaked at 3.5 matrices
+        # the (2, 2N, 2N) stack, 1.17 stacks with the gathers of the kinetic
+        # and first-order parts; the 4N x 4N in-place writer peaked at 1.75
+        # (4N)^2 doubles, 3.5 stacks
         g = uniform_spectral_grid(0.5)
-        spectral.differentiation_matrices.cache_clear()
         tracemalloc.start()
         try:
             build_hessian(0.5, g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.75 * (4 * g.n) ** 2 * 8
+        assert peak <= 1.25 * 2 * (2 * g.n) ** 2 * 8
 
+    @pytest.mark.parametrize("grid", [spectral_grid, uniform_spectral_grid])
     @pytest.mark.parametrize("omega", [0.0, 0.3, -0.7, 0.95])
-    def test_mapped_build_matches_block_oracle(self, omega):
-        # the four diagonal blocks are the mapped kinetic part off their
-        # diagonals; the whole matrix is the blocked oracle's
-        g = spectral_grid(omega)
+    def test_k4_blocks_reassemble_block_oracle(self, omega, grid):
+        # the four diagonal blocks of the reassembled matrix are the mapped
+        # kinetic part off their diagonals; the whole matrix is the blocked
+        # oracle's, so the blocks are its projections and its K4 cross
+        # block vanishes
+        g = grid(omega, SPLIT_CHECK_N)
         n = g.n
-        hessian = build_hessian(omega, g).matrix
+        hessian = hessian_matrix(build_hessian(omega, g))
         blocks = hessian.reshape(4, n, 4, n)
         kinetic = kinetic_matrix(g)
         off = ~np.eye(n, dtype=bool)
@@ -974,10 +991,11 @@ class TestHessianRoutes:
         assert np.max(np.abs(hessian - blocked)) <= 1e-13 * np.max(np.abs(blocked))
 
     @pytest.mark.parametrize("grid", [uniform_spectral_grid, spectral_grid])
-    @pytest.mark.parametrize("omega", SWEEP_GRID_N)
-    def test_householder_projection_matches_null_space_oracle(self, omega, grid, monkeypatch):
+    @pytest.mark.parametrize("omega", CRITERION_OMEGAS + (0.95, -0.95))
+    def test_k4_check_matches_whole_hessian_oracles(self, omega, grid, monkeypatch):
         g = grid(omega, SPLIT_CHECK_N)
-        expected = constrained_min_eig_nullspace(omega, g)
+        householder = constrained_min_eig_householder(omega, g)
+        nullspace = constrained_min_eig_nullspace(omega, g)
 
         def refuse(*args, **kwargs):
             raise AssertionError("null-space basis on the Householder route")
@@ -985,13 +1003,32 @@ class TestHessianRoutes:
         monkeypatch.setattr(spectral, "null_space", refuse)
         # rounding grows with the largest entry, ~2.6e3 on the mapped lattice,
         # whose core spacing is fine
-        scale = np.max(np.abs(build_hessian(omega, g).matrix))
+        scale = np.max(np.abs(build_hessian_in_place(omega, g)))
         tol = max(1e-12, 2e-15 * scale)
-        assert abs(_constrained_min_eig_hessian(omega, g) - expected) <= tol
+        k4 = _constrained_min_eig_hessian(omega, g)
+        assert abs(k4 - householder) <= tol
+        assert abs(k4 - nullspace) <= tol
+
+    def test_split_check_makes_two_half_size_eigensolves(self, monkeypatch):
+        # one subset eigh per K4 block, each of the block's 2N - 2 directions
+        # off its two constraint rows; the whole Hessian took one of 4N - 4
+        shapes = []
+        solve = spectral.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "eigh", recording)
+        record = omega_sweep([0.3], checks=("constrained",))
+        assert record.verdicts["constrained"] and record.verdicts["no_errors"]
+        n = spectral.SPECTRAL_N
+        assert shapes == [(2 * n - 2, 2 * n - 2)] * 2
 
     def test_split_check_peak(self):
-        # the Hessian projected in place, and the copy of its trailing block
-        # that the eigensolver takes; the null-space route peaked at 5.1 matrices
+        # the K4 stack projected in place, and the copy of one block's
+        # trailing part that the eigensolver takes: 1.59 stacks; the 4N x 4N
+        # route peaked at 3.0 (4N)^2 doubles, 6 stacks
         g = spectral_grid(-0.7, SPLIT_CHECK_N)
         tracemalloc.start()
         try:
@@ -999,7 +1036,7 @@ class TestHessianRoutes:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.0 * (4 * g.n) ** 2 * 8
+        assert peak <= 1.75 * 2 * (2 * g.n) ** 2 * 8
 
 
 class TestParityBlocks:
